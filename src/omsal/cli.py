@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     UnknownFixture,
 )
-from .homology import IntegerChainComplex, homology, write_matrix_text
+from .homology import IntegerChainComplex, write_matrix_text
 from .matroid import Chirotope, are_isomorphic
 from .mh import dual_complex, mh_check, salvetti_cw
 from .osalg import flats_from_covectors, gr_comparison, nbc_sets
@@ -113,26 +113,18 @@ def _cmd_salvetti(args):
     return 0, [" ".join(parts)], payload
 
 
-def _group_str(g):
-    parts = []
-    if g.betti:
-        parts.append("Z" if g.betti == 1 else f"Z^{g.betti}")
-    parts.extend(f"Z/{d}" for d in g.torsion)
-    return " + ".join(parts) if parts else "0"
-
-
 def _cmd_homology(args):
     m, ident = _load_subject(args)
-    sc = salvetti_order_complex(m)
-    groups = homology(sc)
+    chain = IntegerChainComplex.from_faces(
+        salvetti_order_complex(m).faces_by_dim())
+    groups = chain.homology()
     if args.dump_matrices:
         os.makedirs(args.dump_matrices, exist_ok=True)
-        chain = IntegerChainComplex.from_faces(sc.faces_by_dim())
         for k in range(1, len(chain.dims)):
             write_matrix_text(
                 chain.boundary_matrix(k),
                 os.path.join(args.dump_matrices, f"boundary_{k}.txt"))
-    lines = [f"H_{k}: {_group_str(g)}" for k, g in enumerate(groups)]
+    lines = [f"H_{k}: {g}" for k, g in enumerate(groups)]
     betti = [g.betti for g in groups]
     lines.append("betti=(" + ",".join(map(str, betti)) + ")")
     payload = {"subject": ident, "betti": betti,

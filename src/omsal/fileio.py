@@ -126,6 +126,8 @@ def parse_chirotope(source) -> Chirotope:
         n = int(toks[2][2:])
     except ValueError:
         raise ParseError(f"{name}:{lineno}: bad r/n in {head!r}") from None
+    if not 1 <= r <= n:
+        raise ParseError(f"{name}:{lineno}: need 1 <= r <= n in {head!r}")
     chars = "".join(line for _, line in lines[1:])
     subsets = colex_subsets(n, r)
     if len(chars) != len(subsets):
@@ -143,28 +145,6 @@ def parse_chirotope(source) -> Chirotope:
 def emit_chirotope(c: Chirotope) -> str:
     chars = "".join(_SIGN_CHAR[c.chi(sub)] for sub in colex_subsets(c.n, c.r))
     return f"chirotope r={c.r} n={c.n}\n{chars}\n"
-
-
-def _closure_poset(elements, cover_pairs) -> FinitePoset:
-    """FinitePoset from an index-based cover relation, closed transitively."""
-    n = len(elements)
-    up = [1 << i for i in range(n)]
-    for a, b in cover_pairs:
-        up[a] |= 1 << b
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            m = up[i]
-            probe = m & ~(1 << i)
-            while probe:
-                low = probe & -probe
-                m |= up[low.bit_length() - 1]
-                probe ^= low
-            if m != up[i]:
-                up[i] = m
-                changed = True
-    return FinitePoset(elements, up)
 
 
 def parse_salvetti_poset(source) -> FinitePoset:
@@ -201,7 +181,7 @@ def parse_salvetti_poset(source) -> FinitePoset:
             raise ParseError(f"{name}:{lineno}: unrecognized line {line!r}")
     if not cells:
         raise ParseError(f"{name}: no cells")
-    return _closure_poset(cells, covers)
+    return FinitePoset.from_covers(cells, covers)
 
 
 def emit_salvetti_poset(poset: FinitePoset) -> str:

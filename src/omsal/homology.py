@@ -2,9 +2,8 @@
 
 The workhorse is a sparse elimination over Z with unit-pivot preference;
 invariant factors come from the eliminated diagonal after a gcd/lcm
-normalization.  Large complexes are first reduced by elementary
-collapses, which preserve homotopy type and usually shrink the order
-complexes showing up downstream by an order of magnitude.
+normalization.  Boundary matrices are assembled from the full face list
+of the complex; nothing is reduced beforehand.
 """
 
 from __future__ import annotations
@@ -80,48 +79,6 @@ def _close_down(face, out):
                 g = f - {v}
                 if g not in out:
                     stack.append(g)
-
-
-# -- elementary collapses -------------------------------------------------
-
-
-def collapse(faces_by_dim):
-    """Greedy elementary collapses; homotopy type is preserved.
-
-    A simplex with exactly one coface of one higher dimension is free
-    (it then has no larger cofaces at all), and is removed together with
-    that coface.  Input and output are lists of faces per dimension.
-    """
-    present = set()
-    for layer in faces_by_dim:
-        present.update(layer)
-    cofaces: dict[frozenset, set] = {f: set() for f in present}
-    for f in present:
-        if len(f) > 1:
-            for v in f:
-                cofaces[f - {v}].add(f)
-    queue = [f for f in present if len(cofaces[f]) == 1]
-    while queue:
-        sigma = queue.pop()
-        if sigma not in present or len(cofaces[sigma]) != 1:
-            continue
-        (tau,) = cofaces[sigma]
-        for x in (tau, sigma):
-            present.discard(x)
-            if len(x) > 1:
-                for v in x:
-                    rho = x - {v}
-                    s = cofaces.get(rho)
-                    if s is not None:
-                        s.discard(x)
-                        if rho in present and len(s) == 1:
-                            queue.append(rho)
-        del cofaces[sigma], cofaces[tau]
-    byd: dict[int, list] = {}
-    for f in present:
-        byd.setdefault(len(f) - 1, []).append(f)
-    top = max(byd, default=-1)
-    return [sorted(byd.get(d, []), key=sorted) for d in range(top + 1)]
 
 
 # -- Smith normal form ------------------------------------------------------
@@ -281,89 +238,6 @@ def _col_addmul(rows, cols, dst, src, k):
             cols[dst].discard(i)
 
 
-def smith_normal_form_with_transforms(matrix):
-    """Classical dense SNF returning (D, P, Q) with P @ A @ Q = D.
-
-    Slow but self-certifying; tests validate it by re-multiplication on
-    matrices up to 50x50 and check it against the sparse engine.  P and
-    Q are unimodular by construction (elementary operations only).
-    """
-    a = [[int(v) for v in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    p = [[int(i == j) for j in range(m)] for i in range(m)]
-    q = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_op(dst, src, k):
-        for t in range(n):
-            a[dst][t] += k * a[src][t]
-        for t in range(m):
-            p[dst][t] += k * p[src][t]
-
-    def col_op(dst, src, k):
-        for t in range(m):
-            a[t][dst] += k * a[t][src]
-        for t in range(n):
-            q[t][dst] += k * q[t][src]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        p[i], p[j] = p[j], p[i]
-
-    def swap_cols(i, j):
-        for t in range(m):
-            a[t][i], a[t][j] = a[t][j], a[t][i]
-        for t in range(n):
-            q[t][i], q[t][j] = q[t][j], q[t][i]
-
-    t = 0
-    while t < min(m, n):
-        pivot, best = None, None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            v = a[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    row_op(i, t, -(a[i][t] // v))
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    col_op(j, t, -(a[t][j] // v))
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            v = a[t][t]
-            offender = next((i for i in range(t + 1, m)
-                             for j in range(t + 1, n) if a[i][j] % v), None)
-            if offender is None:
-                break
-            row_op(t, offender, 1)
-        if a[t][t] < 0:
-            for tt in range(n):
-                a[t][tt] = -a[t][tt]
-            for tt in range(m):
-                p[t][tt] = -p[t][tt]
-        t += 1
-    return a, p, q
-
-
 # -- chain complexes and homology ------------------------------------------
 
 
@@ -455,22 +329,12 @@ def _sparse_product_is_zero(lower, upper):
     return True
 
 
-def homology(complex_: SimplicialComplex, reduce_first=True) -> list[HomologyGroup]:
+def homology(complex_: SimplicialComplex) -> list[HomologyGroup]:
     """Unreduced integer homology of a simplicial complex, per degree.
 
-    With reduce_first the complex is collapsed before boundary matrices
-    are assembled; the answer is the same either way.  The empty complex
-    has no degrees; a single point has H_0 = Z.
+    The empty complex has no degrees; a single point has H_0 = Z.
     """
-    faces = complex_.faces_by_dim()
-    if not faces:
-        return []
-    dim = len(faces) - 1
-    core = collapse(faces) if reduce_first else faces
-    groups = IntegerChainComplex.from_faces(core).homology()
-    while len(groups) <= dim:
-        groups.append(HomologyGroup(0))
-    return groups
+    return IntegerChainComplex.from_faces(complex_.faces_by_dim()).homology()
 
 
 def betti_numbers(complex_: SimplicialComplex) -> tuple[int, ...]:

@@ -257,6 +257,7 @@ class OrientedMatroid:
         self._sorted = None
         self._poset = None
         self._grade = None
+        self._report = None
 
     # canonical order everywhere: ASCII sorts '+' < '-' < '0'
     def sorted_covectors(self) -> list[SignVector]:
@@ -269,7 +270,10 @@ class OrientedMatroid:
         return SignVector.zero(self.n)
 
     def verify(self) -> AxiomReport:
-        return verify_axioms(self.covectors)
+        """The axiom report, computed on the first call and kept."""
+        if self._report is None:
+            self._report = verify_axioms(self.covectors)
+        return self._report
 
     def face_poset(self) -> FinitePoset:
         """(L, <=) under conformality, bottom **0** (when V0 holds)."""
@@ -328,15 +332,6 @@ class OrientedMatroid:
         return sorted(out, key=str)
 
 
-def topes(m: OrientedMatroid) -> list[SignVector]:
-    return m.topes()
-
-
-def rank_and_height(m: OrientedMatroid):
-    """(rank, covector -> height); raises NotGraded on a corrupt set."""
-    return m.rank, m.heights()
-
-
 # -- constructions -----------------------------------------------------------
 
 
@@ -361,10 +356,11 @@ def span_from_cocircuits(cc) -> OrientedMatroid:
                         covs.add(z)
                         fresh.append(z)
         frontier = fresh
-    report = verify_axioms(covs)
+    m = OrientedMatroid(n, covs)
+    report = m.verify()
     if not report.passes:
         raise AxiomFailure(report)
-    return OrientedMatroid(n, covs)
+    return m
 
 
 def from_arrangement(arr: RationalArrangement) -> OrientedMatroid:

@@ -152,31 +152,13 @@ def cw_from_covers(cells, covers) -> CWPoset:
     index = {c: i for i, c in enumerate(labels)}
     if len(index) != len(labels):
         raise ConsistencyFailure("duplicate cell label")
-    n = len(labels)
-    up = [1 << i for i in range(n)]
+    pairs = []
     for face, cell in covers:
         if face not in index or cell not in index:
             raise ConsistencyFailure(f"cover ({face}, {cell}) names unknown cells")
-        up[index[face]] |= 1 << index[cell]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            m = up[i]
-            for j in _bits(m & ~(1 << i)):
-                m |= up[j]
-            if m != up[i]:
-                up[i] = m
-                changed = True
-    poset = FinitePoset(labels, up)
+        pairs.append((index[face], index[cell]))
+    poset = FinitePoset.from_covers(labels, pairs)
     return CWPoset(poset, [d for _, d in cells])
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _bfs(adj, source):

@@ -12,7 +12,8 @@ from .homology import SimplicialComplex
 
 
 class FinitePoset:
-    """An explicit finite poset.  Use build_poset to validate a relation."""
+    """An explicit finite poset.  Use build_poset to validate a relation,
+    or FinitePoset.from_covers to close a cover relation."""
 
     def __init__(self, elements, up_masks, _validated=False):
         self.elements = tuple(elements)
@@ -32,6 +33,29 @@ class FinitePoset:
             self._validate()
         self._covers = None
         self._heights = None
+
+    @classmethod
+    def from_covers(cls, elements, index_cover_pairs) -> "FinitePoset":
+        """The poset generated by index pairs (i, j), j covering i.
+
+        The pairs are closed reflexively and transitively, then validated
+        like any relation: a cycle raises NotAntisymmetric.
+        """
+        n = len(elements)
+        up = [1 << i for i in range(n)]
+        for a, b in index_cover_pairs:
+            up[a] |= 1 << b
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n):
+                m = up[i]
+                for j in cls.iter_mask(m & ~(1 << i)):
+                    m |= up[j]
+                if m != up[i]:
+                    up[i] = m
+                    changed = True
+        return cls(elements, up)
 
     def _validate(self):
         n = len(self.elements)
@@ -70,7 +94,8 @@ class FinitePoset:
     def down_mask(self, i: int) -> int:
         return self._down[i]
 
-    def iter_mask(self, mask: int):
+    @staticmethod
+    def iter_mask(mask: int):
         while mask:
             low = mask & -mask
             yield low.bit_length() - 1

@@ -118,9 +118,6 @@ class OrientedSkeleton:
     vertices: tuple
     edges: tuple
 
-    def out_edges(self, tope):
-        return [e for e in self.edges if e.source == tope]
-
 
 def oriented_one_skeleton(m: OrientedMatroid) -> OrientedSkeleton:
     """Each 1-cell [X, T] becomes the directed edge [T,T] -> [T',T'].

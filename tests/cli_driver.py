@@ -6,7 +6,8 @@ Writes deterministic input files into workdir, then runs a fixed list
 of command lines through the CLI entry point, framing each invocation
 as `$ omsal ...` / stdout / optional [stderr] block / [exit N].  Two
 runs of this script (under different hash seeds) must agree byte for
-byte on everything they print.
+byte on everything they print, and the transcript must equal
+data/cli_transcript.txt once the workdir path is replaced by `<work>`.
 """
 
 import contextlib

@@ -2,9 +2,11 @@
 
 Deliberately naive re-derivations on different code paths: sign
 patterns are plain strings, the feasibility test is longhand
-Fourier-Motzkin over Fraction, and path counting is a layered BFS sum
-over a string-keyed flip graph.  Nothing here imports from the package
-beyond test parametrization done by the callers.
+Fourier-Motzkin over Fraction, path counting is a layered BFS sum
+over a string-keyed flip graph, and the Smith normal form is the dense
+textbook reduction that also returns its unimodular transforms.
+Nothing here imports from the package beyond test parametrization done
+by the callers.
 """
 
 from fractions import Fraction
@@ -132,3 +134,86 @@ def whitney_numbers(flats):
     for f in flats:
         w[height[f]] += abs(mu[f])
     return tuple(w)
+
+
+def smith_normal_form_with_transforms(matrix):
+    """Classical dense SNF returning (D, P, Q) with P @ A @ Q = D.
+
+    Slow but self-certifying; tests validate it by re-multiplication on
+    matrices up to 50x50 and check it against the sparse engine.  P and
+    Q are unimodular by construction (elementary operations only).
+    """
+    a = [[int(v) for v in row] for row in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    p = [[int(i == j) for j in range(m)] for i in range(m)]
+    q = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(dst, src, k):
+        for t in range(n):
+            a[dst][t] += k * a[src][t]
+        for t in range(m):
+            p[dst][t] += k * p[src][t]
+
+    def col_op(dst, src, k):
+        for t in range(m):
+            a[t][dst] += k * a[t][src]
+        for t in range(n):
+            q[t][dst] += k * q[t][src]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        p[i], p[j] = p[j], p[i]
+
+    def swap_cols(i, j):
+        for t in range(m):
+            a[t][i], a[t][j] = a[t][j], a[t][i]
+        for t in range(n):
+            q[t][i], q[t][j] = q[t][j], q[t][i]
+
+    t = 0
+    while t < min(m, n):
+        pivot, best = None, None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(a[i][j])
+                if v and (best is None or v < best):
+                    best, pivot = v, (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            v = a[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    row_op(i, t, -(a[i][t] // v))
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    col_op(j, t, -(a[t][j] // v))
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            v = a[t][t]
+            offender = next((i for i in range(t + 1, m)
+                             for j in range(t + 1, n) if a[i][j] % v), None)
+            if offender is None:
+                break
+            row_op(t, offender, 1)
+        if a[t][t] < 0:
+            for tt in range(n):
+                a[t][tt] = -a[t][tt]
+            for tt in range(m):
+                p[t][tt] = -p[t][tt]
+        t += 1
+    return a, p, q

@@ -161,3 +161,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     assert first.stdout and b"$ omsal verify" in first.stdout
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr
+    # the transcript itself is pinned, with the work directory normalised
+    golden = driver.with_name("data") / "cli_transcript.txt"
+    assert (first.stdout.decode("utf-8").replace(str(tmp_path), "<work>")
+            == golden.read_text(encoding="utf-8"))

@@ -1,9 +1,12 @@
-"""Smith normal form (both engines) and simplicial integer homology."""
+"""Smith normal form (sparse engine and dense oracle) and simplicial
+integer homology."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from oracles import smith_normal_form_with_transforms
 
 from omsal.errors import ConsistencyFailure
 from omsal.homology import (
@@ -11,10 +14,8 @@ from omsal.homology import (
     IntegerChainComplex,
     SimplicialComplex,
     betti_numbers,
-    collapse,
     homology,
     smith_normal_form,
-    smith_normal_form_with_transforms,
 )
 
 # the 6-vertex triangulation of the projective plane: every edge lies in
@@ -122,30 +123,6 @@ def test_projective_plane_torsion():
     assert [g.torsion for g in groups] == [(), (2,), ()]
 
 
-def test_reduce_first_is_invisible():
-    for facets in (RP2_FACETS,
-                   [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)],
-                   [(1, 2), (2, 3), (1, 3), (3, 4)]):
-        verts = sorted({v for f in facets for v in f})
-        sc = SimplicialComplex(verts, facets)
-        assert homology(sc, reduce_first=True) == homology(sc, reduce_first=False)
-
-
-def test_collapse_keeps_euler_characteristic():
-    sc = SimplicialComplex(list(range(1, 7)), RP2_FACETS)
-    faces = sc.faces_by_dim()
-    core = collapse(faces)
-    chi = lambda layers: sum((-1) ** d * len(l) for d, l in enumerate(layers))
-    assert chi(core) == chi(faces) == 1
-
-
-def test_cone_collapses_to_a_point():
-    # a 2-simplex is collapsible all the way down
-    sc = SimplicialComplex([1, 2, 3], [(1, 2, 3)])
-    core = collapse(sc.faces_by_dim())
-    assert sum(len(l) for l in core) == 1
-
-
 def test_chain_complex_rejects_bad_boundaries():
     # d1 o d2 != 0
     with pytest.raises(ConsistencyFailure):
@@ -156,7 +133,7 @@ def test_chain_complex_from_faces_matches_simplicial():
     sc = SimplicialComplex(list(range(1, 7)), RP2_FACETS)
     chain = IntegerChainComplex.from_faces(sc.faces_by_dim())
     assert chain.dims == (6, 15, 10)
-    assert chain.homology() == homology(sc, reduce_first=False)
+    assert chain.homology() == homology(sc)
 
 
 def test_homology_group_str():

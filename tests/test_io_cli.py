@@ -1,10 +1,13 @@
 """Round trips for the five file formats and the command-line reports."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from omsal import fileio
+from omsal import fileio, matroid
 from omsal.cli import main
 from omsal.errors import AxiomFailure, ConsistencyFailure, ParseError
 from omsal.fixtures import cw_octagon_chords, fixture_arrangement, parse_fixture_spec
@@ -111,6 +114,10 @@ def test_chirotope_parse_errors():
         fileio.parse_chirotope("chirotope 2 3\n++-\n")
     with pytest.raises(ParseError, match="bad r/n"):
         fileio.parse_chirotope("chirotope r=x n=3\n++-\n")
+    with pytest.raises(ParseError, match=":1: need 1 <= r <= n"):
+        fileio.parse_chirotope("chirotope r=-1 n=3\n++-\n")
+    with pytest.raises(ParseError, match=":1: need 1 <= r <= n"):
+        fileio.parse_chirotope("chirotope r=0 n=0\n+\n")
     with pytest.raises(ParseError, match="3 sign characters required"):
         fileio.parse_chirotope("chirotope r=2 n=3\n++\n")
     with pytest.raises(ParseError, match="bad sign character"):
@@ -411,6 +418,35 @@ def test_cli_input_errors(capsys):
     assert code == 2 and "UnknownFixture" in err
     code, out, err = run(capsys, "verify", "--fixture", "boolean:99")
     assert code == 2 and "EnumerationLimitExceeded" in err
+
+
+def test_cli_bad_chirotope_header_is_bad_input(tmp_path):
+    bad = tmp_path / "bad.chi"
+    bad.write_text("chirotope r=-1 n=3\n++-\n")
+    proc = subprocess.run([sys.executable, "-m", "omsal", "verify", "--in",
+                           str(bad)], capture_output=True, text=True,
+                          cwd=str(Path(__file__).parent.parent))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"ParseError: {bad}:1: need 1 <= r <= n in " \
+                          "'chirotope r=-1 n=3'\n"
+
+
+def test_cli_verify_loads_and_verifies_once(capsys, tmp_path, monkeypatch):
+    arr = tmp_path / "x.arr"
+    arr.write_text(fileio.emit_arrangement(
+        fixture_arrangement(parse_fixture_spec("generic:3:2"))))
+    calls = []
+    real = matroid.verify_axioms
+
+    def counted(covectors):
+        calls.append(covectors)
+        return real(covectors)
+
+    monkeypatch.setattr(matroid, "verify_axioms", counted)
+    code, out, err = run(capsys, "verify", "--in", str(arr))
+    assert code == 0 and out.endswith("result: pass\n")
+    assert len(calls) == 1
 
 
 def test_cli_argparse_failures():

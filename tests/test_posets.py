@@ -63,6 +63,18 @@ def test_antisymmetry_violation():
         build_poset(["a", "b"], lambda x, y: True)
 
 
+def test_from_covers_closes_transitively():
+    # covers of the divisors of 12, by index, give back the divisor poset
+    divs = [1, 2, 3, 4, 6, 12]
+    covers = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (3, 5), (4, 5)]
+    p = FinitePoset.from_covers(divs, covers)
+    q = divisor_poset(12)
+    assert [p.up_mask(i) for i in range(6)] == [q.up_mask(i) for i in range(6)]
+    assert sorted(p.covers()) == sorted(covers)
+    with pytest.raises(NotAntisymmetric):
+        FinitePoset.from_covers(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
+
+
 def test_dual_swaps_relations():
     p = divisor_poset(12)
     d = p.dual()
