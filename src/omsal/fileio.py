@@ -18,8 +18,8 @@ from .matroid import (Chirotope, OrientedMatroid, RationalArrangement,
                       span_from_cocircuits)
 from .mh import CWPoset, cw_from_covers
 from .posets import FinitePoset
-from .salvetti import SalvettiCell
-from .signs import SignVector
+from .salvetti import SalvettiCell, cell_leq, f_vector_and_euler
+from .signs import SignVector, conforms
 
 
 def _read_lines(source):
@@ -150,11 +150,15 @@ def emit_chirotope(c: Chirotope) -> str:
 def parse_salvetti_poset(source) -> FinitePoset:
     """Read `<dim> <covector> <tope>` cell lines, then `<i> <j>` cover pairs.
 
-    Cover pairs are 0-based indices into the cell list, face first.
+    Cover pairs are 0-based indices into the cell list, face first.  Each
+    cell's covector conforms to its tope and has dimension 0 exactly when
+    it equals the tope; each cover pair is a face relation raising the
+    dimension by one; each cell of dimension >= 1 covers at least two
+    cells; and the f-vector passes `f_vector_and_euler`.
     """
     name, lines = _read_lines(source)
-    cells = []
-    covers = []
+    cells, cell_lines = [], []
+    covers, cover_lines = [], []
     for lineno, line in lines:
         toks = line.split()
         if len(toks) == 3:
@@ -168,6 +172,7 @@ def parse_salvetti_poset(source) -> FinitePoset:
             except ValueError as exc:
                 raise ParseError(f"{name}:{lineno}: {exc}") from None
             cells.append(SalvettiCell(cov, tope, dim))
+            cell_lines.append(lineno)
         elif len(toks) == 2:
             try:
                 a, b = int(toks[0]), int(toks[1])
@@ -177,11 +182,43 @@ def parse_salvetti_poset(source) -> FinitePoset:
             if not (0 <= a < len(cells) and 0 <= b < len(cells)):
                 raise ParseError(f"{name}:{lineno}: cell index out of range")
             covers.append((a, b))
+            cover_lines.append(lineno)
         else:
             raise ParseError(f"{name}:{lineno}: unrecognized line {line!r}")
     if not cells:
         raise ParseError(f"{name}: no cells")
-    return FinitePoset.from_covers(cells, covers)
+    n = cells[0].covector.n
+    seen = set()
+    for c, lineno in zip(cells, cell_lines):
+        if c.covector.n != n or c.tope.n != n:
+            raise ParseError(f"{name}:{lineno}: sign vectors of length "
+                             f"{c.covector.n} and {c.tope.n}, expected {n}")
+        if c in seen:
+            raise ParseError(f"{name}:{lineno}: duplicate cell {c}")
+        seen.add(c)
+        if not conforms(c.covector, c.tope):
+            raise ParseError(
+                f"{name}:{lineno}: covector {c.covector} is not a face "
+                f"of the tope {c.tope}")
+        if c.dim < 0 or (c.dim == 0) != (c.covector == c.tope):
+            raise ParseError(f"{name}:{lineno}: cell {c} cannot have dimension {c.dim}")
+    faces = [set() for _ in cells]
+    for (a, b), lineno in zip(covers, cover_lines):
+        if not cell_leq(cells[a], cells[b]) or cells[b].dim != cells[a].dim + 1:
+            raise ParseError(
+                f"{name}:{lineno}: {cells[a]} (dim {cells[a].dim}) is not a "
+                f"facet of {cells[b]} (dim {cells[b].dim})")
+        faces[b].add(a)
+    for c, below, lineno in zip(cells, faces, cell_lines):
+        if c.dim >= 1 and len(below) < 2:
+            raise ParseError(f"{name}:{lineno}: cell {c} of dimension {c.dim} "
+                             f"covers {len(below)} cells")
+    poset = FinitePoset.from_covers(cells, covers)
+    try:
+        f_vector_and_euler(poset)
+    except ConsistencyFailure as exc:
+        raise ParseError(f"{name}: {exc}") from None
+    return poset
 
 
 def emit_salvetti_poset(poset: FinitePoset) -> str:

@@ -2,7 +2,8 @@
 
 Covector expansion and Salvetti cell enumeration both blow up
 exponentially in the number of elements, so anything above the cap is
-rejected with a clean error instead of silently grinding.
+rejected with a clean error instead of silently grinding.  A cap that
+is not an integer is rejected the same way.
 """
 
 import os
@@ -18,7 +19,8 @@ def enumeration_cap() -> int:
     try:
         return int(raw) if raw else DEFAULT_CAP
     except ValueError:
-        return DEFAULT_CAP
+        raise EnumerationLimitExceeded(
+            f"{SALVETTI_CAP_ENV}={raw!r} is not an integer") from None
 
 
 def check_cap(n: int):

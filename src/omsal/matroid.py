@@ -240,9 +240,45 @@ def _check_v3(vecs) -> AxiomCheck:
 
 # -- the oriented matroid object ---------------------------------------------
 
+# Builders of the data that OrientedMatroid.derived keeps per matroid.
+
+def _sorted_covectors(m):
+    # canonical order everywhere: ASCII sorts '+' < '-' < '0'
+    return tuple(sorted(m.covectors, key=str))
+
+
+def _axiom_report(m):
+    return verify_axioms(m.covectors)
+
+
+def _face_poset(m):
+    return build_poset(m.sorted_covectors(), conforms)
+
+
+def _graded_heights(m):
+    poset = m.face_poset()
+    hs = poset.heights()
+    rank = max(hs, default=0)
+    if not poset.is_graded():
+        raise NotGraded("covector poset has unequal maximal chains")
+    for i in poset.maximal_indices():
+        if hs[i] != rank:
+            raise NotGraded(
+                f"maximal covector {poset.elements[i]} at height {hs[i]} != rank {rank}")
+    return rank, {poset.elements[i]: h for i, h in enumerate(hs)}
+
+
+def _topes(m):
+    poset = m.face_poset()
+    return tuple(sorted((poset.elements[i] for i in poset.maximal_indices()), key=str))
+
+
+def _tope_set(m):
+    return frozenset(m.derived(_topes))
+
 
 class OrientedMatroid:
-    """Ground set {1..n} with a covector set; poset data computed lazily."""
+    """Ground set {1..n} with a covector set; derived data computed once."""
 
     def __init__(self, n, covectors):
         self.n = int(n)
@@ -254,16 +290,20 @@ class OrientedMatroid:
         if not covectors:
             raise EmptyInput("no covectors")
         self.covectors = covectors
-        self._sorted = None
-        self._poset = None
-        self._grade = None
-        self._report = None
+        self._derived = {}
 
-    # canonical order everywhere: ASCII sorts '+' < '-' < '0'
-    def sorted_covectors(self) -> list[SignVector]:
-        if self._sorted is None:
-            self._sorted = sorted(self.covectors, key=str)
-        return self._sorted
+    def derived(self, build):
+        """build(self), computed on the first call and kept, keyed by build.
+
+        The covector set is frozen, so a kept value never goes stale; it
+        is shared by every caller and must be treated as read-only.
+        """
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
+
+    def sorted_covectors(self) -> tuple[SignVector, ...]:
+        return self.derived(_sorted_covectors)
 
     @property
     def zero(self) -> SignVector:
@@ -271,52 +311,34 @@ class OrientedMatroid:
 
     def verify(self) -> AxiomReport:
         """The axiom report, computed on the first call and kept."""
-        if self._report is None:
-            self._report = verify_axioms(self.covectors)
-        return self._report
+        return self.derived(_axiom_report)
 
     def face_poset(self) -> FinitePoset:
         """(L, <=) under conformality, bottom **0** (when V0 holds)."""
-        if self._poset is None:
-            self._poset = build_poset(self.sorted_covectors(), conforms)
-        return self._poset
-
-    def _graded_heights(self):
-        if self._grade is None:
-            poset = self.face_poset()
-            hs = poset.heights()
-            rank = max(hs, default=0)
-            if not poset.is_graded():
-                raise NotGraded("covector poset has unequal maximal chains")
-            for i in poset.maximal_indices():
-                if hs[i] != rank:
-                    raise NotGraded(
-                        f"maximal covector {poset.elements[i]} at height {hs[i]} != rank {rank}")
-            self._grade = (rank, {poset.elements[i]: h for i, h in enumerate(hs)})
-        return self._grade
+        return self.derived(_face_poset)
 
     @property
     def rank(self) -> int:
-        return self._graded_heights()[0]
+        return self.derived(_graded_heights)[0]
 
     def height(self, x: SignVector) -> int:
-        return self._graded_heights()[1][x]
+        return self.derived(_graded_heights)[1][x]
 
     def heights(self) -> dict:
-        return dict(self._graded_heights()[1])
+        return dict(self.derived(_graded_heights)[1])
 
     def height_profile(self) -> tuple[int, ...]:
         prof = [0] * (self.rank + 1)
-        for _, h in self._graded_heights()[1].items():
+        for h in self.derived(_graded_heights)[1].values():
             prof[h] += 1
         return tuple(prof)
 
     def topes(self) -> list[SignVector]:
-        poset = self.face_poset()
-        return sorted((poset.elements[i] for i in poset.maximal_indices()), key=str)
+        """The topes in canonical order, as a fresh list."""
+        return list(self.derived(_topes))
 
     def is_tope(self, x: SignVector) -> bool:
-        return x in set(self.topes())
+        return x in self.derived(_tope_set)
 
     def cocircuits(self) -> list[SignVector]:
         """Nonzero covectors of minimal support (atoms over **0**)."""

@@ -37,15 +37,22 @@ def crossing_element(source: SignVector, target: SignVector) -> int:
     return diff.bit_length()
 
 
-def skeleton_adjacency(m: OrientedMatroid):
-    """tope -> list of (neighbor, directed edge), sorted by crossed element."""
+def _adjacency(m: OrientedMatroid):
     sk = oriented_one_skeleton(m)
     adj: dict[SignVector, list] = {t: [] for t in sk.vertices}
     for e in sk.edges:
         adj[e.source].append((e.target, e))
-    for t in adj:
-        adj[t].sort(key=lambda pair: crossing_element(t, pair[0]))
-    return adj
+    return {t: tuple(sorted(pairs, key=lambda pair: crossing_element(t, pair[0])))
+            for t, pairs in adj.items()}
+
+
+def skeleton_adjacency(m: OrientedMatroid):
+    """tope -> tuple of (neighbor, directed edge), sorted by crossed element.
+
+    Built once per matroid from its oriented 1-skeleton; every caller
+    gets the same dict of tuples, which must not be modified.
+    """
+    return m.derived(_adjacency)
 
 
 def tope_graph_distances(m: OrientedMatroid):

@@ -41,9 +41,7 @@ def cell_leq(a: SalvettiCell, b: SalvettiCell) -> bool:
             and compose(a.covector, b.tope) == a.tope)
 
 
-def build_salvetti_poset(m: OrientedMatroid) -> FinitePoset:
-    """All cells [X, T] with X <= T, ordered by the face rule above."""
-    check_cap(m.n)
+def _salvetti_poset(m: OrientedMatroid) -> FinitePoset:
     rank = m.rank
     heights = m.heights()
     tope_list = m.topes()
@@ -55,6 +53,16 @@ def build_salvetti_poset(m: OrientedMatroid) -> FinitePoset:
     ]
     cells.sort(key=_sort_key)
     return build_poset(cells, cell_leq)
+
+
+def build_salvetti_poset(m: OrientedMatroid) -> FinitePoset:
+    """All cells [X, T] with X <= T, ordered by the face rule above.
+
+    The cap is checked on every call; the poset is built once per
+    matroid and shared, so it must not be modified.
+    """
+    check_cap(m.n)
+    return m.derived(_salvetti_poset)
 
 
 def boundary_cells(c: SalvettiCell, m: OrientedMatroid) -> set[SalvettiCell]:

@@ -148,6 +148,24 @@ def test_salvetti_poset_parse_errors():
         fileio.parse_salvetti_poset("x ++ ++\n")
     with pytest.raises(ParseError, match="expected two cell indices"):
         fileio.parse_salvetti_poset("0 ++ ++\n0 x\n")
+    with pytest.raises(ParseError,
+                       match="^<input>: Euler characteristic 2 != 0$"):
+        fileio.parse_salvetti_poset("0 ++ ++\n0 -- --\n")
+    with pytest.raises(ParseError, match=r":1: cell \[0\+,\+\+\] of dimension 1 "
+                                         "covers 0 cells"):
+        fileio.parse_salvetti_poset("1 0+ ++\n0 ++ ++\n")
+    with pytest.raises(ParseError, match=":1: covector \\+- is not a face"):
+        fileio.parse_salvetti_poset("0 +- --\n")
+    with pytest.raises(ParseError, match=":1: .* cannot have dimension 0"):
+        fileio.parse_salvetti_poset("0 0+ ++\n")
+    with pytest.raises(ParseError, match=":1: .* cannot have dimension 1"):
+        fileio.parse_salvetti_poset("1 ++ ++\n")
+    with pytest.raises(ParseError, match=":2: duplicate cell"):
+        fileio.parse_salvetti_poset("0 ++ ++\n0 ++ ++\n")
+    with pytest.raises(ParseError, match=":2: sign vectors of length 3"):
+        fileio.parse_salvetti_poset("0 ++ ++\n0 +++ +++\n")
+    with pytest.raises(ParseError, match=":5: .* is not a facet of"):
+        fileio.parse_salvetti_poset("0 ++ ++\n0 -- --\n1 0+ ++\n0 2\n1 2\n")
 
 
 # -- .cw ------------------------------------------------------------------
@@ -430,6 +448,28 @@ def test_cli_bad_chirotope_header_is_bad_input(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"ParseError: {bad}:1: need 1 <= r <= n in " \
                           "'chirotope r=-1 n=3'\n"
+
+
+@pytest.mark.parametrize("text", ["0 ++ ++\n0 -- --\n", "1 0+ ++\n0 ++ ++\n"],
+                         ids=["euler-2", "edge-without-faces"])
+def test_cli_malformed_poset_is_bad_input(tmp_path, text):
+    bad = tmp_path / "bad.poset"
+    bad.write_text(text)
+    proc = subprocess.run([sys.executable, "-m", "omsal", "salvetti", "--in",
+                           str(bad)], capture_output=True, text=True,
+                          cwd=str(Path(__file__).parent.parent))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"ParseError: {bad}")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_cli_non_integer_cap_is_bad_input(capsys, monkeypatch):
+    monkeypatch.setenv("OM_SALVETTI_MAX_N", "abc")
+    code, out, err = run(capsys, "salvetti", "--fixture", "boolean:3",
+                         "--f-vector")
+    assert code == 2 and out == ""
+    assert err == ("EnumerationLimitExceeded: OM_SALVETTI_MAX_N='abc' "
+                   "is not an integer\n")
 
 
 def test_cli_verify_loads_and_verifies_once(capsys, tmp_path, monkeypatch):

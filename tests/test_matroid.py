@@ -92,6 +92,20 @@ def test_dropping_a_tope_fails_v1(spec, om):
     assert report.first_failure.witness == (-t,)
 
 
+def test_topes_list_is_a_copy(om):
+    base = om("generic:4:3")
+    m = OrientedMatroid(base.n, base.covectors)
+    before = m.topes()
+    assert m.is_tope(before[0])
+    got = m.topes()
+    got.reverse()
+    got.pop()
+    got.append(m.zero)
+    assert m.topes() == before
+    assert m.is_tope(before[0])
+    assert not m.is_tope(m.zero)
+
+
 def test_v3_failure_witness():
     # all eight nonzero rank-2 boolean covectors, zero removed, still
     # fails V3: composing +0 with -0 needs an elimination vector

@@ -9,8 +9,10 @@ from oracles import (
     tope_string_distance,
 )
 
+from omsal import paths
 from omsal.errors import ConsistencyFailure, NotATope
 from omsal.fixtures import ALL_FIXTURES
+from omsal.matroid import OrientedMatroid
 from omsal.paths import (
     antipodal_extension_check,
     crossing_element,
@@ -143,6 +145,39 @@ def test_adjacency_sorted_by_crossing(om):
     adj = skeleton_adjacency(m)
     nbrs = [str(nb) for nb, _ in adj[sv("+++")]]
     assert nbrs == ["-++", "+-+", "++-"]
+
+
+def test_skeleton_built_once_per_matroid(om, monkeypatch):
+    base = om("generic:4:3")
+    m = OrientedMatroid(base.n, base.covectors)
+    calls = []
+    real = paths.oriented_one_skeleton
+
+    def counted(matroid):
+        calls.append(matroid)
+        return real(matroid)
+
+    monkeypatch.setattr(paths, "oriented_one_skeleton", counted)
+    topes = m.topes()
+    for t in topes:
+        for s in topes:
+            if s != t:
+                minimal_positive_paths(m, t, s)
+    assert len(calls) == 1
+    assert tope_graph_distances(m)
+    assert antipodal_extension_check(m, [(topes[0], topes[1])])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", ["boolean:3", "generic:4:3", "nonpappus"])
+def test_cached_adjacency_equals_fresh(spec, om):
+    m = om(spec)
+    topes = m.topes()
+    minimal_positive_paths(m, topes[0], topes[-1])
+    adj = skeleton_adjacency(m)
+    assert skeleton_adjacency(m) is adj
+    assert all(isinstance(nbrs, tuple) for nbrs in adj.values())
+    assert adj == skeleton_adjacency(OrientedMatroid(m.n, m.covectors))
 
 
 @pytest.mark.parametrize("spec", SMALL + ["generic:5:3"])

@@ -2,8 +2,10 @@
 
 import pytest
 
+from omsal import salvetti
 from omsal.errors import EnumerationLimitExceeded, InvalidCell, NotATope
 from omsal.fixtures import ALL_FIXTURES
+from omsal.matroid import OrientedMatroid
 from omsal.salvetti import (
     SalvettiCell,
     boundary_cells,
@@ -127,8 +129,27 @@ def test_chain_determination(spec, om):
 
 def test_enumeration_cap(monkeypatch, om):
     m = om("generic:4:3")
+    assert len(build_salvetti_poset(m).elements) == sum(EXPECTED_F["generic:4:3"])
     monkeypatch.setenv("OM_SALVETTI_MAX_N", "3")
     with pytest.raises(EnumerationLimitExceeded):
         build_salvetti_poset(m)
     monkeypatch.setenv("OM_SALVETTI_MAX_N", "not-a-number")
-    assert len(build_salvetti_poset(m).elements) == sum(EXPECTED_F["generic:4:3"])
+    with pytest.raises(EnumerationLimitExceeded,
+                       match="OM_SALVETTI_MAX_N='not-a-number' is not an integer"):
+        build_salvetti_poset(m)
+
+
+def test_salvetti_poset_built_once_per_matroid(monkeypatch, om):
+    base = om("generic:4:3")
+    m = OrientedMatroid(base.n, base.covectors)
+    built = []
+    real = salvetti.build_poset
+
+    def counted(cells, leq):
+        built.append(len(cells))
+        return real(cells, leq)
+
+    monkeypatch.setattr(salvetti, "build_poset", counted)
+    assert all(retraction_check(m, t) for t in m.topes())
+    assert build_salvetti_poset(m) is build_salvetti_poset(m)
+    assert built == [sum(EXPECTED_F["generic:4:3"])]
