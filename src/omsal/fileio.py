@@ -252,7 +252,10 @@ def parse_cw(source) -> CWPoset:
             covers.append((toks[1], toks[2]))
         else:
             raise ParseError(f"{name}:{lineno}: unrecognized line {line!r}")
-    return cw_from_covers(cells, covers)
+    try:
+        return cw_from_covers(cells, covers)
+    except ConsistencyFailure as exc:
+        raise ParseError(f"{name}: {exc}") from None
 
 
 def emit_cw(q: CWPoset) -> str:

@@ -358,7 +358,7 @@ class OrientedMatroid:
 
 
 def span_from_cocircuits(cc) -> OrientedMatroid:
-    """Close a cocircuit set under composition, adjoin **0**, verify."""
+    """All compositions of the cocircuits, with **0**, verified as covectors."""
     cc = set(cc)
     if not cc:
         raise EmptyInput("no cocircuits")
@@ -367,18 +367,17 @@ def span_from_cocircuits(cc) -> OrientedMatroid:
     for x in cc:
         if x.n != n:
             raise LengthMismatch(f"mixed lengths {n} and {x.n}")
-    covs = {SignVector.zero(n)} | cc
-    frontier = list(covs)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for y in list(covs):
-                for z in (compose(x, y), compose(y, x)):
-                    if z not in covs:
-                        covs.add(z)
-                        fresh.append(z)
-        frontier = fresh
-    m = OrientedMatroid(n, covs)
+    # composition is associative with identity 0, so composing one more
+    # cocircuit on the right, breadth first, reaches every composite
+    covs = [SignVector.zero(n)]
+    seen = set(covs)
+    for x in covs:
+        for c in cc:
+            z = compose(x, c)
+            if z not in seen:
+                seen.add(z)
+                covs.append(z)
+    m = OrientedMatroid(n, seen)
     report = m.verify()
     if not report.passes:
         raise AxiomFailure(report)

@@ -192,24 +192,18 @@ class FinitePoset:
 
 
 def build_poset(elements, leq) -> FinitePoset:
-    """Build and validate a FinitePoset.
+    """Build and validate a FinitePoset from a relation leq(a, b).
 
-    leq is either a callable on element pairs or a container of ordered
-    pairs.  The relation is closed reflexively; antisymmetry and
-    transitivity violations raise with an explicit witness.
+    The relation is closed reflexively; antisymmetry and transitivity
+    violations raise with an explicit witness.
     """
     elements = list(elements)
-    if callable(leq):
-        rel = leq
-    else:
-        pairs = set(leq)
-        rel = lambda a, b: (a, b) in pairs
     n = len(elements)
     up = [0] * n
     for i, x in enumerate(elements):
         m = 1 << i
         for j, y in enumerate(elements):
-            if i != j and rel(x, y):
+            if i != j and leq(x, y):
                 m |= 1 << j
         up[i] = m
     return FinitePoset(elements, up)

@@ -3,14 +3,17 @@
 Deliberately naive re-derivations on different code paths: sign
 patterns are plain strings, the feasibility test is longhand
 Fourier-Motzkin over Fraction, path counting is a layered BFS sum
-over a string-keyed flip graph, and the Smith normal form is the dense
-textbook reduction that also returns its unimodular transforms.
-Nothing here imports from the package beyond test parametrization done
-by the callers.
+over a string-keyed flip graph, the Smith normal form is the dense
+textbook reduction that also returns its unimodular transforms, and the
+covector closure composes every vector with every other, both ways.
+Nothing here imports from the package beyond the sign-vector primitives
+that closure composes, and test parametrization done by the callers.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from omsal.signs import SignVector, compose
 
 
 def sign_pattern_feasible(normals, pattern):
@@ -217,3 +220,22 @@ def smith_normal_form_with_transforms(matrix):
                 p[t][tt] = -p[t][tt]
         t += 1
     return a, p, q
+
+
+def two_sided_closure(cc):
+    """{0} and the cocircuits, closed under composition of every new
+    vector with every known one, both ways round."""
+    cc = set(cc)
+    n = next(iter(cc)).n
+    covs = {SignVector.zero(n)} | cc
+    frontier = list(covs)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for y in list(covs):
+                for z in (compose(x, y), compose(y, x)):
+                    if z not in covs:
+                        covs.add(z)
+                        fresh.append(z)
+        frontier = fresh
+    return covs

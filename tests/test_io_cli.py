@@ -189,6 +189,13 @@ def test_cw_parse_errors():
         fileio.parse_cw("cell a dim x\n")
     with pytest.raises(ParseError, match="unrecognized line"):
         fileio.parse_cw("cells a dim 0\n")
+    with pytest.raises(ParseError, match="<input>: no 0-cells"):
+        fileio.parse_cw("cell a dim 1\n")
+    with pytest.raises(ParseError, match="<input>: 1-cell e has endpoints"):
+        fileio.parse_cw("cell a dim 0\ncell b dim 0\ncell e dim 1\n"
+                        "cover a e\n")
+    with pytest.raises(ParseError, match=r"<input>: face a \(dim 0\) under e"):
+        fileio.parse_cw("cell a dim 0\ncell e dim 0\ncover a e\n")
 
 
 def test_cw_emit_rejects_unwritable_labels():
@@ -460,6 +467,17 @@ def test_cli_malformed_poset_is_bad_input(tmp_path, text):
                           cwd=str(Path(__file__).parent.parent))
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith(f"ParseError: {bad}")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_cli_malformed_cw_is_bad_input(tmp_path):
+    bad = tmp_path / "bad.cw"
+    bad.write_text("cell a dim 0\ncell e dim 0\ncover a e\n")
+    proc = subprocess.run([sys.executable, "-m", "omsal", "mh-check", "--in",
+                           str(bad)], capture_output=True, text=True,
+                          cwd=str(Path(__file__).parent.parent))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"ParseError: {bad}: face a (dim 0)")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 

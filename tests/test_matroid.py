@@ -12,7 +12,8 @@ from omsal.errors import (
     SearchBudgetExceeded,
     ZeroNormal,
 )
-from omsal.fixtures import ALL_FIXTURES, fixture_arrangement, generate_fixture
+from omsal.fixtures import (ALL_FIXTURES, fixture_arrangement, generate_fixture,
+                            nonpappus_chirotope)
 from omsal.matroid import (
     Chirotope,
     OrientedMatroid,
@@ -26,7 +27,7 @@ from omsal.matroid import (
 )
 from omsal.signs import SignVector, compose
 
-from oracles import enumerate_covector_strings
+from oracles import enumerate_covector_strings, two_sided_closure
 
 sv = SignVector.from_string
 
@@ -202,10 +203,29 @@ def test_chirotope_span_matches_arrangement(om):
 
 def test_span_rejects_non_oms():
     # a cocircuit set missing its negations cannot be completed
-    with pytest.raises(AxiomFailure):
-        span_from_cocircuits({sv("+0"), sv("0+")})
+    cc = {sv("+0"), sv("0+")}
+    with pytest.raises(AxiomFailure) as exc:
+        span_from_cocircuits(cc)
+    assert exc.value.report == verify_axioms(two_sided_closure(cc))
     with pytest.raises(EmptyInput):
         span_from_cocircuits(set())
+
+
+@pytest.mark.parametrize("spec", ALL_FIXTURES)
+def test_span_matches_two_sided_closure(spec, om):
+    cc = om(spec).cocircuits()
+    assert span_from_cocircuits(cc).covectors == two_sided_closure(cc)
+
+
+def test_span_failure_report_matches_two_sided_closure():
+    # either sign on the absent concurrence (5,6,9) gives an oriented
+    # matroid; reversing the basis (1,2,5) gives one that fails V3
+    values = dict(nonpappus_chirotope().values)
+    values[(1, 2, 5)] = -values[(1, 2, 5)]
+    cc = cocircuits_from_chirotope(Chirotope(3, 9, values))
+    with pytest.raises(AxiomFailure) as exc:
+        span_from_cocircuits(cc)
+    assert exc.value.report == verify_axioms(two_sided_closure(cc))
 
 
 @pytest.mark.parametrize("spec", ALL_FIXTURES)

@@ -6,6 +6,7 @@ from omsal import salvetti
 from omsal.errors import EnumerationLimitExceeded, InvalidCell, NotATope
 from omsal.fixtures import ALL_FIXTURES
 from omsal.matroid import OrientedMatroid
+from omsal.posets import build_poset
 from omsal.salvetti import (
     SalvettiCell,
     boundary_cells,
@@ -17,7 +18,7 @@ from omsal.salvetti import (
     oriented_one_skeleton,
     retraction_check,
 )
-from omsal.signs import SignVector, compose
+from omsal.signs import SignVector, compose, conforms
 
 sv = SignVector.from_string
 
@@ -143,13 +144,30 @@ def test_salvetti_poset_built_once_per_matroid(monkeypatch, om):
     base = om("generic:4:3")
     m = OrientedMatroid(base.n, base.covectors)
     built = []
-    real = salvetti.build_poset
+    real = salvetti._salvetti_poset
 
-    def counted(cells, leq):
-        built.append(len(cells))
-        return real(cells, leq)
+    def counted(matroid):
+        poset = real(matroid)
+        built.append(len(poset))
+        return poset
 
-    monkeypatch.setattr(salvetti, "build_poset", counted)
+    monkeypatch.setattr(salvetti, "_salvetti_poset", counted)
     assert all(retraction_check(m, t) for t in m.topes())
     assert build_salvetti_poset(m) is build_salvetti_poset(m)
+    assert chain_determination_check(m)
     assert built == [sum(EXPECTED_F["generic:4:3"])]
+
+
+@pytest.mark.parametrize("spec", ALL_FIXTURES)
+def test_poset_from_covers_equals_cell_relation(spec, om):
+    # oracle: every cell [X, T] with X <= T, in canonical order, and
+    # cell_leq tested on every ordered pair of them
+    m = om(spec)
+    cells = sorted((SalvettiCell(x, t, m.rank - m.height(x))
+                    for x in m.covectors for t in m.topes() if conforms(x, t)),
+                   key=salvetti._sort_key)
+    oracle = build_poset(cells, cell_leq)
+    poset = build_salvetti_poset(m)
+    assert poset.elements == oracle.elements
+    assert [poset.up_mask(i) for i in range(len(poset))] == \
+        [oracle.up_mask(i) for i in range(len(oracle))]
