@@ -14,10 +14,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import fileio
-from .errors import AxiomFailure, UnknownFixture
+from .errors import UnknownFixture
 from .matroid import (Chirotope, OrientedMatroid, RationalArrangement,
-                      cocircuits_from_chirotope, det_sign, from_arrangement,
-                      matrix_rank, span_from_cocircuits)
+                      cocircuits_from_chirotope, from_arrangement,
+                      span_from_cocircuits)
 from .mh import CWPoset, cw_from_covers
 
 
@@ -84,7 +84,8 @@ def braid_arrangement(n: int) -> RationalArrangement:
 
     The raw normals live in a hyperplane of R^n; taking inner products
     against a row basis of that span preserves every sign exactly, so
-    the essentialized arrangement has the same covectors.
+    the essentialized arrangement has the same covectors.  The basis is
+    e_1 - e_j for j = 2..n, the first n - 1 difference rows.
     """
     raw = []
     for i, j in combinations(range(n), 2):
@@ -92,10 +93,7 @@ def braid_arrangement(n: int) -> RationalArrangement:
         row[i] = Fraction(1)
         row[j] = Fraction(-1)
         raw.append(tuple(row))
-    basis = []
-    for row in raw:
-        if matrix_rank(basis + [row], n) > len(basis):
-            basis.append(row)
+    basis = raw[:n - 1]
     rows = [tuple(sum(a * b for a, b in zip(v, bvec)) for bvec in basis)
             for v in raw]
     return RationalArrangement(len(basis), rows)
@@ -125,36 +123,18 @@ _NONPAPPUS_TRIPLES = ((1, 3, 5), (1, 4, 7), (1, 6, 8), (2, 3, 8),
 _NONPAPPUS_ZERO_BASIS = (5, 6, 9)
 
 _cache: dict[str, OrientedMatroid] = {}
-_chi_cache: dict[str, Chirotope] = {}
 
 
 def nonpappus_chirotope() -> Chirotope:
-    """The flipped chirotope, choosing the first flip the axioms accept."""
-    hit = _chi_cache.get("nonpappus")
-    if hit is not None:
-        return hit
-    rows = [tuple(Fraction(c) for c in row) for row in _NONPAPPUS_NORMALS]
-    values = {}
-    for sub in combinations(range(1, 10), 3):
-        values[sub] = det_sign([rows[i - 1] for i in sub])
-    zeros = tuple(sub for sub, s in sorted(values.items()) if s == 0)
-    if zeros != _NONPAPPUS_TRIPLES:
-        raise UnknownFixture(f"degenerate bases {zeros} changed; "
-                             "the shipped normals are wrong")
-    last_error = None
-    for flip in (1, -1):
-        values[_NONPAPPUS_ZERO_BASIS] = flip
-        chi = Chirotope(3, 9, values)
-        try:
-            m = span_from_cocircuits(cocircuits_from_chirotope(chi))
-        except AxiomFailure as exc:
-            last_error = exc
-            continue
-        _chi_cache["nonpappus"] = chi
-        _cache["nonpappus"] = m
-        return chi
-    raise UnknownFixture(f"no orientation of the flipped basis verifies: "
-                         f"{last_error}")
+    """The chirotope of the nine lines with the basis (5,6,9) set to +1.
+
+    Either sign on that basis gives an oriented matroid; +1 is the one
+    the fixture ships.
+    """
+    values = dict(Chirotope.from_normals(
+        RationalArrangement(3, _NONPAPPUS_NORMALS)).values)
+    values[_NONPAPPUS_ZERO_BASIS] = 1
+    return Chirotope(3, 9, values)
 
 
 def generate_fixture(spec) -> OrientedMatroid:
@@ -171,8 +151,7 @@ def generate_fixture(spec) -> OrientedMatroid:
     elif spec.kind == "braid":
         m = from_arrangement(braid_arrangement(*spec.args))
     elif spec.kind == "nonpappus":
-        nonpappus_chirotope()
-        m = _cache["nonpappus"]
+        m = span_from_cocircuits(cocircuits_from_chirotope(nonpappus_chirotope()))
     elif spec.kind == "file":
         m = fileio.load_oriented_matroid(spec.args[0])
         return m

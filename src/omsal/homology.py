@@ -101,7 +101,10 @@ def smith_normal_form(matrix):
 
 
 def _normalize_factors(diag):
-    ds = sorted(abs(d) for d in diag)
+    # Units divide every factor, so only the other pivots need the
+    # pairwise gcd/lcm passes; the units lead the sorted result.
+    units = sum(1 for d in diag if abs(d) == 1)
+    ds = sorted(abs(d) for d in diag if abs(d) != 1)
     changed = True
     while changed:
         changed = False
@@ -112,7 +115,7 @@ def _normalize_factors(diag):
                     ds[i], ds[j] = g, ds[i] * ds[j] // g
                     changed = True
         ds.sort()
-    return tuple(ds)
+    return (1,) * units + tuple(ds)
 
 
 def _sparse_eliminate(rows):

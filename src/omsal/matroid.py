@@ -1,8 +1,9 @@
 """Oriented matroids given as covector sets, arrangements, or chirotopes.
 
-Covector axiom checking, exact construction from rational normal
-vectors (cocircuits are sign vectors of kernel lines of corank-1 normal
-subsets), chirotope ingestion for non-realizable examples, and the
+Covector axiom checking; arrangements and chirotopes alike enter
+through their chirotope, whose basis signs give the cocircuits
+(arrangements via exact determinants of their rational normals, so
+realizable and non-realizable examples take one route); and the
 simplicity / isomorphism interrogations.  All arithmetic is exact.
 """
 
@@ -29,47 +30,6 @@ from .signs import SignVector, compose, conforms, separation_mask
 
 
 # -- exact linear algebra ---------------------------------------------------
-
-
-def _rref(rows, ncols):
-    """Reduced row echelon form over Fraction; returns (matrix, pivot cols)."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def matrix_rank(rows, ncols) -> int:
-    return len(_rref(rows, ncols)[1])
-
-
-def kernel_basis(rows, ncols):
-    """Basis of {x : rows @ x = 0}, exact rational."""
-    m, pivots = _rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -m[i][f]
-        basis.append(v)
-    return basis
 
 
 def det_sign(rows) -> int:
@@ -115,17 +75,6 @@ class RationalArrangement:
     @property
     def n(self) -> int:
         return len(self.normals)
-
-    def is_essential(self) -> bool:
-        return matrix_rank(self.normals, self.l) == self.l
-
-    def sign_vector_at(self, point) -> SignVector:
-        """The sign vector of a point: sign(normal . point) per element."""
-        sigs = []
-        for v in self.normals:
-            s = sum(a * b for a, b in zip(v, point))
-            sigs.append(0 if s == 0 else (1 if s > 0 else -1))
-        return SignVector.from_signs(sigs)
 
 
 # -- axiom verification ------------------------------------------------------
@@ -387,26 +336,14 @@ def span_from_cocircuits(cc) -> OrientedMatroid:
 def from_arrangement(arr: RationalArrangement) -> OrientedMatroid:
     """Covectors of a central essential arrangement, computed exactly.
 
-    Cocircuits are the sign vectors of the kernel lines of corank-1
-    subsets of the normals; composition closure then yields every
-    covector realized by a point of the ambient space.
+    The arrangement enters through its chirotope, like any other
+    oriented matroid: cocircuits are read off the basis signs and
+    composition closure yields every covector.
     """
     if arr.n == 0:
         raise EmptyInput("arrangement has no normals")
     check_cap(arr.n)
-    if not arr.is_essential():
-        raise NotEssential(
-            f"normals span rank {matrix_rank(arr.normals, arr.l)} < dimension {arr.l}")
-    cocircuits = set()
-    for subset in combinations(range(arr.n), arr.l - 1):
-        sub = [arr.normals[i] for i in subset]
-        if matrix_rank(sub, arr.l) != arr.l - 1:
-            continue
-        (p,) = kernel_basis(sub, arr.l)
-        x = arr.sign_vector_at(p)
-        cocircuits.add(x)
-        cocircuits.add(-x)
-    return span_from_cocircuits(cocircuits)
+    return span_from_cocircuits(cocircuits_from_chirotope(Chirotope.from_normals(arr)))
 
 
 # -- chirotopes ---------------------------------------------------------------
@@ -463,12 +400,15 @@ class Chirotope:
 
     @classmethod
     def from_normals(cls, arr: RationalArrangement) -> "Chirotope":
-        """Basis signs of an essential arrangement via exact determinants."""
-        if not arr.is_essential():
-            raise NotEssential("chirotope needs a spanning set of normals")
-        vals = {}
-        for sub in combinations(range(1, arr.n + 1), arr.l):
-            vals[sub] = det_sign([arr.normals[i - 1] for i in sub])
+        """Basis signs of an essential arrangement via exact determinants.
+
+        Every l-subset determinant vanishes exactly when the normals span
+        less than dimension l, which includes n < l.
+        """
+        vals = {sub: det_sign([arr.normals[i - 1] for i in sub])
+                for sub in combinations(range(1, arr.n + 1), arr.l)}
+        if not any(vals.values()):
+            raise NotEssential("normals do not span the ambient space")
         return cls(arr.l, arr.n, vals)
 
 

@@ -248,35 +248,38 @@ def salvetti_order_complex(m: OrientedMatroid):
 def retraction_check(m: OrientedMatroid, t: SignVector) -> bool:
     """The covector poset is a retract of the Salvetti poset via T.
 
-    Verifies that X -> [X, X o T] reverses order into the cell poset
-    and that the projection [X, T'] -> X undoes it.  The projection
-    reverses order by construction (every Salvetti cover runs from
-    [Y, Y o T] to [X, T] with X <= Y), so it is not re-tested.
+    Verifies on the built poset that X -> [X, X o T] lands on cells and
+    reverses order: [Y, Y o T] <= [X, X o T] for every face-poset cover
+    X < Y, which suffices because the poset is transitive.  The
+    projection [X, T'] -> X undoes the embedding and reverses order by
+    construction of the cells, so it is not re-tested.
     """
     if not m.is_tope(t):
         raise NotATope(f"{t} is not a tope")
-    rank = m.rank
-    heights = m.heights()
-    covs = m.sorted_covectors()
-
-    def embed(x):
-        return SalvettiCell(x, compose(x, t), rank - heights[x])
-
-    for x in covs:
-        for y in covs:
-            if conforms(x, y) and not cell_leq(embed(y), embed(x)):
-                return False
-    return all(embed(x).covector == x for x in covs)
+    poset = build_salvetti_poset(m)
+    face = m.face_poset()
+    embed = [poset.index.get(SalvettiCell(x, compose(x, t), m.rank - m.height(x)))
+             for x in face.elements]
+    if None in embed:
+        return False
+    return all(poset.up_mask(embed[j]) >> embed[i] & 1 for i, j in face.covers())
 
 
 def chain_determination_check(m: OrientedMatroid) -> bool:
-    """Chains are fixed by (covector chain, tope of the largest cell)."""
+    """Chains are fixed by (covector chain, tope of the largest cell).
+
+    Equivalently, the cells below [X, T] are exactly the cells
+    [Y, Y o T] with X <= Y: every comparable pair of the built poset
+    must satisfy cell_leq, and every cell must have as many cells below
+    it as its covector has covectors above it, so that none is missing.
+    """
     poset = build_salvetti_poset(m)
+    face = m.face_poset()
     cells = poset.elements
-    for chain, _ in poset.iter_chains():
-        members = sorted((cells[i] for i in chain), key=lambda c: c.dim)
-        top = members[-1]
-        for c in members[:-1]:
-            if c.tope != compose(c.covector, top.tope):
-                return False
+    for j, d in enumerate(cells):
+        below = poset.down_mask(j)
+        if below.bit_count() != face.up_mask(face.index[d.covector]).bit_count():
+            return False
+        if not all(cell_leq(cells[i], d) for i in poset.iter_mask(below)):
+            return False
     return True

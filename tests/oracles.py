@@ -4,14 +4,16 @@ Deliberately naive re-derivations on different code paths: sign
 patterns are plain strings, the feasibility test is longhand
 Fourier-Motzkin over Fraction, path counting is a layered BFS sum
 over a string-keyed flip graph, the Smith normal form is the dense
-textbook reduction that also returns its unimodular transforms, and the
-covector closure composes every vector with every other, both ways.
+textbook reduction that also returns its unimodular transforms, the
+covector closure composes every vector with every other, both ways, and
+the cocircuits of an arrangement are the sign vectors of the kernel
+lines of its corank-1 normal subsets, found by Fraction RREF.
 Nothing here imports from the package beyond the sign-vector primitives
 that closure composes, and test parametrization done by the callers.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from omsal.signs import SignVector, compose
 
@@ -239,3 +241,68 @@ def two_sided_closure(cc):
                         fresh.append(z)
         frontier = fresh
     return covs
+
+
+def _rref(rows, ncols):
+    """Reduced row echelon form over Fraction; returns (matrix, pivot cols)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c]
+        m[r] = [v / inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def matrix_rank(rows, ncols) -> int:
+    return len(_rref(rows, ncols)[1])
+
+
+def kernel_basis(rows, ncols):
+    """Basis of {x : rows @ x = 0}, exact rational."""
+    m, pivots = _rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -m[i][f]
+        basis.append(v)
+    return basis
+
+
+def sign_vector_at(arr, point) -> SignVector:
+    """The sign vector of a point: sign(normal . point) per element."""
+    sigs = []
+    for v in arr.normals:
+        s = sum(a * b for a, b in zip(v, point))
+        sigs.append(0 if s == 0 else (1 if s > 0 else -1))
+    return SignVector.from_signs(sigs)
+
+
+def kernel_line_cocircuits(arr):
+    """The +- pairs of sign vectors of the kernel lines of the corank-1
+    subsets of an essential arrangement's normals."""
+    cocircuits = set()
+    for subset in combinations(range(arr.n), arr.l - 1):
+        sub = [arr.normals[i] for i in subset]
+        if matrix_rank(sub, arr.l) != arr.l - 1:
+            continue
+        (p,) = kernel_basis(sub, arr.l)
+        x = sign_vector_at(arr, p)
+        cocircuits.add(x)
+        cocircuits.add(-x)
+    return cocircuits

@@ -60,6 +60,22 @@ def test_snf_known_values():
     assert smith_normal_form([[2]]) == ((2,), 1)
 
 
+def test_snf_many_units_beside_torsion():
+    # thirty unit pivots next to diag(4, 6, 10), mixed by unimodular
+    # row and column additions; the torsion normalises to 2 | 2 | 60
+    diag = [1] * 30 + [4, 6, 10]
+    n = len(diag)
+    a = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n - 1):
+        a[i + 1] = [x + y for x, y in zip(a[i + 1], a[i])]
+        for row in a:
+            row[i] += row[i + 1]
+    expected = (1,) * 30 + (2, 2, 60)
+    assert smith_normal_form(a) == (expected, 33)
+    d, _, _ = smith_normal_form_with_transforms(a)
+    assert tuple(d[i][i] for i in range(n)) == expected
+
+
 def test_snf_transform_engine_known():
     d, p, q = smith_normal_form_with_transforms([[2, 4], [6, 8]])
     assert [d[0][0], d[1][1]] == [2, 4]

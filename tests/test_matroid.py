@@ -1,5 +1,8 @@
 """Covector axioms, arrangements, chirotopes, and isomorphism search."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from omsal.errors import (
@@ -12,7 +15,9 @@ from omsal.errors import (
     SearchBudgetExceeded,
     ZeroNormal,
 )
-from omsal.fixtures import (ALL_FIXTURES, fixture_arrangement, generate_fixture,
+from omsal.fixtures import (_NONPAPPUS_NORMALS, _NONPAPPUS_TRIPLES,
+                            _NONPAPPUS_ZERO_BASIS, ALL_FIXTURES,
+                            fixture_arrangement, generate_fixture,
                             nonpappus_chirotope)
 from omsal.matroid import (
     Chirotope,
@@ -27,7 +32,8 @@ from omsal.matroid import (
 )
 from omsal.signs import SignVector, compose
 
-from oracles import enumerate_covector_strings, two_sided_closure
+from oracles import (enumerate_covector_strings, kernel_line_cocircuits,
+                     matrix_rank, sign_vector_at, two_sided_closure)
 
 sv = SignVector.from_string
 
@@ -154,11 +160,67 @@ def test_arrangement_validation():
         from_arrangement(RationalArrangement(2, []))
 
 
+@pytest.mark.parametrize("normals", [
+    [(1, 0, 0), (0, 1, 0)],                        # n < l
+    [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 0)],  # rank 2 in dimension 3
+])
+def test_not_essential(normals):
+    arr = RationalArrangement(3, normals)
+    with pytest.raises(NotEssential):
+        Chirotope.from_normals(arr)
+    with pytest.raises(NotEssential):
+        from_arrangement(arr)
+
+
 def test_sign_vector_at_points():
     arr = fixture_arrangement("generic:3:2")  # normals (1,1),(1,2),(1,3)
-    assert str(arr.sign_vector_at((1, 0))) == "+++"
-    assert str(arr.sign_vector_at((-1, 1))) == "0++"
-    assert str(arr.sign_vector_at((0, 0))) == "000"
+    assert str(sign_vector_at(arr, (1, 0))) == "+++"
+    assert str(sign_vector_at(arr, (-1, 1))) == "0++"
+    assert str(sign_vector_at(arr, (0, 0))) == "000"
+
+
+def _chirotope_cocircuits(arr):
+    return cocircuits_from_chirotope(Chirotope.from_normals(arr))
+
+
+@pytest.mark.parametrize("spec", REALIZABLE + ["generic:6:4", "braid:4", "boolean:5"])
+def test_chirotope_cocircuits_match_kernel_lines(spec):
+    arr = fixture_arrangement(spec)
+    assert _chirotope_cocircuits(arr) == kernel_line_cocircuits(arr)
+    # relabelled, rescaled and reoriented copies: nonzero rational
+    # multiples of either sign leave both routes' answers matched
+    rng = random.Random(spec)
+    for _ in range(3):
+        rows = [tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                               rng.randint(1, 9)) * a for a in row)
+                for row in arr.normals]
+        rng.shuffle(rows)
+        copy = RationalArrangement(arr.l, rows)
+        assert _chirotope_cocircuits(copy) == kernel_line_cocircuits(copy)
+
+
+def test_chirotope_cocircuits_match_kernel_lines_non_generic():
+    # small integer normals with repeats, parallel and antiparallel
+    # pairs and concurrences; NotEssential exactly when rank < l
+    rng = random.Random(5)
+    essential = 0
+    for _ in range(60):
+        l, n = rng.randint(1, 4), rng.randint(1, 6)
+        rows = []
+        while len(rows) < n:
+            row = tuple(rng.randint(-2, 2) for _ in range(l))
+            if any(row):
+                rows.append(row)
+                if not rng.randint(0, 3):
+                    rows.append(tuple(-2 * a for a in row))
+        arr = RationalArrangement(l, rows)
+        if matrix_rank(arr.normals, l) < l:
+            with pytest.raises(NotEssential):
+                Chirotope.from_normals(arr)
+            continue
+        essential += 1
+        assert _chirotope_cocircuits(arr) == kernel_line_cocircuits(arr)
+    assert essential >= 20
 
 
 def test_face_poset_shape(om):
@@ -295,6 +357,17 @@ def test_isomorphism_budget(om):
     m = om("nonpappus")
     with pytest.raises(SearchBudgetExceeded):
         are_isomorphic(m, m)
+
+
+def test_nonpappus_chirotope_is_one_sign_off_its_realization():
+    # the nine lines' own chirotope vanishes exactly on the concurrent
+    # triples; the fixture sets the basis (5,6,9) to +1 and nothing else
+    real = Chirotope.from_normals(RationalArrangement(3, _NONPAPPUS_NORMALS)).values
+    assert tuple(sub for sub, s in sorted(real.items()) if s == 0) == _NONPAPPUS_TRIPLES
+    shipped = nonpappus_chirotope().values
+    assert shipped.keys() == real.keys()
+    assert {sub for sub in real if real[sub] != shipped[sub]} == {_NONPAPPUS_ZERO_BASIS}
+    assert shipped[_NONPAPPUS_ZERO_BASIS] == 1
 
 
 def test_nonpappus_has_no_realization_defect(om):

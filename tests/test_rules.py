@@ -1,8 +1,11 @@
-"""The two rules every change keeps: standard-library imports only, no floats."""
+"""The rules every change keeps: standard-library imports only, no
+floats, and no stale names in the package exports."""
 
 import ast
 import sys
 from pathlib import Path
+
+import omsal
 
 SRC = Path(__file__).parent.parent / "src" / "omsal"
 
@@ -25,3 +28,7 @@ def test_stdlib_only_and_no_floats():
             if isinstance(node, ast.Name) and node.id == "float":
                 bad.append(f"{where}: the name float")
     assert not bad
+
+
+def test_every_export_resolves():
+    assert not [name for name in omsal.__all__ if not hasattr(omsal, name)]

@@ -6,7 +6,7 @@ from omsal import salvetti
 from omsal.errors import EnumerationLimitExceeded, InvalidCell, NotATope
 from omsal.fixtures import ALL_FIXTURES
 from omsal.matroid import OrientedMatroid
-from omsal.posets import build_poset
+from omsal.posets import FinitePoset, build_poset
 from omsal.salvetti import (
     SalvettiCell,
     boundary_cells,
@@ -126,6 +126,31 @@ def test_retraction_requires_a_tope(om):
 @pytest.mark.parametrize("spec", ALL_FIXTURES)
 def test_chain_determination(spec, om):
     assert chain_determination_check(om(spec))
+
+
+@pytest.mark.parametrize("spec", ALL_FIXTURES)
+def test_checks_fail_with_one_relation_removed(spec, monkeypatch, om):
+    # drop the cover [Y, Y o T] < [X, X o T] for a face cover X < Y and
+    # hand both checks the damaged poset in place of the built one
+    base = om(spec)
+    m = OrientedMatroid(base.n, base.covectors)
+    poset = build_salvetti_poset(m)
+    face = m.face_poset()
+    t = m.topes()[0]
+    for i, j in (face.covers()[0], face.covers()[-1]):
+        x, y = face.elements[i], face.elements[j]
+        lower = poset.index[SalvettiCell(y, compose(y, t), m.rank - m.height(y))]
+        upper = poset.index[SalvettiCell(x, compose(x, t), m.rank - m.height(x))]
+        assert (lower, upper) in poset.covers()
+        damaged = FinitePoset.from_covers(
+            poset.elements, [c for c in poset.covers() if c != (lower, upper)])
+        assert not damaged.leq(poset.elements[lower], poset.elements[upper])
+        monkeypatch.setitem(m._derived, salvetti._salvetti_poset, damaged)
+        assert not retraction_check(m, t)
+        assert not chain_determination_check(m)
+        monkeypatch.setitem(m._derived, salvetti._salvetti_poset, poset)
+        assert retraction_check(m, t)
+        assert chain_determination_check(m)
 
 
 def test_enumeration_cap(monkeypatch, om):
