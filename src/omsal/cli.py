@@ -155,13 +155,17 @@ def _cmd_gr_compare(args):
 
 def _cmd_mh_check(args):
     if getattr(args, "infile", None) and args.infile.endswith(".cw"):
+        if args.complex is not None:
+            raise ParseError(f"--complex {args.complex} needs matroid input; "
+                             f"{args.infile} is one CW complex")
         subjects, ident = [("cw", fileio.parse_cw(args.infile))], args.infile
     else:
         m, ident = _load_subject(args)
+        which = args.complex or "both"
         subjects = []
-        if args.complex in ("dual", "both"):
+        if which in ("dual", "both"):
             subjects.append(("dual", dual_complex(m)))
-        if args.complex in ("salvetti", "both"):
+        if which in ("salvetti", "both"):
             subjects.append(("salvetti", salvetti_cw(m)))
     code, lines, verdicts = 0, [], {}
     for name, q in subjects:
@@ -313,7 +317,7 @@ def _build_parser():
     p = sub.add_parser("mh-check", parents=[common],
                        help="QMH/LMH/MH verification (dual, Salvetti, or .cw)")
     p.add_argument("--complex", choices=("dual", "salvetti", "both"),
-                   default="both")
+                   help="matroid input only (default: both)")
     p.set_defaults(func=_cmd_mh_check)
 
     p = sub.add_parser("topes", parents=[common],

@@ -268,7 +268,11 @@ class _Analysis:
         """Hop counts inside the closure of the cell at poset index ctx.
 
         Keyed by the subgraph itself so that closed cells with identical
-        1-skeleta (the top cells of a doubled complex) share one table.
+        1-skeleta share one table: the top cells of a doubled complex, and
+        every Salvetti cell [X, T] over the same covector X.  The table
+        returned is the one kept here, so a caller may key work on it:
+        _local_tables walks each (table, subcell) pair once, which is exact
+        because a second walk would repeat the same idempotent update.
         """
         q = self.q
         below = q.poset.down_mask(ctx)
@@ -336,8 +340,14 @@ def _global_tables(a: _Analysis):
     lo_tab = {}
     hi_tab = {}
     for v in range(len(labels)):
+        # cells with the same vertex set ask v the same question
+        answers = {}
         for ci in range(len(q.poset.elements)):
-            lo, hi = _omega_pair(v, q._cell_vslots[ci], a.global_get)
+            kslots = q._cell_vslots[ci]
+            pair = answers.get(kslots)
+            if pair is None:
+                pair = answers[kslots] = _omega_pair(v, kslots, a.global_get)
+            lo, hi = pair
             if hi is None:
                 return (MHCheck(False, (labels[v], q.poset.elements[ci], 3)),
                         None, None)
@@ -353,16 +363,28 @@ def _local_tables(a: _Analysis):
     vertex candidate sets over every context cell whose closure contains
     cell k and whose vertex set contains v; hi_values[(v, k)] is the
     common forced farthest vertex with the first context that set it.
+
+    The answers under a context depend only on its local table, the
+    vertex and the subcell's vertex slots, so a (table, subcell) pair
+    already walked under an earlier context is skipped.  That is exact:
+    repeating it would set the same hi for the same keys and intersect
+    each lo_intersections entry with a set that already contains it.
+    Contexts are still walked in index order, so the first failing
+    context and every witness are the same as with no skipping.
     """
     q = a.q
     labels = q.vertex_labels()
     elements = q.poset.elements
     lo_inter = {}
     hi_seen = {}
+    walked = {}  # id of a table kept by a -> mask of subcells walked under it
     for ctx in range(len(elements)):
         table = a.local_dist(ctx)
         dget = lambda x, y: table[x].get(y)
-        subcells = list(q.poset.iter_mask(q.poset.down_mask(ctx)))
+        done = walked.get(id(table), 0)
+        todo = q.poset.down_mask(ctx) & ~done
+        walked[id(table)] = done | todo
+        subcells = list(q.poset.iter_mask(todo))
         for v in q._cell_vslots[ctx]:
             for k in subcells:
                 lo, hi = _omega_pair(v, q._cell_vslots[k], dget)

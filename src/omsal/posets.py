@@ -39,7 +39,10 @@ class FinitePoset:
         """The poset generated by index pairs (i, j), j covering i.
 
         The pairs are closed reflexively and transitively, then validated
-        like any relation: a cycle raises NotAntisymmetric.
+        like any relation: a cycle raises NotAntisymmetric.  Each sweep
+        runs from the top index down, so covers that all point to higher
+        indices (the Salvetti poset, .poset files) close in one sweep;
+        any other input takes more sweeps until nothing changes.
         """
         n = len(elements)
         up = [1 << i for i in range(n)]
@@ -48,7 +51,7 @@ class FinitePoset:
         changed = True
         while changed:
             changed = False
-            for i in range(n):
+            for i in range(n - 1, -1, -1):
                 m = up[i]
                 for j in cls.iter_mask(m & ~(1 << i)):
                     m |= up[j]

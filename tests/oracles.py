@@ -7,14 +7,17 @@ over a string-keyed flip graph, the Smith normal form is the dense
 textbook reduction that also returns its unimodular transforms, the
 covector closure composes every vector with every other, both ways, and
 the cocircuits of an arrangement are the sign vectors of the kernel
-lines of its corank-1 normal subsets, found by Fraction RREF.
+lines of its corank-1 normal subsets, found by Fraction RREF, and the
+MH tables ask every (context, vertex, subcell) question afresh.
 Nothing here imports from the package beyond the sign-vector primitives
-that closure composes, and test parametrization done by the callers.
+that closure composes, the per-cell MH primitives the unshared tables
+call, and test parametrization done by the callers.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
+from omsal.mh import MHCheck, _lower_constraints, _omega_pair
 from omsal.signs import SignVector, compose
 
 
@@ -306,3 +309,61 @@ def kernel_line_cocircuits(arr):
         cocircuits.add(x)
         cocircuits.add(-x)
     return cocircuits
+
+
+def global_tables_unshared(a):
+    """mh._global_tables with one _omega_pair call per (vertex, cell)."""
+    q = a.q
+    labels = q.vertex_labels()
+    lo_tab = {}
+    hi_tab = {}
+    for v in range(len(labels)):
+        for ci in range(len(q.poset.elements)):
+            lo, hi = _omega_pair(v, q._cell_vslots[ci], a.global_get)
+            if hi is None:
+                return (MHCheck(False, (labels[v], q.poset.elements[ci], 3)),
+                        None, None)
+            lo_tab[(v, ci)] = lo
+            hi_tab[(v, ci)] = hi
+    return MHCheck(True, None), lo_tab, hi_tab
+
+
+def local_tables_unshared(a):
+    """mh._local_tables with one _omega_pair call per (context, vertex,
+    subcell) triple, however many contexts share a local table."""
+    q = a.q
+    labels = q.vertex_labels()
+    elements = q.poset.elements
+    lo_inter = {}
+    hi_seen = {}
+    for ctx in range(len(elements)):
+        table = a.local_dist(ctx)
+        dget = lambda x, y: table[x].get(y)
+        subcells = list(q.poset.iter_mask(q.poset.down_mask(ctx)))
+        for v in q._cell_vslots[ctx]:
+            for k in subcells:
+                lo, hi = _omega_pair(v, q._cell_vslots[k], dget)
+                if hi is None:
+                    return (MHCheck(False,
+                                    ("local", elements[ctx], labels[v],
+                                     elements[k], 3)),
+                            None, None)
+                key = (v, k)
+                seen = hi_seen.get(key)
+                if seen is None:
+                    hi_seen[key] = (hi, ctx)
+                elif seen[0] != hi:
+                    witness = ("upper", labels[v], elements[k],
+                               (elements[seen[1]], labels[seen[0]]),
+                               (elements[ctx], labels[hi]))
+                    return MHCheck(False, witness), None, None
+                cur = lo_inter.get(key)
+                if cur is None:
+                    lo_inter[key] = lo
+                elif not (cur & lo):
+                    witness = ("lower", labels[v], elements[k],
+                               _lower_constraints(a, v, k))
+                    return MHCheck(False, witness), None, None
+                else:
+                    lo_inter[key] = cur & lo
+    return MHCheck(True, None), lo_inter, hi_seen

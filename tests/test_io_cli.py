@@ -481,6 +481,20 @@ def test_cli_malformed_cw_is_bad_input(tmp_path):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def test_cli_complex_with_cw_input_is_bad_input(tmp_path):
+    cw = tmp_path / "edge.cw"
+    cw.write_text("cell a dim 0\ncell b dim 0\ncell e dim 1\n"
+                  "cover a e\ncover b e\n")
+    proc = subprocess.run([sys.executable, "-m", "omsal", "mh-check", "--in",
+                           str(cw), "--complex", "dual"],
+                          capture_output=True, text=True,
+                          cwd=str(Path(__file__).parent.parent))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"ParseError: --complex dual needs matroid input; "
+                           f"{cw} is one CW complex\n")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_non_integer_cap_is_bad_input(capsys, monkeypatch):
     monkeypatch.setenv("OM_SALVETTI_MAX_N", "abc")
     code, out, err = run(capsys, "salvetti", "--fixture", "boolean:3",

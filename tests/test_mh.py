@@ -2,8 +2,9 @@
 
 import pytest
 
+from omsal import mh
 from omsal.errors import ConsistencyFailure, Disconnected, EmptyInput
-from omsal.fixtures import cw_octagon_chords, cw_polygon
+from omsal.fixtures import ALL_FIXTURES, cw_octagon_chords, cw_polygon
 from omsal.mh import (
     CWPoset,
     cw_from_covers,
@@ -16,6 +17,8 @@ from omsal.mh import (
     skeleton_is_bipartite,
 )
 from omsal.paths import tope_distance
+
+from oracles import global_tables_unshared, local_tables_unshared
 
 
 def edge():
@@ -185,7 +188,8 @@ def test_dual_skeleton_metric_is_separation(spec, om):
 
 
 @pytest.mark.parametrize("spec", ["boolean:2", "boolean:3", "generic:3:2",
-                                  "braid:3", "generic:4:3"])
+                                  "braid:3", "generic:4:3",
+                                  "boolean:4", "generic:5:4"])
 def test_matroid_complexes_carry_mh_structure(spec, om):
     m = om(spec)
     for q in (dual_complex(m), salvetti_cw(m)):
@@ -209,3 +213,87 @@ def test_salvetti_cw_matches_poset(om, salvetti_poset):
     assert len(q) == len(salvetti_poset("generic:3:2"))
     v0 = q.vertex_labels()[0]
     assert skeleton_distances(q).global_d[(v0, v0)] == 0
+
+
+# -- shared answers against the unshared tables ----------------------------------
+
+
+def doubled(q):
+    """q with a second copy of every top cell, on the same boundary,
+    placed right after the original so later contexts reuse its table."""
+    elements = q.poset.elements
+    tops = set(q.poset.maximal_indices())
+    cells = []
+    for i, x in enumerate(elements):
+        cells.append((x, q.dims[i]))
+        if i in tops:
+            cells.append((x + "'", q.dims[i]))
+    covers = []
+    for i, j in q.poset.covers():
+        covers.append((elements[i], elements[j]))
+        if j in tops:
+            covers.append((elements[i], elements[j] + "'"))
+    return cw_from_covers(cells, covers)
+
+
+CW_EXAMPLES = {
+    "polygon3": lambda: cw_polygon(3),
+    "polygon4": lambda: cw_polygon(4),
+    "polygon5": lambda: cw_polygon(5),
+    "polygon8": lambda: cw_polygon(8),
+    "octagon": lambda: cw_octagon_chords(False),
+    "octagon-trapezoid": lambda: cw_octagon_chords(True),
+}
+CW_EXAMPLES.update({f"{name}-doubled": (lambda build=build: doubled(build()))
+                    for name, build in list(CW_EXAMPLES.items())})
+
+
+def complex_for(name, om):
+    if name.startswith("cw-"):
+        return CW_EXAMPLES[name[3:]]()
+    kind, spec = name.split("-", 1)
+    return {"dual": dual_complex, "salvetti": salvetti_cw}[kind](om(spec))
+
+
+ORACLE_COMPLEXES = (
+    [f"{kind}-{spec}" for spec in ALL_FIXTURES + ("boolean:4", "generic:5:4")
+     for kind in ("dual", "salvetti")]
+    + [f"cw-{name}" for name in CW_EXAMPLES])
+
+
+def test_doubled_top_cells_share_one_local_table():
+    q = doubled(cw_octagon_chords(True))
+    assert q.f_vector() == (8, 15, 4)  # the free chords c36, c58, c72 too
+    assert q.poset.elements[-4:] == ("oct", "oct'", "trap", "trap'")
+    a = mh._Analysis(q)
+    for x in ("oct", "trap"):
+        i = q.poset.index[x]
+        assert q.closed_cell(x + "'") == q.closed_cell(x)[:-1] + [x + "'"]
+        assert a.local_dist(i + 1) is a.local_dist(i)
+
+
+@pytest.mark.parametrize("name", ORACLE_COMPLEXES)
+def test_mh_report_equals_unshared_tables(name, om, monkeypatch):
+    q = complex_for(name, om)
+    shared = mh_check(q)
+    monkeypatch.setattr(mh, "_global_tables", global_tables_unshared)
+    monkeypatch.setattr(mh, "_local_tables", local_tables_unshared)
+    # the three checks with their witnesses, and the omega tables
+    assert shared == mh_check(q)
+
+
+def test_omega_pair_calls_on_nonpappus(om, monkeypatch):
+    calls = []
+    real = mh._omega_pair
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(mh, "_omega_pair", counted)
+    m = om("nonpappus")
+    assert mh_check(dual_complex(m)).passed
+    assert len(calls) == 25_366
+    calls.clear()
+    assert mh_check(salvetti_cw(m)).passed
+    assert len(calls) <= 45_000  # 697,134 when every context asks afresh
