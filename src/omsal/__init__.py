@@ -40,12 +40,12 @@ from .homology import (
 from .salvetti import (
     SalvettiCell,
     build_salvetti_poset,
+    cellular_homology,
     chain_determination_check,
     f_vector_and_euler,
     nerve_check,
     oriented_one_skeleton,
     retraction_check,
-    salvetti_order_complex,
 )
 from .osalg import (
     UnderlyingMatroid,
@@ -103,6 +103,7 @@ __all__ = [
     "betti_numbers",
     "build_poset",
     "build_salvetti_poset",
+    "cellular_homology",
     "chain_determination_check",
     "circuits",
     "cocircuits_from_chirotope",
@@ -132,7 +133,6 @@ __all__ = [
     "qmh_check",
     "retraction_check",
     "salvetti_cw",
-    "salvetti_order_complex",
     "separation_mask",
     "skeleton_distances",
     "smith_normal_form",

@@ -28,7 +28,8 @@ from .matroid import Chirotope, are_isomorphic
 from .mh import dual_complex, mh_check, salvetti_cw
 from .osalg import flats_from_covectors, gr_comparison, nbc_sets
 from .paths import minimal_positive_paths, tope_distance, tope_poset
-from .salvetti import build_salvetti_poset, f_vector_and_euler, salvetti_order_complex
+from .posets import order_complex
+from .salvetti import build_salvetti_poset, cellular_homology, f_vector_and_euler
 from .signs import SignVector
 
 CHECK_FAILED = 1
@@ -91,12 +92,20 @@ def _cmd_verify(args):
     return (0 if report.passes else CHECK_FAILED), lines, payload
 
 
+def _is_poset_file(args):
+    return bool(getattr(args, "infile", None)) and args.infile.endswith(".poset")
+
+
+def _load_salvetti(args):
+    """(Salvetti poset, identity string) from a .poset file or a subject."""
+    if _is_poset_file(args):
+        return fileio.parse_salvetti_poset(args.infile), args.infile
+    m, ident = _load_subject(args)
+    return build_salvetti_poset(m), ident
+
+
 def _cmd_salvetti(args):
-    if getattr(args, "infile", None) and args.infile.endswith(".poset"):
-        poset, ident = fileio.parse_salvetti_poset(args.infile), args.infile
-    else:
-        m, ident = _load_subject(args)
-        poset = build_salvetti_poset(m)
+    poset, ident = _load_salvetti(args)
     fv, euler = f_vector_and_euler(poset)
     payload = {"subject": ident, "f_vector": list(fv), "euler": euler,
                "cells": sum(fv)}
@@ -114,16 +123,23 @@ def _cmd_salvetti(args):
 
 
 def _cmd_homology(args):
-    m, ident = _load_subject(args)
-    chain = IntegerChainComplex.from_faces(
-        salvetti_order_complex(m).faces_by_dim())
-    groups = chain.homology()
+    poset, ident = _load_salvetti(args)
+    try:
+        groups = cellular_homology(poset)
+    except ConsistencyFailure as exc:
+        if _is_poset_file(args):
+            raise ParseError(f"{ident}: {exc}") from None
+        raise
     if args.dump_matrices:
+        # dumps stay on the order complex: perfbench pins their shapes
+        chain = IntegerChainComplex.from_faces(
+            order_complex(poset).faces_by_dim())
         os.makedirs(args.dump_matrices, exist_ok=True)
         for k in range(1, len(chain.dims)):
             write_matrix_text(
-                chain.boundary_matrix(k),
-                os.path.join(args.dump_matrices, f"boundary_{k}.txt"))
+                chain.boundaries[k],
+                os.path.join(args.dump_matrices, f"boundary_{k}.txt"),
+                (chain.dims[k - 1], chain.dims[k]))
     lines = [f"H_{k}: {g}" for k, g in enumerate(groups)]
     betti = [g.betti for g in groups]
     lines.append("betti=(" + ",".join(map(str, betti)) + ")")
@@ -301,9 +317,11 @@ def _build_parser():
     p.set_defaults(func=_cmd_salvetti)
 
     p = sub.add_parser("homology", parents=[common],
-                       help="integer homology of the Salvetti order complex")
+                       help="integer homology of the Salvetti complex, on its "
+                            "cells (also --in .poset)")
     p.add_argument("--dump-matrices", metavar="DIR", dest="dump_matrices",
-                   help="write boundary matrices as text into DIR")
+                   help="write the order complex's boundary matrices as "
+                        "text into DIR")
     p.set_defaults(func=_cmd_homology)
 
     p = sub.add_parser("os-betti", parents=[common],

@@ -1,9 +1,14 @@
-"""Integer simplicial homology via Smith normal form.
+"""Integer homology of simplicial and regular CW complexes via Smith
+normal form.
 
 The workhorse is a sparse elimination over Z with unit-pivot preference;
 invariant factors come from the eliminated diagonal after a gcd/lcm
-normalization.  Boundary matrices are assembled from the full face list
-of the complex; nothing is reduced beforehand.
+normalization.  Simplicial boundaries are assembled from the full face
+list of the complex.  Cellular boundaries of a regular CW complex are
+assembled from its cover pairs and grades alone: each incidence number
+is +-1 and, once one sign per cell is fixed, the diamond property of the
+cell's boundary forces the rest.  Nothing is reduced beforehand, and the
+constructor checks that consecutive boundaries compose to zero.
 """
 
 from __future__ import annotations
@@ -298,15 +303,49 @@ class IntegerChainComplex:
             boundaries.append(rows)
         return cls(dims, boundaries)
 
-    def boundary_matrix(self, k):
-        """Dense copy of boundary k, for debugging and text export."""
-        m = self.dims[k - 1] if k else 0
-        n = self.dims[k] if k < len(self.dims) else 0
-        out = [[0] * n for _ in range(m)]
-        for i, r in self.boundaries[k].items():
-            for j, v in r.items():
-                out[i][j] = v
-        return out
+    @classmethod
+    def from_cw_covers(cls, grades, covers):
+        """Cellular boundary matrices of a regular CW complex.
+
+        grades[i] is the dimension of cell i and covers holds the index
+        pairs (f, c) with f a facet of c.  The cells of one dimension are
+        numbered in index order.  A 1-cell gets -1 on its lower-indexed
+        endpoint and +1 on the other.  A cell c of dimension >= 2 gets +1
+        on its first facet; every codim-2 face e of c lies in exactly two
+        facets f and g (the diamond property), which forces
+        [c:g] = -[c:f][f:e][g:e].  ConsistencyFailure is raised when a
+        cover does not raise the dimension by one, a face lies in other
+        than two facets, a facet is not reached, or two routes give a
+        facet different signs.
+        """
+        grades = list(grades)
+        dims = [0] * (max(grades, default=-1) + 1)
+        pos = []
+        for d in grades:
+            pos.append(dims[d])
+            dims[d] += 1
+        facets = [set() for _ in grades]
+        for f, c in covers:
+            if grades[c] != grades[f] + 1:
+                raise ConsistencyFailure(
+                    f"cell {f} (dim {grades[f]}) is not a facet of "
+                    f"cell {c} (dim {grades[c]})")
+            facets[c].add(f)
+        inc = [{} for _ in grades]  # cell -> {facet: incidence number}
+        boundaries = [{} for _ in dims]
+        for c in sorted(range(len(grades)), key=grades.__getitem__):
+            fs = sorted(facets[c])
+            if grades[c] == 1:
+                if len(fs) != 2:
+                    raise ConsistencyFailure(
+                        f"1-cell {c} has {len(fs)} endpoints")
+                inc[c] = {fs[0]: -1, fs[1]: 1}
+            elif grades[c] >= 2:
+                inc[c] = _diamond_signs(c, fs, inc)
+            rows = boundaries[grades[c]]
+            for f, s in inc[c].items():
+                rows.setdefault(pos[f], {})[pos[c]] = s
+        return cls(dims, boundaries)
 
     def homology(self) -> list[HomologyGroup]:
         top = len(self.dims) - 1
@@ -319,6 +358,42 @@ class IntegerChainComplex:
         return [HomologyGroup(self.dims[k] - ranks[k] - ranks[k + 1],
                               tuple(d for d in factors[k + 1] if d > 1))
                 for k in range(top + 1)]
+
+
+def _diamond_signs(c, fs, inc):
+    """Incidence numbers of cell c on its sorted facets fs.
+
+    inc holds the incidence numbers of every facet on its own facets.
+    """
+    if not fs:
+        raise ConsistencyFailure(f"cell {c} has no facets")
+    around: dict[int, list[int]] = {}
+    for f in fs:
+        for e in inc[f]:
+            around.setdefault(e, []).append(f)
+    for e, pair in around.items():
+        if len(pair) != 2:
+            raise ConsistencyFailure(
+                f"face {e} lies in {len(pair)} facets of cell {c}")
+    sign = {fs[0]: 1}
+    stack = [fs[0]]
+    while stack:
+        f = stack.pop()
+        for e, s in inc[f].items():
+            a, b = around[e]
+            g = b if a == f else a
+            want = -sign[f] * s * inc[g][e]
+            if g not in sign:
+                sign[g] = want
+                stack.append(g)
+            elif sign[g] != want:
+                raise ConsistencyFailure(
+                    f"facets {f} and {g} of cell {c} meet in face {e} "
+                    f"with inconsistent orientations")
+    if len(sign) != len(fs):
+        raise ConsistencyFailure(
+            f"the facets of cell {c} are not connected through their faces")
+    return sign
 
 
 def _sparse_product_is_zero(lower, upper):
@@ -344,8 +419,21 @@ def betti_numbers(complex_: SimplicialComplex) -> tuple[int, ...]:
     return tuple(g.betti for g in homology(complex_))
 
 
-def write_matrix_text(matrix, path):
-    """Row-major plain text dump of a dense integer matrix."""
+def write_matrix_text(rows, path, shape):
+    """Row-major plain text dump of a sparse integer matrix.
+
+    rows maps row index -> {col: value} and shape is (rows, columns);
+    every entry is written, zeros included, one row per line.
+    """
+    m, n = shape
+    zero = " ".join(["0"] * n) + "\n"
     with open(path, "w") as fh:
-        for row in matrix:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+        for i in range(m):
+            r = rows.get(i)
+            if not r:
+                fh.write(zero)
+                continue
+            line = ["0"] * n
+            for j, v in r.items():
+                line[j] = str(v)
+            fh.write(" ".join(line) + "\n")

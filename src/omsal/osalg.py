@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ComparisonFailure
-from .homology import homology
 from .matroid import OrientedMatroid
 from .posets import FinitePoset, build_poset
-from .salvetti import salvetti_order_complex
+from .salvetti import build_salvetti_poset, cellular_homology
 
 
 class UnderlyingMatroid:
@@ -150,7 +149,7 @@ def gr_comparison(m: OrientedMatroid) -> GrComparison:
     Raises ComparisonFailure on the first degree where the ranks differ
     or torsion appears; also insists the nbc counts alternate to zero.
     """
-    groups = homology(salvetti_order_complex(m))
+    groups = cellular_homology(build_salvetti_poset(m))
     betti = tuple(g.betti for g in groups)
     bs = os_betti(flats_from_covectors(m))
     top = max(len(betti), len(bs))

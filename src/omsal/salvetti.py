@@ -4,7 +4,9 @@ Cells are pairs [X, T] of a covector and a tope above it; the face
 relation is [Y, S] <= [X, T] iff X <= Y and Y o T = S (the smaller cell
 sits left so poset height equals cell dimension).  The poset is built
 as the transitive closure of the facet covers: the facets of [X, T] are
-the cells [Y, Y o T] with Y covering X in the face poset.  The nerve
+the cells [Y, Y o T] with Y covering X in the face poset.  It is the face
+poset of a regular CW complex, so its integer homology is computed on the
+cells themselves from those covers.  The nerve
 built from the pairwise intersection rule is checked to coincide with
 the order complex, and the theorem-level count/retraction checks live
 here too.
@@ -15,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConsistencyFailure, InvalidCell, NotATope
+from .homology import HomologyGroup, IntegerChainComplex
 from .limits import check_cap
 from .matroid import OrientedMatroid
-from .posets import FinitePoset, order_complex
+from .posets import FinitePoset
 from .signs import SignVector, compose, conforms
 
 
@@ -69,6 +72,17 @@ def build_salvetti_poset(m: OrientedMatroid) -> FinitePoset:
     """
     check_cap(m.n)
     return m.derived(_salvetti_poset)
+
+
+def cellular_homology(poset: FinitePoset) -> list[HomologyGroup]:
+    """Integer homology of a Salvetti cell poset, computed on its cells.
+
+    The incidence numbers come from the covers by the diamond rule of
+    IntegerChainComplex.from_cw_covers, which raises ConsistencyFailure
+    when the poset is not the face poset of a regular CW complex.
+    """
+    return IntegerChainComplex.from_cw_covers(
+        [c.dim for c in poset.elements], poset.covers()).homology()
 
 
 def boundary_cells(c: SalvettiCell, m: OrientedMatroid) -> set[SalvettiCell]:
@@ -236,10 +250,6 @@ def nerve_check(m: OrientedMatroid):
         "facets": len(nerve_facets),
     }
     return True, stats
-
-
-def salvetti_order_complex(m: OrientedMatroid):
-    return order_complex(build_salvetti_poset(m))
 
 
 # -- theorem-level checks -----------------------------------------------------

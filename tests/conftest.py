@@ -1,8 +1,11 @@
 """Session caches: the heavy objects are built once and shared.
 
-The nonpappus Salvetti order complex alone costs about ten seconds of
-Smith reduction, so homology groups and cell posets are memoized here
-instead of being recomputed per test.
+cached_salvetti_homology is the simplicial route: the homology of the
+order complex of the Salvetti poset.  It is the independent check on
+the cellular route of the CLI.  On nonpappus (71,656 faces) its Smith
+reduction takes a few seconds, against a few hundredths on the cells,
+so homology groups and cell posets are memoized here instead of being
+recomputed per test.
 """
 
 import pytest

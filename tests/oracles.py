@@ -7,8 +7,9 @@ over a string-keyed flip graph, the Smith normal form is the dense
 textbook reduction that also returns its unimodular transforms, the
 covector closure composes every vector with every other, both ways, and
 the cocircuits of an arrangement are the sign vectors of the kernel
-lines of its corank-1 normal subsets, found by Fraction RREF, and the
-MH tables ask every (context, vertex, subcell) question afresh.
+lines of its corank-1 normal subsets, found by Fraction RREF, the
+MH tables ask every (context, vertex, subcell) question afresh, and
+the matrix text dump writes a dense copy of each boundary entry by entry.
 Nothing here imports from the package beyond the sign-vector primitives
 that closure composes, the per-cell MH primitives the unshared tables
 call, and test parametrization done by the callers.
@@ -225,6 +226,24 @@ def smith_normal_form_with_transforms(matrix):
                 p[t][tt] = -p[t][tt]
         t += 1
     return a, p, q
+
+
+def dense_boundary_matrix(chain, k):
+    """Dense copy of boundary k, for debugging and text export."""
+    m = chain.dims[k - 1] if k else 0
+    n = chain.dims[k] if k < len(chain.dims) else 0
+    out = [[0] * n for _ in range(m)]
+    for i, r in chain.boundaries[k].items():
+        for j, v in r.items():
+            out[i][j] = v
+    return out
+
+
+def write_dense_matrix_text(matrix, path):
+    """Row-major plain text dump of a dense integer matrix."""
+    with open(path, "w") as fh:
+        for row in matrix:
+            fh.write(" ".join(str(v) for v in row) + "\n")
 
 
 def two_sided_closure(cc):

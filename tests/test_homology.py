@@ -1,12 +1,17 @@
-"""Smith normal form (sparse engine and dense oracle) and simplicial
-integer homology."""
+"""Smith normal form (sparse engine and dense oracle), simplicial
+integer homology, and cellular homology of regular CW complexes."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import smith_normal_form_with_transforms
+from oracles import (
+    dense_boundary_matrix,
+    smith_normal_form_with_transforms,
+    write_dense_matrix_text,
+)
 
 from omsal.errors import ConsistencyFailure
 from omsal.homology import (
@@ -16,6 +21,7 @@ from omsal.homology import (
     betti_numbers,
     homology,
     smith_normal_form,
+    write_matrix_text,
 )
 
 # the 6-vertex triangulation of the projective plane: every edge lies in
@@ -161,3 +167,111 @@ def test_homology_group_str():
 def test_empty_and_point():
     assert homology(SimplicialComplex([], [])) == []
     assert betti_numbers(SimplicialComplex([1], [(1,)])) == (1,)
+
+
+# -- cellular chain complexes from covers ------------------------------------
+
+
+def _face_poset_covers(sc):
+    """(grades, covers) of the face poset of a simplicial complex."""
+    faces = [f for layer in sc.faces_by_dim() for f in layer]
+    index = {f: i for i, f in enumerate(faces)}
+    grades = [len(f) - 1 for f in faces]
+    covers = [(index[f - {v}], index[f]) for f in faces if len(f) > 1
+              for v in f]
+    return grades, covers
+
+
+# two vertices 0, 1; two edges 2, 3 from 0 to 1; two discs 4, 5 on them
+SPHERE_GRADES = [0, 0, 1, 1, 2, 2]
+SPHERE_COVERS = [(0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4), (2, 5), (3, 5)]
+
+
+def test_cw_covers_circle_and_sphere():
+    circle = IntegerChainComplex.from_cw_covers(SPHERE_GRADES[:4],
+                                                SPHERE_COVERS[:4])
+    # each edge runs from its lower-indexed endpoint to the other
+    assert circle.boundaries[1] == {0: {0: -1, 1: -1}, 1: {0: 1, 1: 1}}
+    assert circle.homology() == [HomologyGroup(1), HomologyGroup(1)]
+    sphere = IntegerChainComplex.from_cw_covers(SPHERE_GRADES, SPHERE_COVERS)
+    assert sphere.dims == (2, 2, 2)
+    # the first facet gets +1; the diamonds at both vertices force -1
+    assert sphere.boundaries[2] == {0: {0: 1, 1: 1}, 1: {0: -1, 1: -1}}
+    assert sphere.homology() == [HomologyGroup(1), HomologyGroup(0),
+                                 HomologyGroup(1)]
+
+
+def test_cw_covers_match_simplicial_homology():
+    for sc in (SimplicialComplex(list(range(1, 7)), RP2_FACETS),
+               SimplicialComplex([1, 2, 3, 4],
+                                 [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]),
+               SimplicialComplex([1, 2, 3, 4, 5], [(1, 2, 3, 4), (4, 5)])):
+        chain = IntegerChainComplex.from_cw_covers(*_face_poset_covers(sc))
+        assert chain.dims == sc.f_vector()
+        assert chain.homology() == homology(sc)
+
+
+def test_cw_covers_check_boundaries_compose_to_zero(monkeypatch):
+    calls = []
+
+    def never_zero(lower, upper):
+        calls.append((lower, upper))
+        return False
+
+    # the package re-exports the function homology() under the module's name
+    module = importlib.import_module("omsal.homology")
+    monkeypatch.setattr(module, "_sparse_product_is_zero", never_zero)
+    with pytest.raises(ConsistencyFailure, match="is not zero"):
+        IntegerChainComplex.from_cw_covers(SPHERE_GRADES, SPHERE_COVERS)
+    assert len(calls) == 1
+
+
+def test_cw_covers_reject_a_vertex_in_three_edges():
+    # edges 01, 12, 20, 03, 13 all bound one 2-cell: vertex 0 is in three
+    grades = [0, 0, 0, 0, 1, 1, 1, 1, 1, 2]
+    covers = [(0, 4), (1, 4), (1, 5), (2, 5), (0, 6), (2, 6), (0, 7), (3, 7),
+              (1, 8), (3, 8)] + [(e, 9) for e in range(4, 9)]
+    with pytest.raises(ConsistencyFailure,
+                       match="face 0 lies in 3 facets of cell 9"):
+        IntegerChainComplex.from_cw_covers(grades, covers)
+
+
+def test_cw_covers_reject_an_edge_with_one_endpoint():
+    with pytest.raises(ConsistencyFailure, match="1-cell 2 has 1 endpoints"):
+        IntegerChainComplex.from_cw_covers([0, 0, 1], [(0, 2)])
+
+
+def test_cw_covers_reject_an_inconsistent_orientation():
+    # a 3-cell glued onto the projective plane: every edge lies in two
+    # triangles, but no choice of signs makes the boundary a cycle
+    grades, covers = _face_poset_covers(
+        SimplicialComplex(list(range(1, 7)), RP2_FACETS))
+    ball = len(grades)
+    covers += [(i, ball) for i, d in enumerate(grades) if d == 2]
+    with pytest.raises(ConsistencyFailure, match="inconsistent orientations"):
+        IntegerChainComplex.from_cw_covers(grades + [3], covers)
+
+
+def test_cw_covers_reject_other_bad_covers():
+    with pytest.raises(ConsistencyFailure, match="is not a facet of"):
+        IntegerChainComplex.from_cw_covers([0, 2], [(0, 1)])
+    with pytest.raises(ConsistencyFailure, match="has no facets"):
+        IntegerChainComplex.from_cw_covers([0, 0, 1, 1, 2],
+                                           SPHERE_COVERS[:4])
+    # a disc whose boundary is two disjoint circles
+    grades = [0, 0, 0, 0, 1, 1, 1, 1, 2]
+    covers = [(0, 4), (1, 4), (0, 5), (1, 5), (2, 6), (3, 6), (2, 7), (3, 7)]
+    covers += [(e, 8) for e in range(4, 8)]
+    with pytest.raises(ConsistencyFailure, match="not connected"):
+        IntegerChainComplex.from_cw_covers(grades, covers)
+
+
+def test_sparse_writer_matches_dense_writer(tmp_path):
+    # zero rows, multi-digit and negative entries, and empty shapes
+    chain = IntegerChainComplex((3, 4, 0), [{}, {0: {1: -12, 3: 1}, 2: {0: 7}}, {}])
+    for k, shape in ((1, (3, 4)), (2, (4, 0))):
+        sparse, dense = tmp_path / f"sparse_{k}", tmp_path / f"dense_{k}"
+        write_matrix_text(chain.boundaries[k], sparse, shape)
+        write_dense_matrix_text(dense_boundary_matrix(chain, k), dense)
+        assert sparse.read_bytes() == dense.read_bytes()
+    assert (tmp_path / "sparse_1").read_text() == "0 -12 0 1\n0 0 0 0\n7 0 0 0\n"

@@ -7,12 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from oracles import dense_boundary_matrix, write_dense_matrix_text
+
 from omsal import fileio, matroid
 from omsal.cli import main
 from omsal.errors import AxiomFailure, ConsistencyFailure, ParseError
 from omsal.fixtures import cw_octagon_chords, fixture_arrangement, parse_fixture_spec
+from omsal.homology import IntegerChainComplex
 from omsal.matroid import are_isomorphic, from_arrangement
 from omsal.mh import cw_from_covers, mh_check
+from omsal.posets import order_complex
 from omsal.salvetti import build_salvetti_poset, f_vector_and_euler
 
 
@@ -289,13 +293,80 @@ def test_cli_homology(capsys):
 
 
 def test_cli_homology_dumps_matrices(capsys, tmp_path):
+    # the dump keeps the boundaries of the order complex, not the cells
     d = tmp_path / "mats"
-    code, out, _ = run(capsys, "homology", "--fixture", "boolean:2",
+    code, out, _ = run(capsys, "homology", "--fixture", "generic:4:3",
                        "--dump-matrices", str(d))
     assert code == 0
+    assert out == "H_0: Z\nH_1: Z^4\nH_2: Z^6\nH_3: Z^3\nbetti=(1,4,6,3)\n"
     names = sorted(p.name for p in d.iterdir())
-    assert names[0] == "boundary_1.txt"
-    assert (d / "boundary_1.txt").read_text().strip()
+    assert names == ["boundary_1.txt", "boundary_2.txt", "boundary_3.txt"]
+    shapes = []
+    for name in names:
+        rows = (d / name).read_text().splitlines()
+        assert len({len(r.split()) for r in rows}) == 1
+        shapes.append((len(rows), len(rows[0].split())))
+    assert shapes == [(124, 1180), (1180, 2400), (2400, 1344)]
+
+
+@pytest.mark.parametrize("spec", ["boolean:2", "generic:3:2", "generic:4:3"])
+def test_cli_homology_dump_matches_dense_writer(capsys, tmp_path, spec,
+                                                salvetti_poset):
+    d = tmp_path / "mats"
+    code, _, _ = run(capsys, "homology", "--fixture", spec,
+                     "--dump-matrices", str(d))
+    assert code == 0
+    chain = IntegerChainComplex.from_faces(
+        order_complex(salvetti_poset(spec)).faces_by_dim())
+    assert len(list(d.iterdir())) == len(chain.dims) - 1
+    for k in range(1, len(chain.dims)):
+        dense = tmp_path / f"dense_{k}.txt"
+        write_dense_matrix_text(dense_boundary_matrix(chain, k), dense)
+        assert (d / f"boundary_{k}.txt").read_bytes() == dense.read_bytes()
+
+
+NONPAPPUS_HOMOLOGY = "H_0: Z\nH_1: Z^9\nH_2: Z^28\nH_3: Z^20\nbetti=(1,9,28,20)\n"
+NONPAPPUS_GR = ("deg  os  H_k\n  0   1    1\n  1   9    9\n  2  28   28\n"
+                "  3  20   20\nmatch\n")
+
+
+def test_cli_homology_and_gr_compare_skip_the_order_complex(capsys,
+                                                            monkeypatch):
+    def refuse(cls, faces_by_dim):
+        raise AssertionError("simplicial boundaries assembled")
+
+    monkeypatch.setattr(IntegerChainComplex, "from_faces", classmethod(refuse))
+    assert run(capsys, "homology", "--fixture", "nonpappus") == \
+        (0, NONPAPPUS_HOMOLOGY, "")
+    assert run(capsys, "gr-compare", "--fixture", "nonpappus") == \
+        (0, NONPAPPUS_GR, "")
+
+
+def test_cli_homology_of_an_emitted_poset(capsys, tmp_path):
+    code, text, _ = run(capsys, "salvetti", "--fixture", "generic:4:3",
+                        "--emit")
+    f = tmp_path / "g43.poset"
+    f.write_text(text)
+    from_file = run(capsys, "homology", "--in", str(f))
+    assert from_file == run(capsys, "homology", "--fixture", "generic:4:3")
+    assert from_file[:2] == \
+        (0, "H_0: Z\nH_1: Z^4\nH_2: Z^6\nH_3: Z^3\nbetti=(1,4,6,3)\n")
+
+
+def test_cli_homology_of_a_non_cw_poset_is_bad_input(capsys, tmp_path):
+    # boolean:2 without the cover of cell 12 on its facet 4: the poset
+    # still parses, but vertex 0 now lies in one facet of cell 12
+    code, text, _ = run(capsys, "salvetti", "--fixture", "boolean:2", "--emit")
+    assert "\n4 12\n" in text
+    bad = tmp_path / "bad.poset"
+    bad.write_text(text.replace("\n4 12\n", "\n"))
+    assert run(capsys, "salvetti", "--in", str(bad))[0] == 0
+    proc = subprocess.run([sys.executable, "-m", "omsal", "homology", "--in",
+                           str(bad)], capture_output=True, text=True,
+                          cwd=str(Path(__file__).parent.parent))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"ParseError: {bad}: face 0 lies in 1 facets "
+                           "of cell 12\n")
 
 
 def test_cli_os_betti(capsys):

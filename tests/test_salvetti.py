@@ -1,4 +1,5 @@
-"""Salvetti cell poset: f-vectors, nerve comparison, theorem checks."""
+"""Salvetti cell poset: f-vectors, nerve comparison, theorem checks,
+cellular homology."""
 
 import pytest
 
@@ -6,12 +7,14 @@ from omsal import salvetti
 from omsal.errors import EnumerationLimitExceeded, InvalidCell, NotATope
 from omsal.fixtures import ALL_FIXTURES
 from omsal.matroid import OrientedMatroid
+from omsal.osalg import flats_from_covectors, os_betti
 from omsal.posets import FinitePoset, build_poset
 from omsal.salvetti import (
     SalvettiCell,
     boundary_cells,
     build_salvetti_poset,
     cell_leq,
+    cellular_homology,
     chain_determination_check,
     f_vector_and_euler,
     nerve_check,
@@ -196,3 +199,18 @@ def test_poset_from_covers_equals_cell_relation(spec, om):
     assert poset.elements == oracle.elements
     assert [poset.up_mask(i) for i in range(len(poset))] == \
         [oracle.up_mask(i) for i in range(len(oracle))]
+
+
+@pytest.mark.parametrize("spec", ALL_FIXTURES)
+def test_cellular_homology_equals_simplicial(spec, salvetti_poset,
+                                             salvetti_homology):
+    # the order complex is a subdivision of the cells: same groups
+    assert cellular_homology(salvetti_poset(spec)) == salvetti_homology(spec)
+
+
+@pytest.mark.parametrize("spec", ["generic:5:4", "generic:6:4", "boolean:5"])
+def test_cellular_betti_numbers_are_nbc_counts(spec, om):
+    m = om(spec)
+    groups = cellular_homology(build_salvetti_poset(m))
+    assert all(g.torsion == () for g in groups)
+    assert tuple(g.betti for g in groups) == os_betti(flats_from_covectors(m))
