@@ -17,7 +17,7 @@ from .errors import (
     UnknownFixture,
 )
 from .signs import SignVector, compose, conforms, separation_mask
-from .posets import FinitePoset, build_poset, is_lattice, order_complex
+from .posets import FinitePoset, build_poset, is_lattice
 from .matroid import (
     Chirotope,
     OrientedMatroid,
@@ -32,9 +32,6 @@ from .matroid import (
 from .homology import (
     HomologyGroup,
     IntegerChainComplex,
-    SimplicialComplex,
-    betti_numbers,
-    homology,
     smith_normal_form,
 )
 from .salvetti import (
@@ -95,12 +92,10 @@ __all__ = [
     "RationalArrangement",
     "SalvettiCell",
     "SignVector",
-    "SimplicialComplex",
     "UnderlyingMatroid",
     "UnknownFixture",
     "antipodal_extension_check",
     "are_isomorphic",
-    "betti_numbers",
     "build_poset",
     "build_salvetti_poset",
     "cellular_homology",
@@ -116,7 +111,6 @@ __all__ = [
     "from_arrangement",
     "generate_fixture",
     "gr_comparison",
-    "homology",
     "is_lattice",
     "is_simple",
     "is_simplicial",
@@ -126,7 +120,6 @@ __all__ = [
     "minimal_positive_paths",
     "nbc_sets",
     "nerve_check",
-    "order_complex",
     "oriented_one_skeleton",
     "os_betti",
     "parse_fixture_spec",

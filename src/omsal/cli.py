@@ -28,7 +28,6 @@ from .matroid import Chirotope, are_isomorphic
 from .mh import dual_complex, mh_check, salvetti_cw
 from .osalg import flats_from_covectors, gr_comparison, nbc_sets
 from .paths import minimal_positive_paths, tope_distance, tope_poset
-from .posets import order_complex
 from .salvetti import build_salvetti_poset, cellular_homology, f_vector_and_euler
 from .signs import SignVector
 
@@ -131,9 +130,14 @@ def _cmd_homology(args):
             raise ParseError(f"{ident}: {exc}") from None
         raise
     if args.dump_matrices:
-        # dumps stay on the order complex: perfbench pins their shapes
-        chain = IntegerChainComplex.from_faces(
-            order_complex(poset).faces_by_dim())
+        # the dump stays on the order complex, whose k-faces are the
+        # chains of k + 1 cells (perfbench pins its shapes)
+        layers = [[] for _ in range(poset.height() + 1)]
+        for c, _ in poset.iter_chains():
+            layers[len(c) - 1].append(c)
+        for layer in layers:
+            layer.sort()
+        chain = IntegerChainComplex.from_faces(layers)
         os.makedirs(args.dump_matrices, exist_ok=True)
         for k in range(1, len(chain.dims)):
             write_matrix_text(

@@ -85,6 +85,10 @@ class EquivalenceViolation(OMError):
     """Two equivalent formulations disagree on the same input."""
 
 
+class NotSimple(OMError):
+    """Parallel or antiparallel elements where a simple matroid is needed."""
+
+
 class NotATope(OMError):
     """A sign vector used as a tope is not a maximal covector."""
 

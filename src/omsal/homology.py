@@ -1,14 +1,15 @@
-"""Integer homology of simplicial and regular CW complexes via Smith
-normal form.
+"""Integer homology of regular CW complexes via Smith normal form.
 
 The workhorse is a sparse elimination over Z with unit-pivot preference;
 invariant factors come from the eliminated diagonal after a gcd/lcm
-normalization.  Simplicial boundaries are assembled from the full face
-list of the complex.  Cellular boundaries of a regular CW complex are
+normalization.  Cellular boundaries of a regular CW complex are
 assembled from its cover pairs and grades alone: each incidence number
 is +-1 and, once one sign per cell is fixed, the diamond property of the
-cell's boundary forces the rest.  Nothing is reduced beforehand, and the
-constructor checks that consecutive boundaries compose to zero.
+cell's boundary forces the rest.  Simplicial boundaries are assembled
+from per-dimension lists of faces, given as increasing index tuples
+(the chains of a poset, for the matrix dump of the CLI).  Nothing is
+reduced beforehand, and the constructor checks that consecutive
+boundaries compose to zero.
 """
 
 from __future__ import annotations
@@ -18,72 +19,6 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import ConsistencyFailure
-
-
-class SimplicialComplex:
-    """Finite abstract simplicial complex on labelled vertices.
-
-    Stored as facets (maximal faces); all faces are implied by downward
-    closure.  Internally faces are frozensets of indices into the vertex
-    label tuple.
-    """
-
-    def __init__(self, vertices, facets, _faces=None):
-        self.vertices = tuple(vertices)
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        if len(self._index) != len(self.vertices):
-            raise ValueError("duplicate vertex labels")
-        fs = []
-        for f in facets:
-            fi = frozenset(f) if _faces is not None else frozenset(self._index[v] for v in f)
-            if not fi:
-                raise ValueError("empty facet")
-            fs.append(fi)
-        self.facets = tuple(fs)
-        self._faces = None if _faces is None else set(_faces)
-
-    def faces(self) -> set[frozenset[int]]:
-        """Every face, as frozensets of vertex indices."""
-        if self._faces is None:
-            out: set[frozenset[int]] = set()
-            for f in self.facets:
-                _close_down(f, out)
-            self._faces = out
-        return self._faces
-
-    def faces_by_dim(self) -> list[list[frozenset[int]]]:
-        byd: dict[int, list] = {}
-        for f in self.faces():
-            byd.setdefault(len(f) - 1, []).append(f)
-        top = max(byd, default=-1)
-        return [sorted(byd.get(d, []), key=sorted) for d in range(top + 1)]
-
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.faces_by_dim())
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(layer)
-                   for d, layer in enumerate(self.faces_by_dim()))
-
-    def dim(self) -> int:
-        return max((len(f) - 1 for f in self.facets), default=-1)
-
-    def face_labels(self) -> set[frozenset]:
-        return {frozenset(self.vertices[i] for i in f) for f in self.faces()}
-
-
-def _close_down(face, out):
-    stack = [face]
-    while stack:
-        f = stack.pop()
-        if f in out:
-            continue
-        out.add(f)
-        if len(f) > 1:
-            for v in f:
-                g = f - {v}
-                if g not in out:
-                    stack.append(g)
 
 
 # -- Smith normal form ------------------------------------------------------
@@ -264,25 +199,17 @@ class HomologyGroup(NamedTuple):
 class IntegerChainComplex:
     """Boundaries over Z; boundary k maps degree k to degree k-1.
 
-    Matrices are stored sparsely as row dicts {row: {col: value}} with
-    exact int entries; dims fixes the shapes.  Vanishing of consecutive
-    compositions is checked on construction.
+    Each boundary is given and stored sparsely as row dicts
+    {row: {col: value}} with exact int entries; dims fixes the shapes.
+    Vanishing of consecutive compositions is checked on construction.
     """
 
     def __init__(self, dims, boundaries):
         self.dims = tuple(dims)
         self.boundaries = []
         for b in boundaries:
-            if isinstance(b, dict):
-                rows = {i: {j: int(v) for j, v in r.items() if v} for i, r in b.items()}
-                rows = {i: r for i, r in rows.items() if r}
-            else:
-                rows = {}
-                for i, row in enumerate(b):
-                    r = {j: int(v) for j, v in enumerate(row) if v}
-                    if r:
-                        rows[i] = r
-            self.boundaries.append(rows)
+            rows = {i: {j: int(v) for j, v in r.items() if v} for i, r in b.items()}
+            self.boundaries.append({i: r for i, r in rows.items() if r})
         for k in range(1, len(self.boundaries)):
             if not _sparse_product_is_zero(self.boundaries[k - 1], self.boundaries[k]):
                 raise ConsistencyFailure(
@@ -290,15 +217,20 @@ class IntegerChainComplex:
 
     @classmethod
     def from_faces(cls, faces_by_dim):
-        """Simplicial boundary matrices from per-dimension face lists."""
+        """Simplicial boundary matrices from per-dimension face lists.
+
+        faces_by_dim[k] lists the k-faces as increasing tuples of vertex
+        indices, in the order of the rows and columns; the facet that
+        drops the vertex at position p gets the sign (-1)^p.
+        """
         dims = tuple(len(layer) for layer in faces_by_dim)
         boundaries = [{}]
         for k in range(1, len(faces_by_dim)):
             idx = {f: r for r, f in enumerate(faces_by_dim[k - 1])}
             rows: dict[int, dict[int, int]] = {}
             for c, f in enumerate(faces_by_dim[k]):
-                for pos, v in enumerate(sorted(f)):
-                    r = idx[frozenset(f - {v})]
+                for pos in range(len(f)):
+                    r = idx[f[:pos] + f[pos + 1:]]
                     rows.setdefault(r, {})[c] = -1 if pos % 2 else 1
             boundaries.append(rows)
         return cls(dims, boundaries)
@@ -405,18 +337,6 @@ def _sparse_product_is_zero(lower, upper):
         if any(acc.values()):
             return False
     return True
-
-
-def homology(complex_: SimplicialComplex) -> list[HomologyGroup]:
-    """Unreduced integer homology of a simplicial complex, per degree.
-
-    The empty complex has no degrees; a single point has H_0 = Z.
-    """
-    return IntegerChainComplex.from_faces(complex_.faces_by_dim()).homology()
-
-
-def betti_numbers(complex_: SimplicialComplex) -> tuple[int, ...]:
-    return tuple(g.betti for g in homology(complex_))
 
 
 def write_matrix_text(rows, path, shape):

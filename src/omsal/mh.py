@@ -35,26 +35,20 @@ from .salvetti import build_salvetti_poset
 class CWPoset:
     """Face poset of a regular CW complex with explicit cell dimensions.
 
-    dims is a mapping or callable on elements, or a sequence aligned with
-    poset.elements.  Checked invariants: dimensions drop strictly from a
-    cell to its faces, every closed cell contains a vertex, every 1-cell
-    has exactly two distinct endpoints (parallel edges are fine, loops
-    are not), and the 1-skeleton is connected.
+    dims is a sequence aligned with poset.elements.  Checked invariants:
+    dimensions drop strictly from a cell to its faces, every closed cell
+    contains a vertex, every 1-cell has exactly two distinct endpoints
+    (parallel edges are fine, loops are not), and the 1-skeleton is
+    connected.
     """
 
     def __init__(self, poset: FinitePoset, dims):
         if not len(poset):
             raise EmptyInput("a CW complex needs at least one cell")
         self.poset = poset
-        if callable(dims):
-            dim_list = [dims(x) for x in poset.elements]
-        elif hasattr(dims, "__getitem__") and hasattr(dims, "keys"):
-            dim_list = [dims[x] for x in poset.elements]
-        else:
-            dim_list = list(dims)
-        if len(dim_list) != len(poset.elements):
+        self.dims = tuple(dims)
+        if len(self.dims) != len(poset.elements):
             raise ConsistencyFailure("one dimension per cell required")
-        self.dims = tuple(dim_list)
         self._index_structure()
 
     def _index_structure(self):
@@ -99,7 +93,6 @@ class CWPoset:
             ends[i] = (a, b)
             adj[a].add(b)
             adj[b].add(a)
-        self._edge_ids = tuple(i for i in range(n) if dims[i] == 1)
         self._edge_ends = ends
         self._adj = [tuple(sorted(s)) for s in adj]
         seen = _bfs(self._adj, 0)
@@ -113,9 +106,6 @@ class CWPoset:
 
     def vertex_labels(self) -> tuple:
         return tuple(self.poset.elements[i] for i in self._vertex_ids)
-
-    def edge_labels(self) -> tuple:
-        return tuple(self.poset.elements[i] for i in self._edge_ids)
 
     def dim(self) -> int:
         return max(self.dims)

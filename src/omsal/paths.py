@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConsistencyFailure, EquivalenceViolation, NotATope
+from .errors import ConsistencyFailure, EquivalenceViolation, NotATope, NotSimple
 from .matroid import OrientedMatroid
 from .posets import FinitePoset, build_poset, is_lattice
 from .salvetti import DirectedEdge, oriented_one_skeleton
@@ -41,9 +41,15 @@ def _adjacency(m: OrientedMatroid):
     sk = oriented_one_skeleton(m)
     adj: dict[SignVector, list] = {t: [] for t in sk.vertices}
     for e in sk.edges:
-        adj[e.source].append((e.target, e))
-    return {t: tuple(sorted(pairs, key=lambda pair: crossing_element(t, pair[0])))
-            for t, pairs in adj.items()}
+        diff = separation_mask(e.source, e.target)
+        if diff & (diff - 1):
+            elements = ", ".join(str(k + 1) for k in FinitePoset.iter_mask(diff))
+            raise NotSimple(
+                f"elements {elements} are parallel: adjacent topes "
+                f"{e.source}, {e.target} differ on all of them")
+        adj[e.source].append((diff.bit_length(), e.target, e))
+    return {t: tuple((nb, e) for _, nb, e in sorted(steps, key=lambda s: s[0]))
+            for t, steps in adj.items()}
 
 
 def skeleton_adjacency(m: OrientedMatroid):

@@ -1,14 +1,16 @@
-"""Finite posets with explicit validation, plus order complexes.
+"""Finite posets with explicit validation, covers and chains.
 
 Up-sets and down-sets are bitmasks over element indices, so subset tests
 and transitive reduction are single integer operations even for posets
-with a few hundred elements.
+with a few hundred elements.  A poset closed from its covers keeps the
+generating pairs as its only cover candidates, so its covers need no
+transitive reduction over all comparable pairs.  This module is a leaf:
+it imports nothing from the package but its errors.
 """
 
 from __future__ import annotations
 
 from .errors import NotAntisymmetric, NotTransitive
-from .homology import SimplicialComplex
 
 
 class FinitePoset:
@@ -31,6 +33,7 @@ class FinitePoset:
                 m ^= low
         if not _validated:
             self._validate()
+        self._cover_candidates = self._up
         self._covers = None
         self._heights = None
 
@@ -43,11 +46,17 @@ class FinitePoset:
         runs from the top index down, so covers that all point to higher
         indices (the Salvetti poset, .poset files) close in one sweep;
         any other input takes more sweeps until nothing changes.
+
+        Every cover of the closure is a generating pair, so the poset
+        keeps the generating pairs as the only candidates for covers():
+        those (i, j), i != j, with nothing strictly between i and j.
+        Duplicates, self pairs and pairs implied by others drop out.
         """
         n = len(elements)
         up = [1 << i for i in range(n)]
         for a, b in index_cover_pairs:
             up[a] |= 1 << b
+        generated = up[:]
         changed = True
         while changed:
             changed = False
@@ -58,7 +67,9 @@ class FinitePoset:
                 if m != up[i]:
                     up[i] = m
                     changed = True
-        return cls(elements, up)
+        poset = cls(elements, up)
+        poset._cover_candidates = generated
+        return poset
 
     def _validate(self):
         n = len(self.elements)
@@ -115,12 +126,16 @@ class FinitePoset:
     # -- covers and heights ------------------------------------------------
 
     def covers(self):
-        """List of index pairs (i, j) with j covering i."""
+        """Sorted list of index pairs (i, j) with j covering i.
+
+        Only cover candidates are tested, one mask test each: every
+        comparable pair, or the generating pairs of from_covers.
+        """
         if self._covers is None:
             out = []
             for i in range(len(self.elements)):
                 strict = self._up[i] & ~(1 << i)
-                for j in self.iter_mask(strict):
+                for j in self.iter_mask(self._cover_candidates[i] & strict):
                     between = strict & (self._down[j] & ~(1 << j))
                     if not between:
                         out.append((i, j))
@@ -240,15 +255,3 @@ def _has_unique_extreme(poset, mask, above):
             if count > 1:
                 return False
     return count == 1
-
-
-def order_complex(poset: FinitePoset) -> SimplicialComplex:
-    """The simplicial complex of chains of the poset."""
-    faces = []
-    facets = []
-    for chain, mx in poset.iter_chains():
-        fs = frozenset(chain)
-        faces.append(fs)
-        if mx:
-            facets.append(fs)
-    return SimplicialComplex(poset.elements, facets, _faces=faces)

@@ -1,8 +1,9 @@
 """Session caches: the heavy objects are built once and shared.
 
 cached_salvetti_homology is the simplicial route: the homology of the
-order complex of the Salvetti poset.  It is the independent check on
-the cellular route of the CLI.  On nonpappus (71,656 faces) its Smith
+order complex of the Salvetti poset, built by the reference
+SimplicialComplex in oracles.py.  It is the independent check on the
+cellular route of the package.  On nonpappus (71,656 faces) its Smith
 reduction takes a few seconds, against a few hundredths on the cells,
 so homology groups and cell posets are memoized here instead of being
 recomputed per test.
@@ -10,9 +11,9 @@ recomputed per test.
 
 import pytest
 
+from oracles import homology, order_complex
+
 from omsal.fixtures import generate_fixture
-from omsal.homology import homology
-from omsal.posets import order_complex
 from omsal.salvetti import build_salvetti_poset
 
 _posets = {}

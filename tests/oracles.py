@@ -10,14 +10,24 @@ the cocircuits of an arrangement are the sign vectors of the kernel
 lines of its corank-1 normal subsets, found by Fraction RREF, the
 MH tables ask every (context, vertex, subcell) question afresh, and
 the matrix text dump writes a dense copy of each boundary entry by entry.
+
+The simplicial reference for Salvetti homology lives here too: a
+SimplicialComplex keeps its facets and closes them downward into faces,
+and order_complex takes the maximal chains of a poset as its facets.
+Its homology is the check on the cellular route of the package, which
+assembles boundaries from covers; the two share only the Smith engine
+of IntegerChainComplex.
+
 Nothing here imports from the package beyond the sign-vector primitives
 that closure composes, the per-cell MH primitives the unshared tables
-call, and test parametrization done by the callers.
+call, the chain complex the simplicial reference feeds, and test
+parametrization done by the callers.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
+from omsal.homology import HomologyGroup, IntegerChainComplex
 from omsal.mh import MHCheck, _lower_constraints, _omega_pair
 from omsal.signs import SignVector, compose
 
@@ -226,6 +236,97 @@ def smith_normal_form_with_transforms(matrix):
                 p[t][tt] = -p[t][tt]
         t += 1
     return a, p, q
+
+
+class SimplicialComplex:
+    """Finite abstract simplicial complex on labelled vertices.
+
+    Stored as facets (maximal faces); all faces are implied by downward
+    closure.  Internally faces are frozensets of indices into the vertex
+    label tuple.
+    """
+
+    def __init__(self, vertices, facets):
+        self.vertices = tuple(vertices)
+        self._index = {v: i for i, v in enumerate(self.vertices)}
+        if len(self._index) != len(self.vertices):
+            raise ValueError("duplicate vertex labels")
+        fs = []
+        for f in facets:
+            fi = frozenset(self._index[v] for v in f)
+            if not fi:
+                raise ValueError("empty facet")
+            fs.append(fi)
+        self.facets = tuple(fs)
+        self._faces = None
+
+    def faces(self) -> set[frozenset[int]]:
+        """Every face, as frozensets of vertex indices."""
+        if self._faces is None:
+            out: set[frozenset[int]] = set()
+            for f in self.facets:
+                _close_down(f, out)
+            self._faces = out
+        return self._faces
+
+    def faces_by_dim(self) -> list[list[frozenset[int]]]:
+        byd: dict[int, list] = {}
+        for f in self.faces():
+            byd.setdefault(len(f) - 1, []).append(f)
+        top = max(byd, default=-1)
+        return [sorted(byd.get(d, []), key=sorted) for d in range(top + 1)]
+
+    def chain_complex(self) -> IntegerChainComplex:
+        """Simplicial boundaries, rows and columns in faces_by_dim order."""
+        return IntegerChainComplex.from_faces(
+            [[tuple(sorted(f)) for f in layer] for layer in self.faces_by_dim()])
+
+    def f_vector(self) -> tuple[int, ...]:
+        return tuple(len(layer) for layer in self.faces_by_dim())
+
+    def euler_characteristic(self) -> int:
+        return sum((-1) ** d * len(layer)
+                   for d, layer in enumerate(self.faces_by_dim()))
+
+    def dim(self) -> int:
+        return max((len(f) - 1 for f in self.facets), default=-1)
+
+    def face_labels(self) -> set[frozenset]:
+        return {frozenset(self.vertices[i] for i in f) for f in self.faces()}
+
+
+def _close_down(face, out):
+    stack = [face]
+    while stack:
+        f = stack.pop()
+        if f in out:
+            continue
+        out.add(f)
+        if len(f) > 1:
+            for v in f:
+                g = f - {v}
+                if g not in out:
+                    stack.append(g)
+
+
+def homology(complex_: SimplicialComplex) -> list[HomologyGroup]:
+    """Unreduced integer homology of a simplicial complex, per degree.
+
+    The empty complex has no degrees; a single point has H_0 = Z.
+    """
+    return complex_.chain_complex().homology()
+
+
+def betti_numbers(complex_: SimplicialComplex) -> tuple[int, ...]:
+    return tuple(g.betti for g in homology(complex_))
+
+
+def order_complex(poset) -> SimplicialComplex:
+    """The simplicial complex of chains of a poset, closed down from its
+    maximal chains."""
+    facets = [[poset.elements[i] for i in chain]
+              for chain, mx in poset.iter_chains() if mx]
+    return SimplicialComplex(poset.elements, facets)
 
 
 def dense_boundary_matrix(chain, k):

@@ -1,14 +1,17 @@
 """Smith normal form (sparse engine and dense oracle), simplicial
-integer homology, and cellular homology of regular CW complexes."""
+integer homology (the reference in oracles.py), and cellular homology of
+regular CW complexes."""
 
-import importlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    SimplicialComplex,
+    betti_numbers,
     dense_boundary_matrix,
+    homology,
     smith_normal_form_with_transforms,
     write_dense_matrix_text,
 )
@@ -17,9 +20,6 @@ from omsal.errors import ConsistencyFailure
 from omsal.homology import (
     HomologyGroup,
     IntegerChainComplex,
-    SimplicialComplex,
-    betti_numbers,
-    homology,
     smith_normal_form,
     write_matrix_text,
 )
@@ -153,9 +153,13 @@ def test_chain_complex_rejects_bad_boundaries():
 
 def test_chain_complex_from_faces_matches_simplicial():
     sc = SimplicialComplex(list(range(1, 7)), RP2_FACETS)
-    chain = IntegerChainComplex.from_faces(sc.faces_by_dim())
+    chain = sc.chain_complex()
     assert chain.dims == (6, 15, 10)
     assert chain.homology() == homology(sc)
+    # triangle 0 is (0, 1, 2); dropping the vertex at position p gives (-1)^p
+    edges = [tuple(sorted(f)) for f in sc.faces_by_dim()[1]]
+    d2 = chain.boundaries[2]
+    assert [d2[edges.index(e)][0] for e in ((1, 2), (0, 2), (0, 1))] == [1, -1, 1]
 
 
 def test_homology_group_str():
@@ -218,9 +222,7 @@ def test_cw_covers_check_boundaries_compose_to_zero(monkeypatch):
         calls.append((lower, upper))
         return False
 
-    # the package re-exports the function homology() under the module's name
-    module = importlib.import_module("omsal.homology")
-    monkeypatch.setattr(module, "_sparse_product_is_zero", never_zero)
+    monkeypatch.setattr("omsal.homology._sparse_product_is_zero", never_zero)
     with pytest.raises(ConsistencyFailure, match="is not zero"):
         IntegerChainComplex.from_cw_covers(SPHERE_GRADES, SPHERE_COVERS)
     assert len(calls) == 1

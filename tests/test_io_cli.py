@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import dense_boundary_matrix, write_dense_matrix_text
+from oracles import dense_boundary_matrix, order_complex, write_dense_matrix_text
 
 from omsal import fileio, matroid
 from omsal.cli import main
@@ -16,7 +16,6 @@ from omsal.fixtures import cw_octagon_chords, fixture_arrangement, parse_fixture
 from omsal.homology import IntegerChainComplex
 from omsal.matroid import are_isomorphic, from_arrangement
 from omsal.mh import cw_from_covers, mh_check
-from omsal.posets import order_complex
 from omsal.salvetti import build_salvetti_poset, f_vector_and_euler
 
 
@@ -316,8 +315,7 @@ def test_cli_homology_dump_matches_dense_writer(capsys, tmp_path, spec,
     code, _, _ = run(capsys, "homology", "--fixture", spec,
                      "--dump-matrices", str(d))
     assert code == 0
-    chain = IntegerChainComplex.from_faces(
-        order_complex(salvetti_poset(spec)).faces_by_dim())
+    chain = order_complex(salvetti_poset(spec)).chain_complex()
     assert len(list(d.iterdir())) == len(chain.dims) - 1
     for k in range(1, len(chain.dims)):
         dense = tmp_path / f"dense_{k}.txt"
@@ -563,6 +561,20 @@ def test_cli_complex_with_cw_input_is_bad_input(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == (f"ParseError: --complex dual needs matroid input; "
                            f"{cw} is one CW complex\n")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_paths_on_parallel_elements_is_bad_input(tmp_path):
+    # elements 2 and 3 share a hyperplane: one wall crosses both
+    arr = tmp_path / "parallel.arr"
+    arr.write_text("rank 2\n1 0\n0 1\n0 2\n")
+    proc = subprocess.run([sys.executable, "-m", "omsal", "paths", "--in",
+                           str(arr), "--from=+++", "--to=---"],
+                          capture_output=True, text=True,
+                          cwd=str(Path(__file__).parent.parent))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("NotSimple: elements 2, 3 are parallel: adjacent "
+                           "topes +++, +-- differ on all of them\n")
     assert "Traceback" not in proc.stderr
 
 

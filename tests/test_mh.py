@@ -72,13 +72,8 @@ def test_cw_validation():
         cw_from_covers([("e", 1)], [])
 
 
-def test_dims_argument_forms():
+def test_dims_length_must_match_cells():
     base = cw_polygon(3).poset
-    by_map = CWPoset(base, {x: (0 if x.startswith("v") else
-                                1 if x.startswith("e") else 2)
-                            for x in base.elements})
-    by_call = CWPoset(base, lambda x: by_map.dim_of(x))
-    assert by_map.dims == by_call.dims
     with pytest.raises(ConsistencyFailure, match="one dimension"):
         CWPoset(base, [0, 0, 0])
 

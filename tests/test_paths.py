@@ -10,9 +10,9 @@ from oracles import (
 )
 
 from omsal import paths
-from omsal.errors import ConsistencyFailure, NotATope
+from omsal.errors import ConsistencyFailure, NotATope, NotSimple
 from omsal.fixtures import ALL_FIXTURES
-from omsal.matroid import OrientedMatroid
+from omsal.matroid import OrientedMatroid, RationalArrangement, from_arrangement
 from omsal.paths import (
     antipodal_extension_check,
     crossing_element,
@@ -145,6 +145,17 @@ def test_adjacency_sorted_by_crossing(om):
     adj = skeleton_adjacency(m)
     nbrs = [str(nb) for nb, _ in adj[sv("+++")]]
     assert nbrs == ["-++", "+-+", "++-"]
+
+
+@pytest.mark.parametrize("normals, named", [
+    ([(1, 0), (0, 1), (0, 2)], "elements 2, 3 are parallel"),
+    ([(0, 1), (1, 0), (0, -3), (1, 1)], "elements 1, 3 are parallel"),
+])
+def test_parallel_elements_are_bad_input(normals, named):
+    m = from_arrangement(RationalArrangement(2, normals))
+    topes = m.topes()
+    with pytest.raises(NotSimple, match=named):
+        minimal_positive_paths(m, topes[0], topes[-1])
 
 
 def test_skeleton_built_once_per_matroid(om, monkeypatch):

@@ -4,9 +4,10 @@ from itertools import combinations
 
 import pytest
 
+from oracles import homology, order_complex
+
 from omsal.errors import NotAntisymmetric, NotTransitive
-from omsal.homology import homology
-from omsal.posets import FinitePoset, build_poset, is_lattice, order_complex
+from omsal.posets import FinitePoset, build_poset, is_lattice
 
 
 def divisor_poset(n=12):
@@ -75,6 +76,14 @@ def test_from_covers_closes_transitively():
     assert sorted(p.covers()) == sorted(covers)
     with pytest.raises(NotAntisymmetric):
         FinitePoset.from_covers(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
+
+
+def test_from_covers_keeps_only_true_covers():
+    # (0, 1) twice, the self pair (2, 2), and (0, 3) implied by 0 < 1 < 3
+    pairs = [(1, 3), (0, 1), (0, 3), (2, 2), (0, 1), (0, 2)]
+    p = FinitePoset.from_covers("abcd", iter(pairs))
+    assert p.covers() == [(0, 1), (0, 2), (1, 3)]
+    assert p.dual().dual().covers() == p.covers()
 
 
 def test_dual_swaps_relations():

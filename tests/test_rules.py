@@ -1,5 +1,5 @@
 """The rules every change keeps: standard-library imports only, no
-floats, and no stale names in the package exports."""
+floats, the module layering, and no stale names in the package exports."""
 
 import ast
 import sys
@@ -8,6 +8,21 @@ from pathlib import Path
 import omsal
 
 SRC = Path(__file__).parent.parent / "src" / "omsal"
+TESTS = Path(__file__).parent
+
+
+def _imported_modules(path):
+    """Every module a source file imports, package-relative ones as omsal.x."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            if node.level:
+                mod = f"omsal.{mod}" if mod else "omsal"
+            out.append(mod)
+    return out
 
 
 def test_stdlib_only_and_no_floats():
@@ -32,3 +47,14 @@ def test_stdlib_only_and_no_floats():
 
 def test_every_export_resolves():
     assert not [name for name in omsal.__all__ if not hasattr(omsal, name)]
+
+
+def test_module_layering():
+    # posets is a leaf: it needs nothing from the package but its errors
+    assert set(_imported_modules(SRC / "posets.py")) <= \
+        {"__future__", "omsal.errors"}
+    test_modules = {"tests"} | {p.stem for p in TESTS.glob("*.py")}
+    bad = [f"{path.name}: {mod}" for path in sorted(SRC.glob("*.py"))
+           for mod in _imported_modules(path)
+           if mod.split(".")[0] in test_modules]
+    assert not bad

@@ -3,9 +3,9 @@ cellular homology."""
 
 import pytest
 
-from omsal import salvetti
+from omsal import fileio, salvetti
 from omsal.errors import EnumerationLimitExceeded, InvalidCell, NotATope
-from omsal.fixtures import ALL_FIXTURES
+from omsal.fixtures import ALL_FIXTURES, cw_octagon_chords, cw_polygon
 from omsal.matroid import OrientedMatroid
 from omsal.osalg import flats_from_covectors, os_betti
 from omsal.posets import FinitePoset, build_poset
@@ -199,6 +199,28 @@ def test_poset_from_covers_equals_cell_relation(spec, om):
     assert poset.elements == oracle.elements
     assert [poset.up_mask(i) for i in range(len(poset))] == \
         [oracle.up_mask(i) for i in range(len(oracle))]
+
+
+def _transitive_reduction(poset):
+    # the double dual has the same order but no kept covers
+    return poset.dual().dual().covers()
+
+
+@pytest.mark.parametrize("spec", ALL_FIXTURES + ("boolean:5", "generic:6:4",
+                                                 "boolean:6"))
+def test_kept_covers_equal_the_transitive_reduction(spec, om):
+    poset = build_salvetti_poset(om(spec))
+    assert poset.covers() == _transitive_reduction(poset)
+
+
+def test_kept_covers_of_parsed_and_cw_posets(om):
+    text = fileio.emit_salvetti_poset(build_salvetti_poset(om("generic:4:3")))
+    parsed = fileio.parse_salvetti_poset(text)
+    assert parsed.covers() == _transitive_reduction(parsed)
+    for q in (cw_polygon(6), cw_octagon_chords(False), cw_octagon_chords(True)):
+        assert q.poset.covers() == _transitive_reduction(q.poset)
+        reparsed = fileio.parse_cw(fileio.emit_cw(q)).poset
+        assert reparsed.covers() == _transitive_reduction(reparsed)
 
 
 @pytest.mark.parametrize("spec", ALL_FIXTURES)
