@@ -14,7 +14,7 @@ here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConsistencyFailure, InvalidCell, NotATope
 from .homology import HomologyGroup, IntegerChainComplex
@@ -29,6 +29,15 @@ class SalvettiCell:
     covector: SignVector
     tope: SignVector
     dim: int
+    # cells key the MH tables and the poset index, so the hash of the
+    # two sign vectors is taken once, not on every lookup
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.covector, self.tope, self.dim)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return f"[{self.covector},{self.tope}]"

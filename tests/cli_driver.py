@@ -17,6 +17,7 @@ from pathlib import Path
 
 from omsal import fileio, fixtures
 from omsal.cli import main
+from omsal.matroid import Chirotope
 from omsal.salvetti import build_salvetti_poset
 
 
@@ -29,6 +30,12 @@ def prepare_inputs(work: Path):
     (work / "b2.poset").write_text(
         fileio.emit_salvetti_poset(
             build_salvetti_poset(fixtures.generate_fixture("boolean:2"))))
+    # two chirotopes whose spans fail the axioms (V3)
+    (work / "bad.chi").write_text("chirotope r=2 n=4\n+-++++\n")
+    values = dict(fixtures.nonpappus_chirotope().values)
+    values[(1, 2, 5)] = -values[(1, 2, 5)]
+    (work / "np125.chi").write_text(
+        fileio.emit_chirotope(Chirotope(3, 9, values)))
 
 
 def commands(work: Path):
@@ -38,6 +45,8 @@ def commands(work: Path):
     cmds += [
         ["verify", "--json", "--fixture", "generic:4:3"],
         ["verify", "--in", str(work / "bad.cov")],
+        ["verify", "--in", str(work / "bad.chi")],
+        ["verify", "--in", str(work / "np125.chi")],
         ["verify", "--in", str(work / "missing.cov")],
         ["verify", "--fixture", "boolean:99"],
 

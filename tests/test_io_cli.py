@@ -588,20 +588,36 @@ def test_cli_non_integer_cap_is_bad_input(capsys, monkeypatch):
 
 
 def test_cli_verify_loads_and_verifies_once(capsys, tmp_path, monkeypatch):
+    # a valid input is certified on its cocircuits and never reaches
+    # verify_axioms; a failing one reaches it once, for the witnesses
     arr = tmp_path / "x.arr"
     arr.write_text(fileio.emit_arrangement(
         fixture_arrangement(parse_fixture_spec("generic:3:2"))))
-    calls = []
-    real = matroid.verify_axioms
+    chi = tmp_path / "x.chi"
+    chi.write_text("chirotope r=2 n=4\n+-++++\n")
+    builds, calls = [], []
+    real_build, real_verify = matroid._axiom_report, matroid.verify_axioms
 
-    def counted(covectors):
+    def counted_build(m):
+        builds.append(m)
+        return real_build(m)
+
+    def counted_verify(covectors):
         calls.append(covectors)
-        return real(covectors)
+        return real_verify(covectors)
 
-    monkeypatch.setattr(matroid, "verify_axioms", counted)
+    monkeypatch.setattr(matroid, "_axiom_report", counted_build)
+    monkeypatch.setattr(matroid, "verify_axioms", counted_verify)
     code, out, err = run(capsys, "verify", "--in", str(arr))
     assert code == 0 and out.endswith("result: pass\n")
-    assert len(calls) == 1
+    assert (len(builds), len(calls)) == (1, 0)
+
+    builds.clear()
+    code, out, err = run(capsys, "verify", "--in", str(chi))
+    assert code == 1
+    assert out == "V0 pass\nV1 pass\nV2 pass\nV3 FAIL (++++, ++-+, 3)\nresult: FAIL\n"
+    assert (len(builds), len(calls)) == (1, 1)
+    assert "\n".join(str(c) for c in real_verify(calls[0]).checks) in out
 
 
 def test_cli_argparse_failures():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from omsal import matroid
 from omsal.errors import (
     AxiomFailure,
     DegenerateChirotope,
@@ -17,7 +18,8 @@ from omsal.errors import (
 )
 from omsal.fixtures import (_NONPAPPUS_NORMALS, _NONPAPPUS_TRIPLES,
                             _NONPAPPUS_ZERO_BASIS, ALL_FIXTURES,
-                            fixture_arrangement, generate_fixture,
+                            boolean_arrangement, fixture_arrangement,
+                            generate_fixture, generic_arrangement,
                             nonpappus_chirotope)
 from omsal.matroid import (
     Chirotope,
@@ -288,6 +290,88 @@ def test_span_failure_report_matches_two_sided_closure():
     with pytest.raises(AxiomFailure) as exc:
         span_from_cocircuits(cc)
     assert exc.value.report == verify_axioms(two_sided_closure(cc))
+
+
+def _chirotope_span(chi):
+    return set(matroid._compositions(cocircuits_from_chirotope(chi), chi.n))
+
+
+def _certifier_corpus():
+    """Covector sets for the cocircuit certifier: oriented matroids,
+    near misses and the rank-0 set, each as (label, n, covectors)."""
+    for spec in ALL_FIXTURES + ("boolean:5", "generic:6:4", "braid:4"):
+        m = generate_fixture(spec)
+        yield spec, m.n, m.covectors
+    values = dict(nonpappus_chirotope().values)
+    values[(1, 2, 5)] = -values[(1, 2, 5)]
+    yield "nonpappus (1,2,5) reversed", 9, _chirotope_span(Chirotope(3, 9, values))
+    # one sign changed in the chirotope of a randomly reoriented generic
+    # arrangement; the small n get more draws, being cheaper to verify
+    rng = random.Random(9)
+    for k in range(300):
+        n = (5, 5, 5, 6, 6, 7)[k % 6]
+        arr = generic_arrangement(n, 3)
+        arr = RationalArrangement(3, [tuple(rng.choice((-1, 1)) * a for a in row)
+                                      for row in arr.normals])
+        values = dict(Chirotope.from_normals(arr).values)
+        sub = rng.choice(sorted(values))
+        values[sub] = rng.choice([s for s in (-1, 0, 1) if s != values[sub]])
+        yield f"generic:{n}:3 {sub}={values[sub]}", n, _chirotope_span(Chirotope(3, n, values))
+    # damaged .cov sets: one covector dropped, or one entry changed
+    for spec in ("boolean:2", "boolean:3", "generic:3:2", "generic:4:3", "generic:5:3"):
+        m = generate_fixture(spec)
+        covs = m.sorted_covectors()
+        for _ in range(12):
+            x = rng.choice(covs)
+            yield f"{spec} without {x}", m.n, set(covs) - {x}
+            signs = [x.sign(e) for e in range(1, m.n + 1)]
+            e = rng.randrange(m.n)
+            signs[e] = rng.choice([s for s in (-1, 0, 1) if s != signs[e]])
+            y = SignVector.from_signs(signs)
+            yield f"{spec} {x} -> {y}", m.n, set(covs) - {x} | {y}
+    yield "rank 0", 3, {SignVector.zero(3)}
+
+
+def test_certifier_matches_verify_axioms(monkeypatch):
+    # a pass is proved on the cocircuits; every other answer, and so
+    # every witness, is verify_axioms's own report on the same set
+    real = matroid.verify_axioms
+    fallbacks = []
+
+    def recorded(covectors):
+        fallbacks.append((covectors, real(covectors)))
+        return fallbacks[-1][1]
+
+    monkeypatch.setattr(matroid, "verify_axioms", recorded)
+    outcomes, fell_back = set(), set()
+    for label, n, covs in _certifier_corpus():
+        fallbacks.clear()
+        report = OrientedMatroid(n, covs).verify()
+        if fallbacks:
+            (seen, expected), = fallbacks
+            assert seen == frozenset(covs), label
+            fell_back.add(label)
+        else:
+            expected = real(covs)
+        assert report == expected, label
+        outcomes.add(report.passes)
+    assert outcomes == {True, False}
+    assert "rank 0" in fell_back
+
+
+def test_fresh_boolean_seven_is_certified_without_verify_axioms(monkeypatch):
+    # 2,187 covectors: verify_axioms would compare millions of pairs
+    calls = []
+    real = matroid.verify_axioms
+
+    def counted(covectors):
+        calls.append(covectors)
+        return real(covectors)
+
+    monkeypatch.setattr(matroid, "verify_axioms", counted)
+    m = from_arrangement(boolean_arrangement(7))
+    assert len(m.covectors) == 3 ** 7
+    assert m.verify().passes and calls == []
 
 
 @pytest.mark.parametrize("spec", ALL_FIXTURES)
