@@ -17,7 +17,7 @@ from .errors import (
     UnknownFixture,
 )
 from .signs import SignVector, compose, conforms, separation_mask
-from .posets import FinitePoset, build_poset, is_lattice
+from .posets import FinitePoset, is_lattice
 from .matroid import (
     Chirotope,
     OrientedMatroid,
@@ -96,7 +96,6 @@ __all__ = [
     "UnknownFixture",
     "antipodal_extension_check",
     "are_isomorphic",
-    "build_poset",
     "build_salvetti_poset",
     "cellular_homology",
     "chain_determination_check",

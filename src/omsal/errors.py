@@ -57,14 +57,6 @@ class NotAntisymmetric(OMError):
         super().__init__(f"antisymmetry fails on {witness!r}")
 
 
-class NotTransitive(OMError):
-    """Relation has x <= y <= z but not x <= z (witness attached)."""
-
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"transitivity fails on {witness!r}")
-
-
 class Disconnected(OMError):
     """A 1-skeleton expected to be connected is not."""
 

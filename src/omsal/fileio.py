@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 from .errors import AxiomFailure, ConsistencyFailure, ParseError
@@ -129,11 +130,13 @@ def parse_chirotope(source) -> Chirotope:
     if not 1 <= r <= n:
         raise ParseError(f"{name}:{lineno}: need 1 <= r <= n in {head!r}")
     chars = "".join(line for _, line in lines[1:])
-    subsets = colex_subsets(n, r)
-    if len(chars) != len(subsets):
+    # counted before the subsets are listed: a short file may name
+    # far more subsets than memory holds
+    if len(chars) != comb(n, r):
         raise ParseError(
-            f"{name}: {len(subsets)} sign characters required for r={r} "
+            f"{name}: {comb(n, r)} sign characters required for r={r} "
             f"n={n}, got {len(chars)}")
+    subsets = colex_subsets(n, r)
     values = {}
     for sub, ch in zip(subsets, chars):
         if ch not in _CHAR_SIGN:

@@ -12,6 +12,11 @@ their compositions are exactly the set, the set is the covector set of
 an oriented matroid and passes V0-V3.  Otherwise `verify_axioms` runs
 on the whole set and its report, witnesses included, is the answer;
 it is also the oracle the certificate is tested against.
+
+The face poset of a certified set is closed from cocircuit covers:
+every covector Y >= X is X o C1 o ... o Ck for cocircuits Ci <= Y
+(BLSWZ, Oriented Matroids, 3.7), so every cover of X is some X o C != X
+and the closure of those pairs is the conformal order.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from .errors import (
     ZeroNormal,
 )
 from .limits import check_cap
-from .posets import FinitePoset, build_poset
-from .signs import SignVector, compose, conforms, separation_mask
+from .posets import FinitePoset, iter_bits
+from .signs import SignVector, compose, separation_mask
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -194,7 +199,7 @@ def _check_v3(vecs) -> AxiomCheck:
                 cache[key] = found
             missing = s & ~found
             if missing:
-                e = (missing & -missing).bit_length()
+                e = next(iter_bits(missing)) + 1
                 return AxiomCheck("V3", False, (x, y, e))
     return AxiomCheck("V3", True)
 
@@ -219,22 +224,22 @@ def _axiom_report(m):
     # 3.2 and 3.7), so V0-V3 hold.  Otherwise verify_axioms finds the
     # witnesses.  The span goes first because it stops at the first
     # stray vector, where elimination would scan every pair.
-    cc = _minimal_support_vectors(m.covectors)
+    cc = m.derived(_minimal_support_vectors)
     if cc and _spans_exactly(cc, m) and _cocircuit_axioms_hold(cc):
         return _ALL_PASS
     return verify_axioms(m.covectors)
 
 
-def _minimal_support_vectors(covectors):
+def _minimal_support_vectors(m):
     # a support is minimal when no smaller nonzero one lies inside it;
     # every support inside a larger one contains a minimal one, so
     # testing against the minimal supports found so far is enough
     minimal = []
-    for s in sorted({x.support_mask for x in covectors} - {0}, key=int.bit_count):
+    for s in sorted({x.support_mask for x in m.covectors} - {0}, key=int.bit_count):
         if all(t & ~s for t in minimal):
             minimal.append(s)
     keep = set(minimal)
-    return [x for x in covectors if x.support_mask in keep]
+    return tuple(sorted((x for x in m.covectors if x.support_mask in keep), key=str))
 
 
 def _cocircuit_axioms_hold(cc) -> bool:
@@ -281,7 +286,17 @@ def _spans_exactly(cc, m) -> bool:
 
 
 def _face_poset(m):
-    return build_poset(m.sorted_covectors(), conforms)
+    # the covers X < X o C of the module docstring; off an oriented
+    # matroid X o C need not be a covector, so the set must verify first
+    report = m.verify()
+    if not report.passes:
+        raise AxiomFailure(report)
+    covs = m.sorted_covectors()
+    index = {x: i for i, x in enumerate(covs)}
+    cc = m.derived(_minimal_support_vectors)
+    covers = ((i, index[compose(x, c)]) for i, x in enumerate(covs)
+              for c in cc if c.support_mask & ~x.support_mask)
+    return FinitePoset.from_covers(covs, covers)
 
 
 def _graded_heights(m):
@@ -343,7 +358,10 @@ class OrientedMatroid:
         return self.derived(_axiom_report)
 
     def face_poset(self) -> FinitePoset:
-        """(L, <=) under conformality, bottom **0** (when V0 holds)."""
+        """(L, <=) under conformality, bottom **0**.
+
+        Raises AxiomFailure, with the report, when the set does not verify.
+        """
         return self.derived(_face_poset)
 
     @property
@@ -370,17 +388,8 @@ class OrientedMatroid:
         return x in self.derived(_tope_set)
 
     def cocircuits(self) -> list[SignVector]:
-        """Nonzero covectors of minimal support (atoms over **0**)."""
-        poset = self.face_poset()
-        out = []
-        for i, x in enumerate(poset.elements):
-            if x.is_zero():
-                continue
-            below = poset.down_mask(i) & ~(1 << i)
-            others = [poset.elements[j] for j in poset.iter_mask(below)]
-            if all(y.is_zero() for y in others):
-                out.append(x)
-        return sorted(out, key=str)
+        """Nonzero covectors of minimal support, in canonical order."""
+        return list(self.derived(_minimal_support_vectors))
 
 
 # -- constructions -----------------------------------------------------------
@@ -412,6 +421,13 @@ def span_from_cocircuits(cc) -> OrientedMatroid:
         if x.n != n:
             raise LengthMismatch(f"mixed lengths {n} and {x.n}")
     m = OrientedMatroid(n, _compositions(cc, n))
+    minimal = m.derived(_minimal_support_vectors)
+    if set(minimal) == cc:
+        # m is the span of cc, so when cc is exactly its set of minimal
+        # supports the certificate's span test holds by construction
+        # and only the cocircuit axioms are left to check
+        m._derived[_axiom_report] = (_ALL_PASS if _cocircuit_axioms_hold(minimal)
+                                     else verify_axioms(m.covectors))
     report = m.verify()
     if not report.passes:
         raise AxiomFailure(report)

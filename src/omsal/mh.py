@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .errors import ConsistencyFailure, Disconnected, EmptyInput
 from .matroid import OrientedMatroid
-from .posets import FinitePoset
+from .posets import FinitePoset, iter_bits
 from .salvetti import build_salvetti_poset
 
 
@@ -72,7 +72,7 @@ class CWPoset:
         vslots = []
         for i in range(n):
             below = poset.down_mask(i)
-            vs = tuple(self._slot[j] for j in poset.iter_mask(below)
+            vs = tuple(self._slot[j] for j in iter_bits(below)
                        if dims[j] == 0)
             if not vs:
                 raise ConsistencyFailure(
@@ -129,7 +129,7 @@ class CWPoset:
         """All cells in the closure of cell, in poset element order."""
         i = self.poset.index[cell]
         return [self.poset.elements[j]
-                for j in self.poset.iter_mask(self.poset.down_mask(i))]
+                for j in iter_bits(self.poset.down_mask(i))]
 
 
 def cw_from_covers(cells, covers) -> CWPoset:
@@ -267,7 +267,7 @@ class _Analysis:
         q = self.q
         below = q.poset.down_mask(ctx)
         vsl = q._cell_vslots[ctx]
-        pairs = tuple(sorted(q._edge_ends[j] for j in q.poset.iter_mask(below)
+        pairs = tuple(sorted(q._edge_ends[j] for j in iter_bits(below)
                              if q.dims[j] == 1))
         key = (vsl, pairs)
         table = self._local.get(key)
@@ -374,7 +374,7 @@ def _local_tables(a: _Analysis):
         done = walked.get(id(table), 0)
         todo = q.poset.down_mask(ctx) & ~done
         walked[id(table)] = done | todo
-        subcells = list(q.poset.iter_mask(todo))
+        subcells = list(iter_bits(todo))
         for v in q._cell_vslots[ctx]:
             for k in subcells:
                 lo, hi = _omega_pair(v, q._cell_vslots[k], dget)

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .errors import ComparisonFailure
 from .matroid import OrientedMatroid
-from .posets import FinitePoset, build_poset
+from .posets import FinitePoset
 from .salvetti import build_salvetti_poset, cellular_homology
 
 
@@ -26,6 +26,9 @@ class UnderlyingMatroid:
         ground = frozenset(range(1, self.n + 1))
         if ground not in self.flats:
             raise ValueError("ground set is not a flat")
+        for f in self.flats:
+            if not f <= ground:
+                raise ValueError(f"flat {set(f)} is not inside the ground set")
         for a in self.flats:
             for b in self.flats:
                 if a & b not in self.flats:
@@ -34,9 +37,20 @@ class UnderlyingMatroid:
         self._rank_cache = {}
 
     def lattice(self) -> FinitePoset:
+        """The flats under inclusion, closed from the pairs F < cl(F + e).
+
+        Every cover F < G is one of them: for e in G - F the closure of
+        F + e lies in G.  That holds for any intersection-closed family
+        of subsets of the ground set that contains it, which __init__
+        enforces.
+        """
         if self._poset is None:
             elems = sorted(self.flats, key=lambda f: (len(f), sorted(f)))
-            self._poset = build_poset(elems, lambda a, b: a <= b)
+            index = {f: i for i, f in enumerate(elems)}
+            covers = ((i, index[self.closure(f | {e})])
+                      for i, f in enumerate(elems)
+                      for e in range(1, self.n + 1) if e not in f)
+            self._poset = FinitePoset.from_covers(elems, covers)
         return self._poset
 
     def closure(self, s) -> frozenset:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyFailure, EquivalenceViolation, NotATope, NotSimple
 from .matroid import OrientedMatroid
-from .posets import FinitePoset, build_poset, is_lattice
+from .posets import FinitePoset, is_lattice, iter_bits
 from .salvetti import DirectedEdge, oriented_one_skeleton
 from .signs import SignVector, compose, separation_mask, separation_set
 
@@ -38,12 +38,12 @@ def crossing_element(source: SignVector, target: SignVector) -> int:
 
 
 def _adjacency(m: OrientedMatroid):
-    sk = oriented_one_skeleton(m)
+    sk = m.derived(oriented_one_skeleton)
     adj: dict[SignVector, list] = {t: [] for t in sk.vertices}
     for e in sk.edges:
         diff = separation_mask(e.source, e.target)
         if diff & (diff - 1):
-            elements = ", ".join(str(k + 1) for k in FinitePoset.iter_mask(diff))
+            elements = ", ".join(str(k + 1) for k in iter_bits(diff))
             raise NotSimple(
                 f"elements {elements} are parallel: adjacent topes "
                 f"{e.source}, {e.target} differ on all of them")
@@ -196,15 +196,19 @@ class TopePoset:
 
 
 def tope_poset(m: OrientedMatroid, t: SignVector) -> TopePoset:
-    """Topes ordered by inclusion of separation sets from the base t."""
+    """Topes ordered by inclusion of separation sets from the base t.
+
+    The tope graph directed away from t, a -> b with S(t, a) inside
+    S(t, b), is the Hasse diagram of this order (BLSWZ, Oriented
+    Matroids, 4.2; Edelman 1984), so the poset is the closure of those
+    edges of the oriented 1-skeleton, which is built once per matroid.
+    """
     _require_tope(m, t)
-    elems = m.topes()
-
-    def leq(a, b):
-        sa, sb = separation_mask(t, a), separation_mask(t, b)
-        return sa & ~sb == 0
-
-    return TopePoset(t, build_poset(elems, leq))
+    sk = m.derived(oriented_one_skeleton)
+    pos = {s: i for i, s in enumerate(sk.vertices)}
+    covers = ((pos[e.source], pos[e.target]) for e in sk.edges
+              if not separation_mask(t, e.source) & ~separation_mask(t, e.target))
+    return TopePoset(t, FinitePoset.from_covers(sk.vertices, covers))
 
 
 def literal_distance_preorder(m: OrientedMatroid, t: SignVector):

@@ -1,23 +1,38 @@
-"""Finite posets with explicit validation, covers and chains.
+"""Finite posets closed from their covers, with grading, chains, lattices.
 
 Up-sets and down-sets are bitmasks over element indices, so subset tests
 and transitive reduction are single integer operations even for posets
-with a few hundred elements.  A poset closed from its covers keeps the
-generating pairs as its only cover candidates, so its covers need no
-transitive reduction over all comparable pairs.  This module is a leaf:
-it imports nothing from the package but its errors.
+with a few hundred elements.  Every poset of the package is closed from
+a cover relation (face, Salvetti and tope posets, flat lattices, .poset
+and .cw files) or is the dual of one.  A closure is transitive by
+construction, so only cycles need a check.  A poset
+closed from its covers keeps the generating pairs as its only cover
+candidates, so its covers need no transitive reduction over all
+comparable pairs.  This module is a leaf: it imports nothing from the
+package but its errors.
 """
 
 from __future__ import annotations
 
-from .errors import NotAntisymmetric, NotTransitive
+from .errors import NotAntisymmetric
+
+
+def iter_bits(mask: int):
+    """The positions of the set bits of mask, lowest first (0-based)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class FinitePoset:
-    """An explicit finite poset.  Use build_poset to validate a relation,
-    or FinitePoset.from_covers to close a cover relation."""
+    """An explicit finite poset given by reflexive, transitive up-masks.
 
-    def __init__(self, elements, up_masks, _validated=False):
+    Build one with FinitePoset.from_covers, which closes a cover
+    relation and rejects cycles, or take the dual of one.
+    """
+
+    def __init__(self, elements, up_masks):
         self.elements = tuple(elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
@@ -26,13 +41,8 @@ class FinitePoset:
         n = len(self.elements)
         self._down = [0] * n
         for i in range(n):
-            m = self._up[i]
-            while m:
-                low = m & -m
-                self._down[low.bit_length() - 1] |= 1 << i
-                m ^= low
-        if not _validated:
-            self._validate()
+            for j in iter_bits(self._up[i]):
+                self._down[j] |= 1 << i
         self._cover_candidates = self._up
         self._covers = None
         self._heights = None
@@ -41,11 +51,12 @@ class FinitePoset:
     def from_covers(cls, elements, index_cover_pairs) -> "FinitePoset":
         """The poset generated by index pairs (i, j), j covering i.
 
-        The pairs are closed reflexively and transitively, then validated
-        like any relation: a cycle raises NotAntisymmetric.  Each sweep
-        runs from the top index down, so covers that all point to higher
-        indices (the Salvetti poset, .poset files) close in one sweep;
-        any other input takes more sweeps until nothing changes.
+        The pairs are closed reflexively and transitively; a cycle raises
+        NotAntisymmetric with the pair (x, y), x <= y <= x, of the lowest
+        index x and then the lowest index y.  Each sweep runs from the top
+        index down, so covers that all point to higher indices (the
+        Salvetti poset, .poset files) close in one sweep; any other input
+        takes more sweeps until nothing changes.
 
         Every cover of the closure is a generating pair, so the poset
         keeps the generating pairs as the only candidates for covers():
@@ -62,34 +73,19 @@ class FinitePoset:
             changed = False
             for i in range(n - 1, -1, -1):
                 m = up[i]
-                for j in cls.iter_mask(m & ~(1 << i)):
+                for j in iter_bits(m & ~(1 << i)):
                     m |= up[j]
                 if m != up[i]:
                     up[i] = m
                     changed = True
         poset = cls(elements, up)
+        for i in range(n):
+            cycle = poset._up[i] & poset._down[i] & ~(1 << i)
+            if cycle:
+                j = next(iter_bits(cycle))
+                raise NotAntisymmetric((poset.elements[i], poset.elements[j]))
         poset._cover_candidates = generated
         return poset
-
-    def _validate(self):
-        n = len(self.elements)
-        for i in range(n):
-            self._up[i] |= 1 << i
-        for i in range(n):
-            ui = self._up[i]
-            m = ui & ~(1 << i)
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                m ^= low
-                if self._down[i] & (1 << j):
-                    raise NotAntisymmetric((self.elements[i], self.elements[j]))
-                extra = self._up[j] & ~ui
-                if extra:
-                    k = (extra & -extra).bit_length() - 1
-                    raise NotTransitive(
-                        (self.elements[i], self.elements[j], self.elements[k])
-                    )
 
     # -- basic queries ----------------------------------------------------
 
@@ -107,13 +103,6 @@ class FinitePoset:
 
     def down_mask(self, i: int) -> int:
         return self._down[i]
-
-    @staticmethod
-    def iter_mask(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
 
     def maximal_indices(self):
         return [i for i in range(len(self.elements))
@@ -135,7 +124,7 @@ class FinitePoset:
             out = []
             for i in range(len(self.elements)):
                 strict = self._up[i] & ~(1 << i)
-                for j in self.iter_mask(self._cover_candidates[i] & strict):
+                for j in iter_bits(self._cover_candidates[i] & strict):
                     between = strict & (self._down[j] & ~(1 << j))
                     if not between:
                         out.append((i, j))
@@ -154,7 +143,7 @@ class FinitePoset:
             order = sorted(range(n), key=lambda i: self._down[i].bit_count())
             for i in order:
                 below = self._down[i] & ~(1 << i)
-                h[i] = max((h[j] + 1 for j in self.iter_mask(below)), default=0)
+                h[i] = max((h[j] + 1 for j in iter_bits(below)), default=0)
             self._heights = h
         return self._heights
 
@@ -169,7 +158,7 @@ class FinitePoset:
         return all(h[j] == h[i] + 1 for i, j in self.covers())
 
     def dual(self) -> "FinitePoset":
-        return FinitePoset(self.elements, self._down, _validated=True)
+        return FinitePoset(self.elements, self._down)
 
     def comparability_mask(self, i: int) -> int:
         return self._up[i] | self._down[i]
@@ -192,11 +181,7 @@ class FinitePoset:
         while stack:
             chain, chain_mask, cand, cm = stack.pop()
             yield chain, not (cm & ~chain_mask)
-            m = cand
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                m ^= low
+            for j in iter_bits(cand):
                 higher = ~((1 << (j + 1)) - 1)
                 stack.append((chain + (j,), chain_mask | (1 << j),
                               cand & comp[j] & higher, cm & comp[j]))
@@ -207,24 +192,6 @@ class FinitePoset:
             if mx:
                 count += 1
         return count
-
-
-def build_poset(elements, leq) -> FinitePoset:
-    """Build and validate a FinitePoset from a relation leq(a, b).
-
-    The relation is closed reflexively; antisymmetry and transitivity
-    violations raise with an explicit witness.
-    """
-    elements = list(elements)
-    n = len(elements)
-    up = [0] * n
-    for i, x in enumerate(elements):
-        m = 1 << i
-        for j, y in enumerate(elements):
-            if i != j and leq(x, y):
-                m |= 1 << j
-        up[i] = m
-    return FinitePoset(elements, up)
 
 
 def is_lattice(poset: FinitePoset):
@@ -248,7 +215,7 @@ def _has_unique_extreme(poset, mask, above):
     if not mask:
         return False
     count = 0
-    for k in poset.iter_mask(mask):
+    for k in iter_bits(mask):
         inner = (poset.down_mask(k) if not above else poset.up_mask(k)) & mask
         if inner == 1 << k:
             count += 1

@@ -20,7 +20,7 @@ from .errors import ConsistencyFailure, InvalidCell, NotATope
 from .homology import HomologyGroup, IntegerChainComplex
 from .limits import check_cap
 from .matroid import OrientedMatroid
-from .posets import FinitePoset
+from .posets import FinitePoset, iter_bits
 from .signs import SignVector, compose, conforms
 
 
@@ -165,11 +165,12 @@ def oriented_one_skeleton(m: OrientedMatroid) -> OrientedSkeleton:
     tope_list = m.topes()
     rank = m.rank
     heights = m.heights()
+    face = m.face_poset()
     edges = []
-    for x in m.sorted_covectors():
+    for i, x in enumerate(face.elements):
         if heights[x] != rank - 1:
             continue
-        above = [t for t in tope_list if conforms(x, t)]
+        above = [face.elements[j] for j in iter_bits(face.up_mask(i) & ~(1 << i))]
         if len(above) != 2:
             raise ConsistencyFailure(
                 f"1-cell covector {x} has {len(above)} topes above it")
@@ -197,23 +198,10 @@ def _max_cliques(adj, n):
         if not p and not x:
             out.append(r)
             return
-        pivot_pool = p | x
-        u = (pivot_pool & -pivot_pool).bit_length() - 1
-        best = u
-        best_deg = (p & adj[u]).bit_count()
-        mm = pivot_pool
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            mm ^= low
-            d = (p & adj[v]).bit_count()
-            if d > best_deg:
-                best, best_deg = v, d
-        cand = p & ~adj[best]
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
+        # pivot: the lowest vertex of p | x with the most neighbours in p
+        best = max(iter_bits(p | x), key=lambda v: (p & adj[v]).bit_count())
+        for v in iter_bits(p & ~adj[best]):
+            low = 1 << v
             bk(r | low, p & adj[v], x & adj[v])
             p &= ~low
             x |= low
@@ -243,11 +231,10 @@ def nerve_check(m: OrientedMatroid):
     for i in range(n):
         comparable = (poset.up_mask(i) | poset.down_mask(i)) & ~(1 << i)
         if adj[i] != comparable:
-            diff = adj[i] ^ comparable
-            j = (diff & -diff).bit_length() - 1
+            j = next(iter_bits(adj[i] ^ comparable))
             return False, (cells[i], cells[j])
 
-    nerve_facets = {frozenset(poset.iter_mask(mask)) for mask in _max_cliques(adj, n)}
+    nerve_facets = {frozenset(iter_bits(mask)) for mask in _max_cliques(adj, n)}
     chain_facets = {frozenset(ch) for ch, mx in poset.iter_chains() if mx}
     if nerve_facets != chain_facets:
         odd = next(iter(nerve_facets ^ chain_facets))
@@ -299,6 +286,6 @@ def chain_determination_check(m: OrientedMatroid) -> bool:
         below = poset.down_mask(j)
         if below.bit_count() != face.up_mask(face.index[d.covector]).bit_count():
             return False
-        if not all(cell_leq(cells[i], d) for i in poset.iter_mask(below)):
+        if not all(cell_leq(cells[i], d) for i in iter_bits(below)):
             return False
     return True

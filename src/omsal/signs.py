@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LengthMismatch
+from .posets import iter_bits
 
 _CHARS = {1: "+", 0: "0", -1: "-"}
 _SIGNS = {"+": 1, "0": 0, "-": -1}
@@ -102,14 +103,7 @@ class SignVector:
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return frozenset(out)
+    return frozenset(e + 1 for e in iter_bits(mask))
 
 
 def _check_lengths(x: SignVector, y: SignVector):

@@ -11,6 +11,9 @@ lines of its corank-1 normal subsets, found by Fraction RREF, the
 MH tables ask every (context, vertex, subcell) question afresh, and
 the matrix text dump writes a dense copy of each boundary entry by entry.
 
+The relation scan build_poset is the reference for every poset the
+package closes from covers: it tests leq on every ordered pair.
+
 The simplicial reference for Salvetti homology lives here too: a
 SimplicialComplex keeps its facets and closes them downward into faces,
 and order_complex takes the maximal chains of a poset as its facets.
@@ -20,8 +23,9 @@ of IntegerChainComplex.
 
 Nothing here imports from the package beyond the sign-vector primitives
 that closure composes, the per-cell MH primitives the unshared tables
-call, the chain complex the simplicial reference feeds, and test
-parametrization done by the callers.
+call, the chain complex the simplicial reference feeds, the poset class
+the relation scan fills and its bit iterator, and test parametrization
+done by the callers.
 """
 
 from fractions import Fraction
@@ -29,6 +33,7 @@ from itertools import combinations, product
 
 from omsal.homology import HomologyGroup, IntegerChainComplex
 from omsal.mh import MHCheck, _lower_constraints, _omega_pair
+from omsal.posets import FinitePoset, iter_bits
 from omsal.signs import SignVector, compose
 
 
@@ -329,6 +334,25 @@ def order_complex(poset) -> SimplicialComplex:
     return SimplicialComplex(poset.elements, facets)
 
 
+def build_poset(elements, leq) -> FinitePoset:
+    """The FinitePoset of a partial order leq(a, b), by a relation scan.
+
+    leq is tested on every ordered pair of distinct elements and closed
+    reflexively; it must already be antisymmetric and transitive, since
+    nothing here checks either.
+    """
+    elements = list(elements)
+    n = len(elements)
+    up = [0] * n
+    for i, x in enumerate(elements):
+        m = 1 << i
+        for j, y in enumerate(elements):
+            if i != j and leq(x, y):
+                m |= 1 << j
+        up[i] = m
+    return FinitePoset(elements, up)
+
+
 def dense_boundary_matrix(chain, k):
     """Dense copy of boundary k, for debugging and text export."""
     m = chain.dims[k - 1] if k else 0
@@ -459,7 +483,7 @@ def local_tables_unshared(a):
     for ctx in range(len(elements)):
         table = a.local_dist(ctx)
         dget = lambda x, y: table[x].get(y)
-        subcells = list(q.poset.iter_mask(q.poset.down_mask(ctx)))
+        subcells = list(iter_bits(q.poset.down_mask(ctx)))
         for v in q._cell_vslots[ctx]:
             for k in subcells:
                 lo, hi = _omega_pair(v, q._cell_vslots[k], dget)

@@ -526,6 +526,27 @@ def test_cli_bad_chirotope_header_is_bad_input(tmp_path):
                           "'chirotope r=-1 n=3'\n"
 
 
+def test_cli_short_chirotope_with_huge_header_is_bad_input(tmp_path):
+    # C(40, 20) is about 1.4e11 subsets: they must not be listed just
+    # to learn that one sign character is too few
+    bad = tmp_path / "big.chi"
+    bad.write_text("chirotope r=20 n=40\n+\n")
+    proc = subprocess.run([sys.executable, "-m", "omsal", "verify", "--in",
+                           str(bad)], capture_output=True, text=True,
+                          cwd=str(Path(__file__).parent.parent), timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"ParseError: {bad}: 137846528820 sign characters " \
+                          "required for r=20 n=40, got 1\n"
+
+
+def test_cli_gen_reemits_a_thirteen_element_chirotope(capsys, tmp_path):
+    # parsing a chirotope applies no cap on n; spanning it does
+    f = tmp_path / "n13.chi"
+    f.write_text("chirotope r=2 n=13\n" + "+" * 78 + "\n")
+    code, out, _ = run(capsys, "gen", "--in", str(f), "--format", "chi")
+    assert (code, out) == (0, f.read_text())
+
+
 @pytest.mark.parametrize("text", ["0 ++ ++\n0 -- --\n", "1 0+ ++\n0 ++ ++\n"],
                          ids=["euler-2", "edge-without-faces"])
 def test_cli_malformed_poset_is_bad_input(tmp_path, text):
@@ -589,35 +610,37 @@ def test_cli_non_integer_cap_is_bad_input(capsys, monkeypatch):
 
 def test_cli_verify_loads_and_verifies_once(capsys, tmp_path, monkeypatch):
     # a valid input is certified on its cocircuits and never reaches
-    # verify_axioms; a failing one reaches it once, for the witnesses
+    # verify_axioms; a failing one reaches it once, for the witnesses.
+    # The chirotope's cocircuits are the minimal supports of their span
+    # in both inputs, so the span is built once and never re-spanned.
     arr = tmp_path / "x.arr"
     arr.write_text(fileio.emit_arrangement(
         fixture_arrangement(parse_fixture_spec("generic:3:2"))))
     chi = tmp_path / "x.chi"
     chi.write_text("chirotope r=2 n=4\n+-++++\n")
-    builds, calls = [], []
-    real_build, real_verify = matroid._axiom_report, matroid.verify_axioms
+    checks, spans, calls = [], [], []
 
-    def counted_build(m):
-        builds.append(m)
-        return real_build(m)
+    def counted(calls, real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        return wrapper
 
-    def counted_verify(covectors):
-        calls.append(covectors)
-        return real_verify(covectors)
-
-    monkeypatch.setattr(matroid, "_axiom_report", counted_build)
-    monkeypatch.setattr(matroid, "verify_axioms", counted_verify)
+    real_verify = matroid.verify_axioms
+    monkeypatch.setattr(matroid, "_cocircuit_axioms_hold",
+                        counted(checks, matroid._cocircuit_axioms_hold))
+    monkeypatch.setattr(matroid, "_spans_exactly", counted(spans, matroid._spans_exactly))
+    monkeypatch.setattr(matroid, "verify_axioms", counted(calls, real_verify))
     code, out, err = run(capsys, "verify", "--in", str(arr))
     assert code == 0 and out.endswith("result: pass\n")
-    assert (len(builds), len(calls)) == (1, 0)
+    assert (len(checks), len(spans), len(calls)) == (1, 0, 0)
 
-    builds.clear()
+    checks.clear()
     code, out, err = run(capsys, "verify", "--in", str(chi))
     assert code == 1
     assert out == "V0 pass\nV1 pass\nV2 pass\nV3 FAIL (++++, ++-+, 3)\nresult: FAIL\n"
-    assert (len(builds), len(calls)) == (1, 1)
-    assert "\n".join(str(c) for c in real_verify(calls[0]).checks) in out
+    assert (len(checks), len(spans), len(calls)) == (1, 0, 1)
+    assert "\n".join(str(c) for c in real_verify(*calls[0]).checks) in out
 
 
 def test_cli_argparse_failures():

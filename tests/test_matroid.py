@@ -32,10 +32,11 @@ from omsal.matroid import (
     span_from_cocircuits,
     verify_axioms,
 )
-from omsal.signs import SignVector, compose
+from omsal.signs import SignVector, compose, conforms
 
-from oracles import (enumerate_covector_strings, kernel_line_cocircuits,
-                     matrix_rank, sign_vector_at, two_sided_closure)
+from oracles import (build_poset, enumerate_covector_strings,
+                     kernel_line_cocircuits, matrix_rank, sign_vector_at,
+                     two_sided_closure)
 
 sv = SignVector.from_string
 
@@ -234,6 +235,34 @@ def test_face_poset_shape(om):
     assert len(poset.maximal_indices()) == 6
 
 
+@pytest.mark.parametrize("spec", ALL_FIXTURES + ("generic:6:4", "boolean:5", "braid:4"))
+def test_face_poset_equals_the_relation_scan(spec, om):
+    # closed from the covers X < X o C against conforms on every pair
+    base = om(spec)
+    m = OrientedMatroid(base.n, base.covectors)
+    poset = m.face_poset()
+    oracle = build_poset(m.sorted_covectors(), conforms)
+    assert poset.elements == oracle.elements
+    assert [poset.up_mask(i) for i in range(len(poset))] == \
+        [oracle.up_mask(i) for i in range(len(oracle))]
+    assert poset.covers() == oracle.covers()
+    assert poset.heights() == oracle.heights()
+    # the cocircuits are the atoms over the zero covector
+    assert m.cocircuits() == [oracle.elements[i] for i, h in enumerate(oracle.heights())
+                              if h == 1]
+
+
+def test_face_poset_needs_an_oriented_matroid():
+    # V2 fails: the composition +0 o 0+ = ++ is missing, so the covers
+    # X o C would leave the set
+    covs = {sv(x) for x in ("00", "+0", "-0", "0+", "0-", "--")}
+    m = OrientedMatroid(2, covs)
+    with pytest.raises(AxiomFailure) as info:
+        m.face_poset()
+    assert info.value.report == verify_axioms(covs)
+    assert not info.value.report.passes
+
+
 def test_chirotope_from_normals_colex():
     arr = RationalArrangement(2, [(1, 0), (0, 1), (1, 1)])
     chi = Chirotope.from_normals(arr)
@@ -290,6 +319,40 @@ def test_span_failure_report_matches_two_sided_closure():
     with pytest.raises(AxiomFailure) as exc:
         span_from_cocircuits(cc)
     assert exc.value.report == verify_axioms(two_sided_closure(cc))
+
+
+def test_span_of_minimal_supports_keeps_the_certifier_report(monkeypatch):
+    # when the given cocircuits are the minimal supports of their span,
+    # the span is not spanned again and only C1-C3 are checked; the
+    # report must still be the one the full certifier gives that set
+    real, memo = matroid.verify_axioms, {}
+
+    def memoized(covectors):
+        key = frozenset(covectors)
+        if key not in memo:
+            memo[key] = real(covectors)
+        return memo[key]
+
+    monkeypatch.setattr(matroid, "verify_axioms", memoized)
+    rng = random.Random(9)
+    outcomes = set()
+    for k in range(36):
+        n = (5, 5, 6)[k % 3]
+        arr = generic_arrangement(n, 3)
+        arr = RationalArrangement(3, [tuple(rng.choice((-1, 1)) * a for a in row)
+                                      for row in arr.normals])
+        values = dict(Chirotope.from_normals(arr).values)
+        sub = rng.choice(sorted(values))
+        values[sub] = rng.choice([s for s in (-1, 0, 1) if s != values[sub]])
+        cc = cocircuits_from_chirotope(Chirotope(3, n, values))
+        full = OrientedMatroid(n, matroid._compositions(cc, n))
+        try:
+            report = span_from_cocircuits(cc).verify()
+        except AxiomFailure as exc:
+            report = exc.report
+        assert report == full.verify(), (n, sub)
+        outcomes.add((set(full.cocircuits()) == cc, report.passes))
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def _chirotope_span(chi):

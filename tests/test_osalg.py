@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import whitney_numbers
+from oracles import build_poset, whitney_numbers
 
 from omsal.fixtures import ALL_FIXTURES
 from omsal.osalg import (
@@ -47,6 +47,19 @@ def test_os_betti_matches_whitney_oracle(spec, om):
     assert os_betti(u) == whitney_numbers(u.flats)
 
 
+@pytest.mark.parametrize("spec", ALL_FIXTURES + ("boolean:5",))
+def test_flat_lattice_equals_the_relation_scan(spec, om):
+    # closed from the pairs F < cl(F + e), against inclusion on every pair
+    u = flats_from_covectors(om(spec))
+    lattice = u.lattice()
+    oracle = build_poset(sorted(u.flats, key=lambda f: (len(f), sorted(f))),
+                         lambda a, b: a <= b)
+    assert lattice.elements == oracle.elements
+    assert [lattice.up_mask(i) for i in range(len(lattice))] == \
+        [oracle.up_mask(i) for i in range(len(oracle))]
+    assert lattice.covers() == oracle.covers()
+
+
 def test_boolean_flats_are_all_subsets(om):
     u = flats_from_covectors(om("boolean:2"))
     assert sorted(sorted(f) for f in u.flats) == [[], [1], [1, 2], [2]]
@@ -76,6 +89,8 @@ def test_matroid_validation():
         UnderlyingMatroid(3, [(), (1,), (2,)])
     with pytest.raises(ValueError, match="intersection-closed"):
         UnderlyingMatroid(3, [(1, 2), (2, 3), (1, 2, 3)])
+    with pytest.raises(ValueError, match="not inside the ground set"):
+        UnderlyingMatroid(2, [(), (99,), (1, 2)])
 
 
 def test_closure_and_rank():

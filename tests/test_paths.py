@@ -3,6 +3,7 @@
 import pytest
 
 from oracles import (
+    build_poset,
     count_geodesics,
     flip_graph_neighbors,
     geodesic_counts_from,
@@ -25,7 +26,7 @@ from omsal.paths import (
     tope_graph_distances,
     tope_poset,
 )
-from omsal.signs import SignVector, separation_set
+from omsal.signs import SignVector, separation_mask, separation_set
 
 sv = SignVector.from_string
 
@@ -215,6 +216,27 @@ def test_tope_poset_graded_by_distance(spec, om):
         tops = [t for i, t in enumerate(tp.poset.elements) if h[i] == max(h)]
         assert bottoms == [base]
         assert tops == [-base]
+
+
+# elements 2 and 3 parallel; elements 1 and 3 antiparallel
+NON_SIMPLE = {"parallel": [(1, 0), (0, 1), (0, 2), (1, 1)],
+              "antiparallel": [(0, 1), (1, 0), (0, -3), (1, 1)]}
+
+
+@pytest.mark.parametrize("spec", ALL_FIXTURES + tuple(NON_SIMPLE))
+def test_tope_posets_equal_the_relation_scan(spec, om):
+    # closed from the tope graph directed away from the base, against
+    # inclusion of separation sets tested on every pair, for every base
+    m = (from_arrangement(RationalArrangement(2, NON_SIMPLE[spec]))
+         if spec in NON_SIMPLE else om(spec))
+    for base in m.topes():
+        poset = tope_poset(m, base).poset
+        oracle = build_poset(m.topes(), lambda a, b: not separation_mask(base, a)
+                             & ~separation_mask(base, b))
+        assert poset.elements == oracle.elements
+        assert [poset.up_mask(i) for i in range(len(poset))] == \
+            [oracle.up_mask(i) for i in range(len(oracle))]
+        assert poset.covers() == oracle.covers()
 
 
 def test_literal_distance_relation_is_only_a_preorder(om):

@@ -1,24 +1,34 @@
-"""Poset construction, validation, grading, duality, chains, lattices."""
+"""Poset closure from covers, cycles, grading, duality, chains, lattices."""
 
 from itertools import combinations
 
 import pytest
 
-from oracles import homology, order_complex
+from oracles import build_poset, homology, order_complex
 
-from omsal.errors import NotAntisymmetric, NotTransitive
-from omsal.posets import FinitePoset, build_poset, is_lattice
+from omsal.errors import NotAntisymmetric
+from omsal.posets import FinitePoset, is_lattice, iter_bits
 
 
 def divisor_poset(n=12):
+    # b covers a when b / a is prime
     divs = [d for d in range(1, n + 1) if n % d == 0]
-    return build_poset(divs, lambda a, b: b % a == 0)
+    covers = [(i, j) for i, a in enumerate(divs) for j, b in enumerate(divs)
+              if b % a == 0 and b // a in (2, 3, 5, 7, 11)]
+    return FinitePoset.from_covers(divs, covers)
 
 
 def subset_poset(n=3):
     elems = [frozenset(c) for k in range(n + 1)
              for c in combinations(range(n), k)]
-    return build_poset(elems, lambda a, b: a <= b)
+    index = {a: i for i, a in enumerate(elems)}
+    return FinitePoset.from_covers(
+        elems, [(index[a], index[a | {e}]) for a in elems
+                for e in range(n) if e not in a])
+
+
+def _up_masks(p):
+    return [p.up_mask(i) for i in range(len(p))]
 
 
 def test_divisor_poset_basics():
@@ -46,24 +56,27 @@ def test_heights_and_grading():
 
 def test_not_graded():
     # t covers both a1 (height 1) and b0 (height 0): covers jump levels
-    pairs = {("a0", "a1"), ("a0", "t"), ("a1", "t"), ("b0", "t")}
-    p = build_poset(["a0", "a1", "b0", "t"], lambda x, y: (x, y) in pairs)
+    p = FinitePoset.from_covers(["a0", "a1", "b0", "t"],
+                                [(0, 1), (0, 3), (1, 3), (2, 3)])
     assert not p.is_graded()
 
 
-def test_pairs_input_must_be_transitive():
-    pairs = {("a", "b"), ("b", "c")}
-    with pytest.raises(NotTransitive):
-        build_poset(["a", "b", "c"], lambda a, b: (a, b) in pairs)
-    # same relation, closed, is fine
-    pairs.add(("a", "c"))
-    p = build_poset(["a", "b", "c"], lambda a, b: (a, b) in pairs)
-    assert p.leq("a", "c")
-
-
 def test_antisymmetry_violation():
-    with pytest.raises(NotAntisymmetric):
-        build_poset(["a", "b"], lambda x, y: True)
+    with pytest.raises(NotAntisymmetric) as info:
+        FinitePoset.from_covers(["a", "b"], [(0, 1), (1, 0)])
+    assert info.value.witness == ("a", "b")
+
+
+@pytest.mark.parametrize("pairs, witness", [
+    ([(0, 1), (1, 2), (2, 3), (3, 1)], ("b", "c")),
+    ([(3, 2), (2, 3)], ("c", "d")),
+    ([(2, 0), (0, 2), (1, 3), (3, 1)], ("a", "c")),
+])
+def test_cycle_witness(pairs, witness):
+    # the lowest element on a cycle, then the lowest one on a cycle with it
+    with pytest.raises(NotAntisymmetric) as info:
+        FinitePoset.from_covers("abcd", pairs)
+    assert info.value.witness == witness
 
 
 def test_from_covers_closes_transitively():
@@ -71,8 +84,10 @@ def test_from_covers_closes_transitively():
     divs = [1, 2, 3, 4, 6, 12]
     covers = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (3, 5), (4, 5)]
     p = FinitePoset.from_covers(divs, covers)
-    q = divisor_poset(12)
-    assert [p.up_mask(i) for i in range(6)] == [q.up_mask(i) for i in range(6)]
+    q = build_poset(divs, lambda a, b: b % a == 0)
+    assert _up_masks(p) == _up_masks(q) == _up_masks(divisor_poset(12))
+    b3 = subset_poset(3)
+    assert _up_masks(b3) == _up_masks(build_poset(b3.elements, lambda a, b: a <= b))
     assert sorted(p.covers()) == sorted(covers)
     with pytest.raises(NotAntisymmetric):
         FinitePoset.from_covers(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
@@ -121,8 +136,7 @@ def test_is_lattice_positive():
 
 def test_is_lattice_negative():
     # a, b below both x and y: the pair {x, y} has no join, {a, b} no meet
-    pairs = {("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")}
-    p = build_poset(["a", "b", "x", "y"], lambda u, v: (u, v) in pairs)
+    p = FinitePoset.from_covers(["a", "b", "x", "y"], [(0, 2), (0, 3), (1, 2), (1, 3)])
     ok, witness = is_lattice(p)
     assert not ok
     assert witness in {("a", "b", "join"), ("a", "b", "meet"),
@@ -130,7 +144,7 @@ def test_is_lattice_negative():
 
 
 def test_order_complex_of_chain_is_simplex():
-    p = build_poset([0, 1, 2, 3], lambda a, b: a <= b)
+    p = FinitePoset.from_covers([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
     sc = order_complex(p)
     assert sc.f_vector() == (4, 6, 4, 1)
     assert sc.euler_characteristic() == 1
@@ -145,7 +159,13 @@ def test_order_complex_with_bottom_is_acyclic():
 
 
 def test_order_complex_of_antichain():
-    p = build_poset([1, 2, 3], lambda a, b: a == b)
+    p = FinitePoset.from_covers([1, 2, 3], [])
     sc = order_complex(p)
     assert sc.f_vector() == (3,)
     assert [g.betti for g in homology(sc)] == [3]
+
+
+def test_iter_bits():
+    assert list(iter_bits(0)) == []
+    assert list(iter_bits(0b1011001)) == [0, 3, 4, 6]
+    assert list(iter_bits(1 << 200 | 2)) == [1, 200]

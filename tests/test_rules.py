@@ -1,5 +1,6 @@
 """The rules every change keeps: standard-library imports only, no
-floats, the module layering, and no stale names in the package exports."""
+floats, the module layering, no stale names in the package exports, and
+one bit iterator."""
 
 import ast
 import sys
@@ -58,3 +59,33 @@ def test_module_layering():
            for mod in _imported_modules(path)
            if mod.split(".")[0] in test_modules]
     assert not bad
+
+
+def _lowest_bit_uses(tree):
+    """(function name, line) of every x & -x in a module, at any depth."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+            for a, b in ((node.left, node.right), (node.right, node.left)):
+                if (isinstance(b, ast.UnaryOp) and isinstance(b.op, ast.USub)
+                        and ast.dump(b.operand) == ast.dump(a)):
+                    out.append((func, node.lineno))
+                    break
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_one_bit_iterator():
+    # posets.iter_bits is the one place that strips the lowest set bit
+    uses = {path.name: _lowest_bit_uses(ast.parse(path.read_text()))
+            for path in sorted(SRC.glob("*.py"))}
+    assert [func for func, _ in uses.pop("posets.py")] == ["iter_bits"]
+    assert not {name: found for name, found in uses.items() if found}
+    assert _lowest_bit_uses(ast.parse("def f(m):\n    return (m & -m).bit_length()\n")) \
+        == [("f", 2)]

@@ -3,12 +3,14 @@ cellular homology."""
 
 import pytest
 
+from oracles import build_poset
+
 from omsal import fileio, salvetti
 from omsal.errors import EnumerationLimitExceeded, InvalidCell, NotATope
 from omsal.fixtures import ALL_FIXTURES, cw_octagon_chords, cw_polygon
 from omsal.matroid import OrientedMatroid
 from omsal.osalg import flats_from_covectors, os_betti
-from omsal.posets import FinitePoset, build_poset
+from omsal.posets import FinitePoset
 from omsal.salvetti import (
     SalvettiCell,
     boundary_cells,
