@@ -25,15 +25,10 @@ from .matroid import (
     are_isomorphic,
     cocircuits_from_chirotope,
     from_arrangement,
-    is_simple,
     span_from_cocircuits,
     verify_axioms,
 )
-from .homology import (
-    HomologyGroup,
-    IntegerChainComplex,
-    smith_normal_form,
-)
+from .homology import HomologyGroup, IntegerChainComplex
 from .salvetti import (
     SalvettiCell,
     build_salvetti_poset,
@@ -111,7 +106,6 @@ __all__ = [
     "generate_fixture",
     "gr_comparison",
     "is_lattice",
-    "is_simple",
     "is_simplicial",
     "lattice_equivalence_check",
     "lmh_check",
@@ -127,7 +121,6 @@ __all__ = [
     "salvetti_cw",
     "separation_mask",
     "skeleton_distances",
-    "smith_normal_form",
     "span_from_cocircuits",
     "tope_distance",
     "tope_poset",

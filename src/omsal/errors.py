@@ -61,10 +61,6 @@ class Disconnected(OMError):
     """A 1-skeleton expected to be connected is not."""
 
 
-class InvalidCell(OMError):
-    """A pair (covector, tope) that is not a cell of the complex."""
-
-
 class ConsistencyFailure(OMError):
     """An internal cross-check that must hold by theory did not."""
 

@@ -261,18 +261,6 @@ def parse_cw(source) -> CWPoset:
         raise ParseError(f"{name}: {exc}") from None
 
 
-def emit_cw(q: CWPoset) -> str:
-    ids = [str(x) for x in q.poset.elements]
-    for i in ids:
-        if not i or any(ch.isspace() for ch in i):
-            raise ConsistencyFailure(f"cell id {i!r} not writable")
-    if len(set(ids)) != len(ids):
-        raise ConsistencyFailure("cell ids collide under str()")
-    lines = [f"cell {i} dim {d}" for i, d in zip(ids, q.dims)]
-    lines += [f"cover {ids[a]} {ids[b]}" for a, b in sorted(q.poset.covers())]
-    return "\n".join(lines) + "\n"
-
-
 def load_oriented_matroid(path) -> OrientedMatroid:
     """Dispatch on extension: .cov, .arr (expanded), .chi (expanded)."""
     suffix = Path(path).suffix

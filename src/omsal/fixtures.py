@@ -1,5 +1,4 @@
-"""Built-in inputs: named arrangements, a non-realizable covector set,
-and small CW complexes for the metric checks.
+"""Built-in inputs: named arrangements and a non-realizable covector set.
 
 Fixture specs are strings: boolean:n (coordinate normals), generic:n:l
 (moment-curve normals, provably generic), braid:n (essentialized
@@ -18,7 +17,6 @@ from .errors import UnknownFixture
 from .matroid import (Chirotope, OrientedMatroid, RationalArrangement,
                       cocircuits_from_chirotope, from_arrangement,
                       span_from_cocircuits)
-from .mh import CWPoset, cw_from_covers
 
 
 @dataclass(frozen=True)
@@ -177,45 +175,3 @@ def fixture_arrangement(spec) -> RationalArrangement:
 # the eight standing test subjects, smallest first
 ALL_FIXTURES = ("boolean:1", "boolean:2", "boolean:3", "generic:3:2",
                 "braid:3", "generic:4:3", "generic:5:3", "nonpappus")
-
-
-def cw_polygon(k: int) -> CWPoset:
-    """A single closed 2-cell with a k-gon boundary."""
-    if k < 3:
-        raise UnknownFixture("polygon needs at least 3 sides")
-    cells = [(f"v{i}", 0) for i in range(1, k + 1)]
-    cells += [(f"e{i}", 1) for i in range(1, k + 1)]
-    cells.append(("top", 2))
-    covers = []
-    for i in range(1, k + 1):
-        j = i % k + 1
-        covers += [(f"v{i}", f"e{i}"), (f"v{j}", f"e{i}"), (f"e{i}", "top")]
-    return cw_from_covers(cells, covers)
-
-
-def cw_octagon_chords(trapezoid: bool) -> CWPoset:
-    """An octagonal 2-cell, four free chords, optionally a trapezoidal
-    2-cell glued onto three octagon edges and the chord c14.
-
-    With the trapezoid the complex has additive farthest vertices
-    globally but its two 2-cells disagree about the maps on shared
-    edges; without it the per-cell maps agree with each other but not
-    with the global ones (the chords shorten outside distances).
-    """
-    cells = [(f"v{i}", 0) for i in range(1, 9)]
-    octagon = []
-    for i in range(1, 9):
-        j = i % 8 + 1
-        octagon.append((f"e{i}{j}", i, j))
-    chords = [("c14", 1, 4), ("c36", 3, 6), ("c58", 5, 8), ("c72", 7, 2)]
-    cells += [(name, 1) for name, _, _ in octagon + chords]
-    cells.append(("oct", 2))
-    covers = []
-    for name, a, b in octagon:
-        covers += [(f"v{a}", name), (f"v{b}", name), (name, "oct")]
-    for name, a, b in chords:
-        covers += [(f"v{a}", name), (f"v{b}", name)]
-    if trapezoid:
-        cells.append(("trap", 2))
-        covers += [(e, "trap") for e in ("e12", "e23", "e34", "c14")]
-    return cw_from_covers(cells, covers)

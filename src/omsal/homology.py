@@ -24,22 +24,6 @@ from .errors import ConsistencyFailure
 # -- Smith normal form ------------------------------------------------------
 
 
-def smith_normal_form(matrix):
-    """Invariant factors and rank of an integer matrix.
-
-    Accepts a dense list of rows.  Returns (factors, rank) where factors
-    is the tuple d_1 | d_2 | ... of positive invariant factors; rank is
-    the number of nonzero factors.  Empty matrices give ((), 0).
-    """
-    rows = {}
-    for i, row in enumerate(matrix):
-        r = {j: int(v) for j, v in enumerate(row) if v}
-        if r:
-            rows[i] = r
-    factors = _normalize_factors(_sparse_eliminate(rows))
-    return factors, len(factors)
-
-
 def _normalize_factors(diag):
     # Units divide every factor, so only the other pivots need the
     # pairwise gcd/lcm passes; the units lead the sorted result.

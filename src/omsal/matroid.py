@@ -4,7 +4,7 @@ Covector axiom checking; arrangements and chirotopes alike enter
 through their chirotope, whose basis signs give the cocircuits
 (arrangements via exact determinants of their rational normals, so
 realizable and non-realizable examples take one route); and the
-simplicity / isomorphism interrogations.  All arithmetic is exact.
+isomorphism interrogation.  All arithmetic is exact.
 
 A covector set is certified on its cocircuits: when its nonzero
 vectors of minimal support satisfy the cocircuit axioms C0-C3 and
@@ -532,30 +532,6 @@ def cocircuits_from_chirotope(c: Chirotope) -> set[SignVector]:
 
 
 # -- interrogations -----------------------------------------------------------
-
-
-def is_simple(m: OrientedMatroid):
-    """(True, ()) iff no loops and no (anti)parallel element pairs.
-
-    Offenders are returned 1-based: loops, then every element of each
-    parallel pair.
-    """
-    covs = m.sorted_covectors()
-    seen = 0
-    for x in covs:
-        seen |= x.support_mask
-    bad = {e + 1 for e in range(m.n) if not (seen >> e) & 1}
-    for e in range(m.n):
-        for f in range(e + 1, m.n):
-            same = all(((x.plus >> e) & 1) == ((x.plus >> f) & 1)
-                       and ((x.minus >> e) & 1) == ((x.minus >> f) & 1)
-                       for x in covs)
-            anti = all(((x.plus >> e) & 1) == ((x.minus >> f) & 1)
-                       and ((x.minus >> e) & 1) == ((x.plus >> f) & 1)
-                       for x in covs)
-            if same or anti:
-                bad.update((e + 1, f + 1))
-    return not bad, tuple(sorted(bad))
 
 
 def _element_invariants(m: OrientedMatroid):

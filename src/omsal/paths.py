@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .errors import ConsistencyFailure, EquivalenceViolation, NotATope, NotSimple
 from .matroid import OrientedMatroid
 from .posets import FinitePoset, is_lattice, iter_bits
-from .salvetti import DirectedEdge, oriented_one_skeleton
-from .signs import SignVector, compose, separation_mask, separation_set
+from .salvetti import oriented_one_skeleton
+from .signs import SignVector, compose, conforms, separation_mask
 
 
 def _require_tope(m: OrientedMatroid, t: SignVector):
@@ -83,6 +83,9 @@ def tope_graph_distances(m: OrientedMatroid):
 
 @dataclass(frozen=True)
 class PositivePath:
+    """A walk from the tope start along directed edges; () stays at start."""
+
+    start: SignVector
     edges: tuple
 
     @property
@@ -91,14 +94,14 @@ class PositivePath:
 
     @property
     def source(self) -> SignVector:
-        return self.edges[0].source
+        return self.start
 
     @property
     def target(self) -> SignVector:
-        return self.edges[-1].target
+        return self.edges[-1].target if self.edges else self.start
 
     def topes(self):
-        out = [self.edges[0].source]
+        out = [self.start]
         out.extend(e.target for e in self.edges)
         return out
 
@@ -126,7 +129,7 @@ def minimal_positive_paths(m: OrientedMatroid, t: SignVector, s: SignVector):
     while stack:
         cur, edges = stack.pop()
         if cur == s:
-            out.append(PositivePath(edges))
+            out.append(PositivePath(t, edges))
             continue
         remaining = separation_mask(cur, s)
         steps = []
@@ -176,7 +179,7 @@ def antipodal_extension_check(m: OrientedMatroid, pairs=None) -> bool:
                     return False
                 cur = step[0]
                 edges.append(step[1])
-            full = PositivePath(tuple(edges))
+            full = PositivePath(t, tuple(edges))
             crossed = full.crossed()
             if len(crossed) != tope_distance(m, t, anti) or len(set(crossed)) != len(crossed):
                 return False
@@ -211,28 +214,15 @@ def tope_poset(m: OrientedMatroid, t: SignVector) -> TopePoset:
     return TopePoset(t, FinitePoset.from_covers(sk.vertices, covers))
 
 
-def literal_distance_preorder(m: OrientedMatroid, t: SignVector):
-    """The raw distance comparison d(., t) <= d(., t) as ordered pairs.
-
-    This relation is a total preorder, not a partial order (distinct
-    topes at equal distance compare both ways); kept for side-by-side
-    comparison with the separation-set order.
-    """
-    _require_tope(m, t)
-    elems = m.topes()
-    return {(a, b) for a in elems for b in elems
-            if tope_distance(m, t, a) <= tope_distance(m, t, b)}
-
-
 # -- simpliciality ---------------------------------------------------------------
 
 
 def _interval_is_boolean(m: OrientedMatroid, t: SignVector) -> bool:
     rank = m.rank
-    atoms = [c for c in m.cocircuits() if c.conforms_to(t)]
+    atoms = [c for c in m.cocircuits() if conforms(c, t)]
     if len(atoms) != rank:
         return False
-    interval = {x for x in m.covectors if x.conforms_to(t)}
+    interval = {x for x in m.covectors if conforms(x, t)}
     if len(interval) != 1 << rank:
         return False
     elems = {}
@@ -246,7 +236,7 @@ def _interval_is_boolean(m: OrientedMatroid, t: SignVector) -> bool:
         return False
     for a in elems:
         for b in elems:
-            if (elems[a].conforms_to(elems[b])) != (a & ~b == 0):
+            if conforms(elems[a], elems[b]) != (a & ~b == 0):
                 return False
     return True
 

@@ -53,10 +53,11 @@ class FinitePoset:
 
         The pairs are closed reflexively and transitively; a cycle raises
         NotAntisymmetric with the pair (x, y), x <= y <= x, of the lowest
-        index x and then the lowest index y.  Each sweep runs from the top
-        index down, so covers that all point to higher indices (the
-        Salvetti poset, .poset files) close in one sweep; any other input
-        takes more sweeps until nothing changes.
+        index x and then the lowest index y.  When every pair points to a
+        higher index (the Salvetti poset, .poset files) one sweep from the
+        top index down closes them, and when every pair points to a lower
+        index (the face poset) one sweep from the bottom up does.  Any
+        other input is swept from the top down until nothing changes.
 
         Every cover of the closure is a generating pair, so the poset
         keeps the generating pairs as the only candidates for covers():
@@ -65,19 +66,25 @@ class FinitePoset:
         """
         n = len(elements)
         up = [1 << i for i in range(n)]
+        rising = falling = True
         for a, b in index_cover_pairs:
             up[a] |= 1 << b
+            rising = rising and a <= b
+            falling = falling and a >= b
         generated = up[:]
+        # in either one-way order each element's successors close first
+        order = range(n) if falling and not rising else range(n - 1, -1, -1)
         changed = True
         while changed:
             changed = False
-            for i in range(n - 1, -1, -1):
+            for i in order:
                 m = up[i]
                 for j in iter_bits(m & ~(1 << i)):
                     m |= up[j]
                 if m != up[i]:
                     up[i] = m
                     changed = True
+            changed = changed and not (rising or falling)
         poset = cls(elements, up)
         for i in range(n):
             cycle = poset._up[i] & poset._down[i] & ~(1 << i)
@@ -131,10 +138,6 @@ class FinitePoset:
             self._covers = out
         return self._covers
 
-    def cover_pairs(self):
-        """Covering relations as label pairs (x, y) with y covering x."""
-        return [(self.elements[i], self.elements[j]) for i, j in self.covers()]
-
     def heights(self):
         """Longest-chain height of every element (minimal elements at 0)."""
         if self._heights is None:
@@ -185,13 +188,6 @@ class FinitePoset:
                 higher = ~((1 << (j + 1)) - 1)
                 stack.append((chain + (j,), chain_mask | (1 << j),
                               cand & comp[j] & higher, cm & comp[j]))
-
-    def max_chain_count(self) -> int:
-        count = 0
-        for _, mx in self.iter_chains():
-            if mx:
-                count += 1
-        return count
 
 
 def is_lattice(poset: FinitePoset):

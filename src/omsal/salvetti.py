@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConsistencyFailure, InvalidCell, NotATope
+from .errors import ConsistencyFailure, NotATope
 from .homology import HomologyGroup, IntegerChainComplex
 from .limits import check_cap
 from .matroid import OrientedMatroid
@@ -92,30 +92,6 @@ def cellular_homology(poset: FinitePoset) -> list[HomologyGroup]:
     """
     return IntegerChainComplex.from_cw_covers(
         [c.dim for c in poset.elements], poset.covers()).homology()
-
-
-def boundary_cells(c: SalvettiCell, m: OrientedMatroid) -> set[SalvettiCell]:
-    """All proper faces of c: {[Y, Y o T] : Y strictly above X in L}."""
-    _validate_cell(c, m)
-    rank = m.rank
-    heights = m.heights()
-    out = set()
-    for y in m.covectors:
-        if y != c.covector and conforms(c.covector, y):
-            out.add(SalvettiCell(y, compose(y, c.tope), rank - heights[y]))
-    return out
-
-
-def _validate_cell(c: SalvettiCell, m: OrientedMatroid):
-    if c.covector not in m.covectors:
-        raise InvalidCell(f"{c.covector} is not a covector")
-    if not m.is_tope(c.tope):
-        raise NotATope(f"{c.tope} is not a tope")
-    if not conforms(c.covector, c.tope):
-        raise InvalidCell(f"{c.covector} is not a face of the tope {c.tope}")
-    if c.dim != m.rank - m.height(c.covector):
-        raise InvalidCell(f"cell {c} carries dimension {c.dim}, "
-                          f"expected {m.rank - m.height(c.covector)}")
 
 
 def f_vector_and_euler(poset: FinitePoset):

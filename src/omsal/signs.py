@@ -88,13 +88,6 @@ class SignVector:
     def __neg__(self) -> "SignVector":
         return SignVector(self.n, self.minus, self.plus)
 
-    def compose(self, other: "SignVector") -> "SignVector":
-        return compose(self, other)
-
-    def conforms_to(self, other: "SignVector") -> bool:
-        """True when self <= other in the conformal (face) order."""
-        return conforms(self, other)
-
     def __str__(self) -> str:
         return "".join(_CHARS[self.sign(e)] for e in range(1, self.n + 1))
 

@@ -15,6 +15,8 @@ import io
 import sys
 from pathlib import Path
 
+from cw_complexes import cw_octagon_chords, emit_cw
+
 from omsal import fileio, fixtures
 from omsal.cli import main
 from omsal.matroid import Chirotope
@@ -23,8 +25,7 @@ from omsal.salvetti import build_salvetti_poset
 
 def prepare_inputs(work: Path):
     (work / "bad.cov").write_text("++\n--\n+-\n-+\n")
-    (work / "oct.cw").write_text(
-        fileio.emit_cw(fixtures.cw_octagon_chords(False)))
+    (work / "oct.cw").write_text(emit_cw(cw_octagon_chords(False)))
     (work / "g3.arr").write_text(
         fileio.emit_arrangement(fixtures.fixture_arrangement("generic:3:2")))
     (work / "b2.poset").write_text(

@@ -4,7 +4,9 @@ Deliberately naive re-derivations on different code paths: sign
 patterns are plain strings, the feasibility test is longhand
 Fourier-Motzkin over Fraction, path counting is a layered BFS sum
 over a string-keyed flip graph, the Smith normal form is the dense
-textbook reduction that also returns its unimodular transforms, the
+textbook reduction that also returns its unimodular transforms, simple
+matroids are tested for loops and parallel pairs on every covector
+rather than by the parallel-element check of the paths layer, the
 covector closure composes every vector with every other, both ways, and
 the cocircuits of an arrangement are the sign vectors of the kernel
 lines of its corank-1 normal subsets, found by Fraction RREF, the
@@ -21,17 +23,24 @@ Its homology is the check on the cellular route of the package, which
 assembles boundaries from covers; the two share only the Smith engine
 of IntegerChainComplex.
 
+smith_normal_form is not an oracle but a dense-list adapter over the
+package's sparse elimination, so tests can state invariant factors of
+small literal matrices.
+
 Nothing here imports from the package beyond the sign-vector primitives
 that closure composes, the per-cell MH primitives the unshared tables
-call, the chain complex the simplicial reference feeds, the poset class
-the relation scan fills and its bit iterator, and test parametrization
-done by the callers.
+call, the chain complex the simplicial reference feeds and the sparse
+elimination the dense adapter wraps, the oriented matroid class the
+simplicity test reads, the poset class the relation scan fills and its
+bit iterator, and test parametrization done by the callers.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from omsal.homology import HomologyGroup, IntegerChainComplex
+from omsal.homology import (HomologyGroup, IntegerChainComplex,
+                            _normalize_factors, _sparse_eliminate)
+from omsal.matroid import OrientedMatroid
 from omsal.mh import MHCheck, _lower_constraints, _omega_pair
 from omsal.posets import FinitePoset, iter_bits
 from omsal.signs import SignVector, compose
@@ -158,6 +167,22 @@ def whitney_numbers(flats):
     for f in flats:
         w[height[f]] += abs(mu[f])
     return tuple(w)
+
+
+def smith_normal_form(matrix):
+    """Invariant factors and rank of an integer matrix.
+
+    Accepts a dense list of rows.  Returns (factors, rank) where factors
+    is the tuple d_1 | d_2 | ... of positive invariant factors; rank is
+    the number of nonzero factors.  Empty matrices give ((), 0).
+    """
+    rows = {}
+    for i, row in enumerate(matrix):
+        r = {j: int(v) for j, v in enumerate(row) if v}
+        if r:
+            rows[i] = r
+    factors = _normalize_factors(_sparse_eliminate(rows))
+    return factors, len(factors)
 
 
 def smith_normal_form_with_transforms(matrix):
@@ -429,6 +454,30 @@ def kernel_basis(rows, ncols):
             v[c] = -m[i][f]
         basis.append(v)
     return basis
+
+
+def is_simple(m: OrientedMatroid):
+    """(True, ()) iff no loops and no (anti)parallel element pairs.
+
+    Offenders are returned 1-based: loops, then every element of each
+    parallel pair.
+    """
+    covs = m.sorted_covectors()
+    seen = 0
+    for x in covs:
+        seen |= x.support_mask
+    bad = {e + 1 for e in range(m.n) if not (seen >> e) & 1}
+    for e in range(m.n):
+        for f in range(e + 1, m.n):
+            same = all(((x.plus >> e) & 1) == ((x.plus >> f) & 1)
+                       and ((x.minus >> e) & 1) == ((x.minus >> f) & 1)
+                       for x in covs)
+            anti = all(((x.plus >> e) & 1) == ((x.minus >> f) & 1)
+                       and ((x.minus >> e) & 1) == ((x.plus >> f) & 1)
+                       for x in covs)
+            if same or anti:
+                bad.update((e + 1, f + 1))
+    return not bad, tuple(sorted(bad))
 
 
 def sign_vector_at(arr, point) -> SignVector:

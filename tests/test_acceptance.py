@@ -9,13 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from cw_complexes import cw_polygon
 from oracles import (
     enumerate_covector_strings,
     flip_graph_neighbors,
     geodesic_counts_from,
 )
 
-from omsal.fixtures import ALL_FIXTURES, cw_polygon, fixture_arrangement, generate_fixture
+from omsal.fixtures import ALL_FIXTURES, fixture_arrangement, generate_fixture
 from omsal.matroid import verify_axioms
 from omsal.mh import dual_complex, mh_check, qmh_check, salvetti_cw, skeleton_distances
 from omsal.osalg import flats_from_covectors, os_betti

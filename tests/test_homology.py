@@ -12,17 +12,13 @@ from oracles import (
     betti_numbers,
     dense_boundary_matrix,
     homology,
+    smith_normal_form,
     smith_normal_form_with_transforms,
     write_dense_matrix_text,
 )
 
 from omsal.errors import ConsistencyFailure
-from omsal.homology import (
-    HomologyGroup,
-    IntegerChainComplex,
-    smith_normal_form,
-    write_matrix_text,
-)
+from omsal.homology import HomologyGroup, IntegerChainComplex, write_matrix_text
 
 # the 6-vertex triangulation of the projective plane: every edge lies in
 # exactly two of the ten triangles, every vertex link is a 5-cycle

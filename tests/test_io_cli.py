@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from cw_complexes import cw_octagon_chords, emit_cw
 from oracles import dense_boundary_matrix, order_complex, write_dense_matrix_text
 
 from omsal import fileio, matroid
 from omsal.cli import main
 from omsal.errors import AxiomFailure, ConsistencyFailure, ParseError
-from omsal.fixtures import cw_octagon_chords, fixture_arrangement, parse_fixture_spec
+from omsal.fixtures import fixture_arrangement, parse_fixture_spec
 from omsal.homology import IntegerChainComplex
 from omsal.matroid import are_isomorphic, from_arrangement
 from omsal.mh import cw_from_covers, mh_check
@@ -176,10 +177,10 @@ def test_salvetti_poset_parse_errors():
 
 def test_cw_round_trip_preserves_witnesses():
     q = cw_octagon_chords(True)
-    text = fileio.emit_cw(q)
+    text = emit_cw(q)
     back = fileio.parse_cw(text)
     assert back.f_vector() == q.f_vector()
-    assert fileio.emit_cw(back) == text
+    assert emit_cw(back) == text
     assert mh_check(back).lmh.witness == mh_check(q).lmh.witness
 
 
@@ -204,11 +205,11 @@ def test_cw_parse_errors():
 def test_cw_emit_rejects_unwritable_labels():
     q = cw_from_covers([("a b", 0)], [])
     with pytest.raises(ConsistencyFailure, match="not writable"):
-        fileio.emit_cw(q)
+        emit_cw(q)
     q = cw_from_covers([(1, 0), ("1", 0), ("e", 1)],
                        [(1, "e"), ("1", "e")])
     with pytest.raises(ConsistencyFailure, match="collide"):
-        fileio.emit_cw(q)
+        emit_cw(q)
 
 
 # -- format dispatch -----------------------------------------------------------
@@ -391,7 +392,7 @@ def test_cli_mh_check(capsys):
 
 def test_cli_mh_check_cw_failure(capsys, tmp_path):
     f = tmp_path / "oct.cw"
-    f.write_text(fileio.emit_cw(cw_octagon_chords(False)))
+    f.write_text(emit_cw(cw_octagon_chords(False)))
     code, out, _ = run(capsys, "mh-check", "--in", str(f))
     assert code == 1
     assert out.startswith("cw: qmh: pass; lmh: pass; mh: FAIL at ('upper'")
@@ -487,7 +488,7 @@ def test_cli_json_payloads(capsys, tmp_path):
     assert data["f_vector"] == [6, 12, 6] and data["euler"] == 0
 
     f = tmp_path / "oct.cw"
-    f.write_text(fileio.emit_cw(cw_octagon_chords(False)))
+    f.write_text(emit_cw(cw_octagon_chords(False)))
     code, out, _ = run(capsys, "mh-check", "--json", "--in", str(f))
     data = json.loads(out)
     assert code == 1

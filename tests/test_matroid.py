@@ -28,13 +28,12 @@ from omsal.matroid import (
     are_isomorphic,
     cocircuits_from_chirotope,
     from_arrangement,
-    is_simple,
     span_from_cocircuits,
     verify_axioms,
 )
 from omsal.signs import SignVector, compose, conforms
 
-from oracles import (build_poset, enumerate_covector_strings,
+from oracles import (build_poset, enumerate_covector_strings, is_simple,
                      kernel_line_cocircuits, matrix_rank, sign_vector_at,
                      two_sided_closure)
 

@@ -4,7 +4,7 @@ import pytest
 
 from omsal import mh
 from omsal.errors import ConsistencyFailure, Disconnected, EmptyInput
-from omsal.fixtures import ALL_FIXTURES, cw_octagon_chords, cw_polygon
+from omsal.fixtures import ALL_FIXTURES
 from omsal.mh import (
     CWPoset,
     cw_from_covers,
@@ -18,6 +18,7 @@ from omsal.mh import (
 )
 from omsal.paths import tope_distance
 
+from cw_complexes import cw_octagon_chords, cw_polygon
 from oracles import global_tables_unshared, local_tables_unshared
 
 

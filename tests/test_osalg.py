@@ -144,6 +144,14 @@ def test_nbc_rejects_non_permutations():
         nbc_sets(u23(), (1, 2, 2))
 
 
+@pytest.mark.parametrize("spec", ALL_FIXTURES + ("generic:6:4", "generic:6:3",
+                                                 "boolean:5", "braid:4"))
+def test_tope_count_is_the_nbc_total(spec, om):
+    # Zaslavsky 1975; Las Vergnas 1975 for oriented matroids
+    m = om(spec)
+    assert len(m.topes()) == sum(nbc_sets(flats_from_covectors(m)).counts())
+
+
 @pytest.mark.parametrize("spec", ["boolean:1", "boolean:2", "boolean:3",
                                   "generic:3:2", "braid:3", "generic:4:3",
                                   "generic:5:3"])

@@ -19,7 +19,6 @@ from omsal.paths import (
     crossing_element,
     is_simplicial,
     lattice_equivalence_check,
-    literal_distance_preorder,
     minimal_positive_paths,
     skeleton_adjacency,
     tope_distance,
@@ -115,6 +114,8 @@ def test_trivial_and_adjacent_paths(om):
     trivial = minimal_positive_paths(m, t, t)
     assert [p.edges for p in trivial] == [()]
     assert trivial[0].length == 0
+    assert trivial[0].source == trivial[0].target == t
+    assert trivial[0].topes() == [t] and str(trivial[0]) == str(t)
     s = next(x for x in m.topes() if tope_distance(m, t, x) == 1)
     (only,) = minimal_positive_paths(m, t, s)
     assert only.crossed() == tuple(separation_set(t, s))
@@ -237,18 +238,6 @@ def test_tope_posets_equal_the_relation_scan(spec, om):
         assert [poset.up_mask(i) for i in range(len(poset))] == \
             [oracle.up_mask(i) for i in range(len(oracle))]
         assert poset.covers() == oracle.covers()
-
-
-def test_literal_distance_relation_is_only_a_preorder(om):
-    m = om("generic:3:2")
-    t = m.topes()[0]
-    pre = literal_distance_preorder(m, t)
-    ties = [(a, b) for a, b in pre
-            if a != b and (b, a) in pre]
-    assert ties, "every generic base tope has two neighbors at distance 1"
-    tp = tope_poset(m, t)
-    for i, j in tp.poset.covers():
-        assert (tp.poset.elements[i], tp.poset.elements[j]) in pre
 
 
 @pytest.mark.parametrize("spec", ALL_FIXTURES)

@@ -1,6 +1,6 @@
 """The rules every change keeps: standard-library imports only, no
-floats, the module layering, no stale names in the package exports, and
-one bit iterator."""
+floats, the module layering, no stale names in the package exports, one
+bit iterator, and no unused imports."""
 
 import ast
 import sys
@@ -89,3 +89,26 @@ def test_one_bit_iterator():
     assert not {name: found for name, found in uses.items() if found}
     assert _lowest_bit_uses(ast.parse("def f(m):\n    return (m & -m).bit_length()\n")) \
         == [("f", 2)]
+
+
+def _unused_imports(tree):
+    """(name, line) of every imported name that the module never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((name, line) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    # __init__.py imports its names to export them
+    unused = {path.name: _unused_imports(ast.parse(path.read_text()))
+              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert not {name: found for name, found in unused.items() if found}
+    assert _unused_imports(ast.parse(
+        "from __future__ import annotations\nimport os.path\n"
+        "from .a import b, c as d\nd(os.sep)\n")) == [("b", 3)]
