@@ -32,12 +32,12 @@ from .homology import HomologyGroup, IntegerChainComplex
 from .salvetti import (
     SalvettiCell,
     build_salvetti_poset,
-    cellular_homology,
     chain_determination_check,
     f_vector_and_euler,
     nerve_check,
     oriented_one_skeleton,
     retraction_check,
+    salvetti_complex,
 )
 from .osalg import (
     UnderlyingMatroid,
@@ -92,7 +92,6 @@ __all__ = [
     "antipodal_extension_check",
     "are_isomorphic",
     "build_salvetti_poset",
-    "cellular_homology",
     "chain_determination_check",
     "circuits",
     "cocircuits_from_chirotope",
@@ -118,6 +117,7 @@ __all__ = [
     "parse_fixture_spec",
     "qmh_check",
     "retraction_check",
+    "salvetti_complex",
     "salvetti_cw",
     "separation_mask",
     "skeleton_distances",

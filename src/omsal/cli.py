@@ -28,7 +28,8 @@ from .matroid import Chirotope, are_isomorphic
 from .mh import dual_complex, mh_check, salvetti_cw
 from .osalg import flats_from_covectors, gr_comparison, nbc_sets
 from .paths import minimal_positive_paths, tope_distance, tope_poset
-from .salvetti import build_salvetti_poset, cellular_homology, f_vector_and_euler
+from .posets import FinitePoset
+from .salvetti import f_vector_and_euler, salvetti_complex
 from .signs import SignVector
 
 CHECK_FAILED = 1
@@ -96,20 +97,20 @@ def _is_poset_file(args):
 
 
 def _load_salvetti(args):
-    """(Salvetti poset, identity string) from a .poset file or a subject."""
+    """(cells, covers, identity string) from a .poset file or a subject."""
     if _is_poset_file(args):
-        return fileio.parse_salvetti_poset(args.infile), args.infile
+        return *fileio.parse_salvetti_poset(args.infile), args.infile
     m, ident = _load_subject(args)
-    return build_salvetti_poset(m), ident
+    return *salvetti_complex(m), ident
 
 
 def _cmd_salvetti(args):
-    poset, ident = _load_salvetti(args)
-    fv, euler = f_vector_and_euler(poset)
+    cells, covers, ident = _load_salvetti(args)
+    fv, euler = f_vector_and_euler(cells)
     payload = {"subject": ident, "f_vector": list(fv), "euler": euler,
                "cells": sum(fv)}
     if args.emit:
-        text = fileio.emit_salvetti_poset(poset)
+        text = fileio.emit_salvetti_poset(cells, covers)
         payload["poset"] = text
         return 0, [text.rstrip("\n")], payload
     show_all = not (args.f_vector or args.euler)
@@ -122,9 +123,10 @@ def _cmd_salvetti(args):
 
 
 def _cmd_homology(args):
-    poset, ident = _load_salvetti(args)
+    cells, covers, ident = _load_salvetti(args)
     try:
-        groups = cellular_homology(poset)
+        groups = IntegerChainComplex.from_cw_covers(
+            [c.dim for c in cells], covers).homology()
     except ConsistencyFailure as exc:
         if _is_poset_file(args):
             raise ParseError(f"{ident}: {exc}") from None
@@ -132,6 +134,7 @@ def _cmd_homology(args):
     if args.dump_matrices:
         # the dump stays on the order complex, whose k-faces are the
         # chains of k + 1 cells (perfbench pins its shapes)
+        poset = FinitePoset.from_covers(cells, covers)
         layers = [[] for _ in range(poset.height() + 1)]
         for c, _ in poset.iter_chains():
             layers[len(c) - 1].append(c)

@@ -18,7 +18,6 @@ from .matroid import (Chirotope, OrientedMatroid, RationalArrangement,
                       cocircuits_from_chirotope, from_arrangement,
                       span_from_cocircuits)
 from .mh import CWPoset, cw_from_covers
-from .posets import FinitePoset
 from .salvetti import SalvettiCell, cell_leq, f_vector_and_euler
 from .signs import SignVector, conforms
 
@@ -150,14 +149,15 @@ def emit_chirotope(c: Chirotope) -> str:
     return f"chirotope r={c.r} n={c.n}\n{chars}\n"
 
 
-def parse_salvetti_poset(source) -> FinitePoset:
-    """Read `<dim> <covector> <tope>` cell lines, then `<i> <j>` cover pairs.
+def parse_salvetti_poset(source):
+    """(cells, covers) from `<dim> <covector> <tope>` lines, then `<i> <j>`.
 
     Cover pairs are 0-based indices into the cell list, face first.  Each
     cell's covector conforms to its tope and has dimension 0 exactly when
     it equals the tope; each cover pair is a face relation raising the
     dimension by one; each cell of dimension >= 1 covers at least two
-    cells; and the f-vector passes `f_vector_and_euler`.
+    cells; and the f-vector passes `f_vector_and_euler`.  The covers come
+    back sorted, a repeated pair once.
     """
     name, lines = _read_lines(source)
     cells, cell_lines = [], []
@@ -216,17 +216,16 @@ def parse_salvetti_poset(source) -> FinitePoset:
         if c.dim >= 1 and len(below) < 2:
             raise ParseError(f"{name}:{lineno}: cell {c} of dimension {c.dim} "
                              f"covers {len(below)} cells")
-    poset = FinitePoset.from_covers(cells, covers)
     try:
-        f_vector_and_euler(poset)
+        f_vector_and_euler(cells)
     except ConsistencyFailure as exc:
         raise ParseError(f"{name}: {exc}") from None
-    return poset
+    return cells, sorted(set(covers))
 
 
-def emit_salvetti_poset(poset: FinitePoset) -> str:
-    lines = [f"{c.dim} {c.covector} {c.tope}" for c in poset.elements]
-    lines += [f"{i} {j}" for i, j in sorted(poset.covers())]
+def emit_salvetti_poset(cells, covers) -> str:
+    lines = [f"{c.dim} {c.covector} {c.tope}" for c in cells]
+    lines += [f"{i} {j}" for i, j in sorted(covers)]
     return "\n".join(lines) + "\n"
 
 

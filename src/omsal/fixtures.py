@@ -139,22 +139,15 @@ def generate_fixture(spec) -> OrientedMatroid:
     """Build (and cache) the oriented matroid named by a fixture spec."""
     if isinstance(spec, str):
         spec = parse_fixture_spec(spec)
+    if spec.kind == "file":
+        return fileio.load_oriented_matroid(spec.args[0])
     hit = _cache.get(spec.name)
     if hit is not None:
         return hit
-    if spec.kind == "boolean":
-        m = from_arrangement(boolean_arrangement(*spec.args))
-    elif spec.kind == "generic":
-        m = from_arrangement(generic_arrangement(*spec.args))
-    elif spec.kind == "braid":
-        m = from_arrangement(braid_arrangement(*spec.args))
-    elif spec.kind == "nonpappus":
+    if spec.kind == "nonpappus":
         m = span_from_cocircuits(cocircuits_from_chirotope(nonpappus_chirotope()))
-    elif spec.kind == "file":
-        m = fileio.load_oriented_matroid(spec.args[0])
-        return m
     else:
-        raise UnknownFixture(f"no generator for kind {spec.kind!r}")
+        m = from_arrangement(fixture_arrangement(spec))
     _cache[spec.name] = m
     return m
 

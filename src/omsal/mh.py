@@ -198,25 +198,6 @@ def skeleton_distances(q: CWPoset) -> SkeletonDistances:
     return SkeletonDistances(glob, loc)
 
 
-def skeleton_is_bipartite(q: CWPoset) -> bool:
-    """Two-colorability of the 1-skeleton (loops already excluded)."""
-    color = [-1] * len(q._adj)
-    for start in range(len(q._adj)):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        dq = deque([start])
-        while dq:
-            u = dq.popleft()
-            for w in q._adj[u]:
-                if color[w] < 0:
-                    color[w] = color[u] ^ 1
-                    dq.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
-
-
 class MHCheck(NamedTuple):
     passed: bool
     witness: tuple | None

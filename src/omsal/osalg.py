@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ComparisonFailure
+from .homology import IntegerChainComplex
 from .matroid import OrientedMatroid
 from .posets import FinitePoset
-from .salvetti import build_salvetti_poset, cellular_homology
+from .salvetti import salvetti_complex
 
 
 class UnderlyingMatroid:
@@ -163,7 +164,9 @@ def gr_comparison(m: OrientedMatroid) -> GrComparison:
     Raises ComparisonFailure on the first degree where the ranks differ
     or torsion appears; also insists the nbc counts alternate to zero.
     """
-    groups = cellular_homology(build_salvetti_poset(m))
+    cells, covers = salvetti_complex(m)
+    groups = IntegerChainComplex.from_cw_covers(
+        [c.dim for c in cells], covers).homology()
     betti = tuple(g.betti for g in groups)
     bs = os_betti(flats_from_covectors(m))
     top = max(len(betti), len(bs))

@@ -61,26 +61,6 @@ def skeleton_adjacency(m: OrientedMatroid):
     return m.derived(_adjacency)
 
 
-def tope_graph_distances(m: OrientedMatroid):
-    """All-pairs BFS distances on the undirected tope graph."""
-    adj = skeleton_adjacency(m)
-    dist = {}
-    for start in adj:
-        d = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v, _ in adj[u]:
-                    if v not in d:
-                        d[v] = d[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        for v, k in d.items():
-            dist[start, v] = k
-    return dist
-
-
 @dataclass(frozen=True)
 class PositivePath:
     """A walk from the tope start along directed edges; () stays at start."""

@@ -3,8 +3,8 @@
 Up-sets and down-sets are bitmasks over element indices, so subset tests
 and transitive reduction are single integer operations even for posets
 with a few hundred elements.  Every poset of the package is closed from
-a cover relation (face, Salvetti and tope posets, flat lattices, .poset
-and .cw files) or is the dual of one.  A closure is transitive by
+a cover relation (face, Salvetti and tope posets, flat lattices and .cw
+files) or is the dual of one.  A closure is transitive by
 construction, so only cycles need a check.  A poset
 closed from its covers keeps the generating pairs as its only cover
 candidates, so its covers need no transitive reduction over all
@@ -54,10 +54,10 @@ class FinitePoset:
         The pairs are closed reflexively and transitively; a cycle raises
         NotAntisymmetric with the pair (x, y), x <= y <= x, of the lowest
         index x and then the lowest index y.  When every pair points to a
-        higher index (the Salvetti poset, .poset files) one sweep from the
-        top index down closes them, and when every pair points to a lower
-        index (the face poset) one sweep from the bottom up does.  Any
-        other input is swept from the top down until nothing changes.
+        higher index (the Salvetti poset) one sweep from the top index
+        down closes them, and when every pair points to a lower index
+        (the face poset) one sweep from the bottom up does.  Any other
+        input is swept from the top down until nothing changes.
 
         Every cover of the closure is a generating pair, so the poset
         keeps the generating pairs as the only candidates for covers():

@@ -1,15 +1,15 @@
-"""The Salvetti complex of an oriented matroid as an explicit cell poset.
+"""The Salvetti complex of an oriented matroid as its graded facet covers.
 
 Cells are pairs [X, T] of a covector and a tope above it; the face
 relation is [Y, S] <= [X, T] iff X <= Y and Y o T = S (the smaller cell
-sits left so poset height equals cell dimension).  The poset is built
-as the transitive closure of the facet covers: the facets of [X, T] are
-the cells [Y, Y o T] with Y covering X in the face poset.  It is the face
-poset of a regular CW complex, so its integer homology is computed on the
-cells themselves from those covers.  The nerve
-built from the pairwise intersection rule is checked to coincide with
-the order complex, and the theorem-level count/retraction checks live
-here too.
+sits left so poset height equals cell dimension).  The facets of [X, T]
+are the cells [Y, Y o T] with Y covering X in the face poset; the cells
+and these covers define the regular CW complex, and its f-vector,
+integer homology and .poset text are read off them.  Only the callers
+that read up- and down-masks (the checks below, MH and the matrix dump)
+close the covers into a poset.  The nerve built from the pairwise
+intersection rule is checked to coincide with the order complex, and
+the theorem-level count/retraction checks live here too.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyFailure, NotATope
-from .homology import HomologyGroup, IntegerChainComplex
 from .limits import check_cap
 from .matroid import OrientedMatroid
 from .posets import FinitePoset, iter_bits
@@ -56,7 +55,7 @@ def cell_leq(a: SalvettiCell, b: SalvettiCell) -> bool:
             and compose(a.covector, b.tope) == a.tope)
 
 
-def _salvetti_poset(m: OrientedMatroid) -> FinitePoset:
+def _salvetti_complex(m: OrientedMatroid):
     rank = m.rank
     heights = m.heights()
     tope_list = m.topes()
@@ -67,47 +66,48 @@ def _salvetti_poset(m: OrientedMatroid) -> FinitePoset:
                     for x, ts in zip(covs, above) for t in ts), key=_sort_key)
     index = {(c.covector, c.tope): k for k, c in enumerate(cells)}
     # [X, T] covers its facets [Y, Y o T], Y covering X; the face poset
-    # is graded, so the closure of these covers is exactly cell_leq.
-    covers = ((index[covs[j], compose(covs[j], t)], index[covs[i], t])
-              for i, j in face.covers() for t in above[i])
-    return FinitePoset.from_covers(cells, covers)
+    # is graded, so these pairs are exactly the covers of cell_leq.
+    covers = sorted((index[covs[j], compose(covs[j], t)], index[covs[i], t])
+                    for i, j in face.covers() for t in above[i])
+    return cells, covers
+
+
+def salvetti_complex(m: OrientedMatroid):
+    """(cells, covers): the cells [X, T] with X <= T in canonical order,
+    and the sorted index pairs (facet, cell) of the face rule above.
+
+    The cap is checked on every call; the pair is built once per matroid
+    and shared, so neither list may be modified.
+    """
+    check_cap(m.n)
+    return m.derived(_salvetti_complex)
+
+
+def _salvetti_poset(m: OrientedMatroid) -> FinitePoset:
+    return FinitePoset.from_covers(*salvetti_complex(m))
 
 
 def build_salvetti_poset(m: OrientedMatroid) -> FinitePoset:
-    """All cells [X, T] with X <= T, ordered by the face rule above.
-
-    The cap is checked on every call; the poset is built once per
-    matroid and shared, so it must not be modified.
-    """
+    """The closure of salvetti_complex(m), for callers that read masks;
+    capped, kept and shared like the pair, so it must not be modified."""
     check_cap(m.n)
     return m.derived(_salvetti_poset)
 
 
-def cellular_homology(poset: FinitePoset) -> list[HomologyGroup]:
-    """Integer homology of a Salvetti cell poset, computed on its cells.
-
-    The incidence numbers come from the covers by the diamond rule of
-    IntegerChainComplex.from_cw_covers, which raises ConsistencyFailure
-    when the poset is not the face poset of a regular CW complex.
-    """
-    return IntegerChainComplex.from_cw_covers(
-        [c.dim for c in poset.elements], poset.covers()).homology()
-
-
-def f_vector_and_euler(poset: FinitePoset):
-    """(f-vector, Euler characteristic) with the theorem checks applied.
+def f_vector_and_euler(cells):
+    """(f-vector, Euler characteristic) of Salvetti cells, checked.
 
     f_0 and f_rank must both equal the number of topes and the
     alternating sum must vanish; violations raise, since they would mean
     the complex upstream is corrupt.
     """
-    top = max(c.dim for c in poset.elements)
+    top = max(c.dim for c in cells)
     fv = [0] * (top + 1)
-    for c in poset.elements:
+    for c in cells:
         fv[c.dim] += 1
     fv = tuple(fv)
     euler = sum((-1) ** k * f for k, f in enumerate(fv))
-    ntopes = len({c.tope for c in poset.elements if c.dim == 0})
+    ntopes = len({c.tope for c in cells if c.dim == 0})
     if fv[0] != ntopes or fv[top] != ntopes:
         raise ConsistencyFailure(
             f"f_0={fv[0]}, f_top={fv[top]} but #topes={ntopes}")

@@ -116,11 +116,6 @@ def separation_mask(x: SignVector, y: SignVector) -> int:
     return (x.plus & y.minus) | (x.minus & y.plus)
 
 
-def separation_set(x: SignVector, y: SignVector) -> frozenset[int]:
-    """Elements where x and y carry strictly opposite signs."""
-    return _mask_to_set(separation_mask(x, y))
-
-
 def conforms(y: SignVector, x: SignVector) -> bool:
     """y <= x: every nonzero entry of y agrees with x."""
     _check_lengths(y, x)

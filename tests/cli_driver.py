@@ -20,7 +20,7 @@ from cw_complexes import cw_octagon_chords, emit_cw
 from omsal import fileio, fixtures
 from omsal.cli import main
 from omsal.matroid import Chirotope
-from omsal.salvetti import build_salvetti_poset
+from omsal.salvetti import salvetti_complex
 
 
 def prepare_inputs(work: Path):
@@ -30,7 +30,7 @@ def prepare_inputs(work: Path):
         fileio.emit_arrangement(fixtures.fixture_arrangement("generic:3:2")))
     (work / "b2.poset").write_text(
         fileio.emit_salvetti_poset(
-            build_salvetti_poset(fixtures.generate_fixture("boolean:2"))))
+            *salvetti_complex(fixtures.generate_fixture("boolean:2"))))
     # two chirotopes whose spans fail the axioms (V3)
     (work / "bad.chi").write_text("chirotope r=2 n=4\n+-++++\n")
     values = dict(fixtures.nonpappus_chirotope().values)

@@ -27,23 +27,31 @@ smith_normal_form is not an oracle but a dense-list adapter over the
 package's sparse elimination, so tests can state invariant factors of
 small literal matrices.
 
+Three small references the package itself never reads close the file:
+separation_set spells a separation mask out as a set, tope_graph_distances
+takes tope distance by BFS over the tope graph, and skeleton_is_bipartite
+two-colours the 1-skeleton of a CW poset.
+
 Nothing here imports from the package beyond the sign-vector primitives
 that closure composes, the per-cell MH primitives the unshared tables
 call, the chain complex the simplicial reference feeds and the sparse
 elimination the dense adapter wraps, the oriented matroid class the
 simplicity test reads, the poset class the relation scan fills and its
-bit iterator, and test parametrization done by the callers.
+bit iterator, the tope adjacency and the separation mask the three small
+references read, and test parametrization done by the callers.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
 from omsal.homology import (HomologyGroup, IntegerChainComplex,
                             _normalize_factors, _sparse_eliminate)
 from omsal.matroid import OrientedMatroid
-from omsal.mh import MHCheck, _lower_constraints, _omega_pair
+from omsal.mh import CWPoset, MHCheck, _lower_constraints, _omega_pair
+from omsal.paths import skeleton_adjacency
 from omsal.posets import FinitePoset, iter_bits
-from omsal.signs import SignVector, compose
+from omsal.signs import SignVector, _mask_to_set, compose, separation_mask
 
 
 def sign_pattern_feasible(normals, pattern):
@@ -560,3 +568,52 @@ def local_tables_unshared(a):
                 else:
                     lo_inter[key] = cur & lo
     return MHCheck(True, None), lo_inter, hi_seen
+
+
+# -- small references read only by the tests --------------------------------
+
+
+def separation_set(x: SignVector, y: SignVector) -> frozenset[int]:
+    """Elements where x and y carry strictly opposite signs."""
+    return _mask_to_set(separation_mask(x, y))
+
+
+
+def tope_graph_distances(m: OrientedMatroid):
+    """All-pairs BFS distances on the undirected tope graph."""
+    adj = skeleton_adjacency(m)
+    dist = {}
+    for start in adj:
+        d = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v, _ in adj[u]:
+                    if v not in d:
+                        d[v] = d[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        for v, k in d.items():
+            dist[start, v] = k
+    return dist
+
+
+
+def skeleton_is_bipartite(q: CWPoset) -> bool:
+    """Two-colorability of the 1-skeleton (loops already excluded)."""
+    color = [-1] * len(q._adj)
+    for start in range(len(q._adj)):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        dq = deque([start])
+        while dq:
+            u = dq.popleft()
+            for w in q._adj[u]:
+                if color[w] < 0:
+                    color[w] = color[u] ^ 1
+                    dq.append(w)
+                elif color[w] == color[u]:
+                    return False
+    return True

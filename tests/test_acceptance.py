@@ -14,6 +14,8 @@ from oracles import (
     enumerate_covector_strings,
     flip_graph_neighbors,
     geodesic_counts_from,
+    separation_set,
+    tope_graph_distances,
 )
 
 from omsal.fixtures import ALL_FIXTURES, fixture_arrangement, generate_fixture
@@ -25,12 +27,12 @@ from omsal.paths import (
     lattice_equivalence_check,
     minimal_positive_paths,
     tope_distance,
-    tope_graph_distances,
 )
-from omsal.salvetti import chain_determination_check, f_vector_and_euler, retraction_check
-from omsal.signs import SignVector, separation_set
+from omsal.salvetti import (chain_determination_check, f_vector_and_euler,
+                            retraction_check, salvetti_complex)
+from omsal.signs import SignVector
 
-from conftest import cached_salvetti_homology, cached_salvetti_poset
+from conftest import cached_salvetti_homology
 
 
 def test_criterion_01_covector_axioms():
@@ -68,7 +70,7 @@ def test_criterion_03_salvetti_f_vectors():
               "generic:3:2": (6, 12, 6), "generic:4:3": (14, 48, 48, 14)}
     for spec in ALL_FIXTURES:
         m = generate_fixture(spec)
-        fv, euler = f_vector_and_euler(cached_salvetti_poset(spec))
+        fv, euler = f_vector_and_euler(salvetti_complex(m)[0])
         assert euler == 0
         assert fv[0] == fv[-1] == len(m.topes())
         if spec in frozen:

@@ -10,14 +10,15 @@ import pytest
 from cw_complexes import cw_octagon_chords, emit_cw
 from oracles import dense_boundary_matrix, order_complex, write_dense_matrix_text
 
-from omsal import fileio, matroid
+from omsal import fileio, fixtures, matroid
 from omsal.cli import main
 from omsal.errors import AxiomFailure, ConsistencyFailure, ParseError
 from omsal.fixtures import fixture_arrangement, parse_fixture_spec
 from omsal.homology import IntegerChainComplex
 from omsal.matroid import are_isomorphic, from_arrangement
 from omsal.mh import cw_from_covers, mh_check
-from omsal.salvetti import build_salvetti_poset, f_vector_and_euler
+from omsal.posets import FinitePoset
+from omsal.salvetti import SalvettiCell, f_vector_and_euler, salvetti_complex
 
 
 # -- .arr ------------------------------------------------------------------
@@ -131,14 +132,24 @@ def test_chirotope_parse_errors():
 # -- .poset ------------------------------------------------------------------
 
 
-def test_salvetti_poset_round_trip(om):
-    poset = build_salvetti_poset(om("generic:3:2"))
-    text = fileio.emit_salvetti_poset(poset)
-    back = fileio.parse_salvetti_poset(text)
-    assert back.elements == poset.elements
-    assert set(back.covers()) == set(poset.covers())
-    assert f_vector_and_euler(back) == ((6, 12, 6), 0)
-    assert fileio.emit_salvetti_poset(back) == text
+def test_salvetti_poset_round_trip(capsys, tmp_path, om):
+    cells, covers = salvetti_complex(om("generic:3:2"))
+    text = fileio.emit_salvetti_poset(cells, covers)
+    lines = text.splitlines(keepends=True)
+    first = len(cells)
+    # a repeated cover line is read once: one again in the middle,
+    # another at the end
+    repeated = lines[:first + 3] + [lines[first + 1]] + lines[first + 3:] \
+        + [lines[first]]
+    for name, body in (("g32.poset", lines), ("g32rep.poset", repeated)):
+        f = tmp_path / name
+        f.write_text("".join(body))
+        back = fileio.parse_salvetti_poset(str(f))
+        assert back == (cells, covers)
+        assert f_vector_and_euler(back[0]) == ((6, 12, 6), 0)
+        assert run(capsys, "salvetti", "--in", str(f), "--emit") == (0, text, "")
+        assert run(capsys, "homology", "--in", str(f)) == \
+            (0, "H_0: Z\nH_1: Z^3\nH_2: Z^2\nbetti=(1,3,2)\n", "")
 
 
 def test_salvetti_poset_parse_errors():
@@ -339,6 +350,37 @@ def test_cli_homology_and_gr_compare_skip_the_order_complex(capsys,
         (0, NONPAPPUS_HOMOLOGY, "")
     assert run(capsys, "gr-compare", "--fixture", "nonpappus") == \
         (0, NONPAPPUS_GR, "")
+
+
+def test_cli_closes_the_salvetti_covers_only_to_read_masks(capsys, tmp_path,
+                                                           monkeypatch, om):
+    # FinitePoset.from_covers calls over Salvetti cells, counted per
+    # command on a fresh matroid
+    closures = []
+    real = FinitePoset.from_covers.__func__
+
+    def counted(cls, elements, pairs):
+        if elements and isinstance(elements[0], SalvettiCell):
+            closures.append(len(elements))
+        return real(cls, elements, pairs)
+
+    monkeypatch.setattr(FinitePoset, "from_covers", classmethod(counted))
+    f = tmp_path / "g32.poset"
+    f.write_text(fileio.emit_salvetti_poset(*salvetti_complex(om("generic:3:2"))))
+    fixture, poset_file = ("--fixture", "generic:5:3"), ("--in", str(f))
+    dump = ("homology", "--dump-matrices")
+    expected = [(cmd + subject, 0)
+                for cmd in (("homology",), ("salvetti", "--f-vector"),
+                            ("salvetti", "--emit"))
+                for subject in (fixture, poset_file)]
+    expected += [(("gr-compare",) + fixture, 0),
+                 (("mh-check", "--complex", "salvetti") + fixture, 1),
+                 (dump + (str(tmp_path / "a"),) + poset_file, 1),
+                 (dump + (str(tmp_path / "b"), "--fixture", "generic:3:2"), 1)]
+    for argv, count in expected:
+        monkeypatch.setattr(fixtures, "_cache", {})
+        closures.clear()
+        assert (run(capsys, *argv)[0], len(closures)) == (0, count), argv
 
 
 def test_cli_homology_of_an_emitted_poset(capsys, tmp_path):

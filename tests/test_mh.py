@@ -14,12 +14,11 @@ from omsal.mh import (
     qmh_check,
     salvetti_cw,
     skeleton_distances,
-    skeleton_is_bipartite,
 )
 from omsal.paths import tope_distance
 
 from cw_complexes import cw_octagon_chords, cw_polygon
-from oracles import global_tables_unshared, local_tables_unshared
+from oracles import global_tables_unshared, local_tables_unshared, skeleton_is_bipartite
 
 
 def edge():

@@ -7,6 +7,8 @@ from oracles import (
     count_geodesics,
     flip_graph_neighbors,
     geodesic_counts_from,
+    separation_set,
+    tope_graph_distances,
     tope_string_distance,
 )
 
@@ -22,10 +24,9 @@ from omsal.paths import (
     minimal_positive_paths,
     skeleton_adjacency,
     tope_distance,
-    tope_graph_distances,
     tope_poset,
 )
-from omsal.signs import SignVector, separation_mask, separation_set
+from omsal.signs import SignVector, separation_mask
 
 sv = SignVector.from_string
 

@@ -1,6 +1,7 @@
 """The rules every change keeps: standard-library imports only, no
-floats, the module layering, no stale names in the package exports, one
-bit iterator, and no unused imports."""
+floats, the module layering, no stale names in the package exports, no
+public name that only the tests read, one bit iterator, and no unused
+imports."""
 
 import ast
 import sys
@@ -48,6 +49,34 @@ def test_stdlib_only_and_no_floats():
 
 def test_every_export_resolves():
     assert not [name for name in omsal.__all__ if not hasattr(omsal, name)]
+
+
+def _unread_public_names(trees, exported):
+    """module:name of every public module-level function or class that is
+    neither exported nor read (as a name or an attribute) in any module."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{mod}:{node.name}" for mod, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and node.name not in exported and node.name not in read)
+
+
+def test_no_public_name_only_tests_read():
+    # __init__.py only imports names to export them
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert not _unread_public_names(trees, set(omsal.__all__))
+    assert _unread_public_names(
+        {"a": ast.parse("def f():\n    return g()\ndef g():\n    pass\n"
+                        "class C:\n    pass\ndef h():\n    pass\n")},
+        {"h"}) == ["a:C", "a:f"]
 
 
 def test_module_layering():

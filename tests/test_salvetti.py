@@ -8,6 +8,7 @@ from oracles import build_poset
 
 from omsal import fileio, salvetti
 from omsal.errors import EnumerationLimitExceeded, NotATope
+from omsal.homology import IntegerChainComplex
 from omsal.fixtures import ALL_FIXTURES
 from omsal.matroid import OrientedMatroid
 from omsal.osalg import flats_from_covectors, os_betti
@@ -16,12 +17,12 @@ from omsal.salvetti import (
     SalvettiCell,
     build_salvetti_poset,
     cell_leq,
-    cellular_homology,
     chain_determination_check,
     f_vector_and_euler,
     nerve_check,
     oriented_one_skeleton,
     retraction_check,
+    salvetti_complex,
 )
 from omsal.signs import SignVector, compose, conforms
 
@@ -40,9 +41,9 @@ EXPECTED_F = {
 
 
 @pytest.mark.parametrize("spec", ALL_FIXTURES)
-def test_f_vectors_and_euler(spec, om, salvetti_poset):
+def test_f_vectors_and_euler(spec, om):
     m = om(spec)
-    fv, euler = f_vector_and_euler(salvetti_poset(spec))
+    fv, euler = f_vector_and_euler(salvetti_complex(m)[0])
     assert fv == EXPECTED_F[spec]
     assert euler == 0
     assert fv[0] == fv[-1] == len(m.topes())
@@ -168,18 +169,26 @@ def test_salvetti_poset_built_once_per_matroid(monkeypatch, om):
     base = om("generic:4:3")
     m = OrientedMatroid(base.n, base.covectors)
     built = []
-    real = salvetti._salvetti_poset
 
-    def counted(matroid):
-        poset = real(matroid)
-        built.append(len(poset))
-        return poset
+    def counted(real):
+        def build(matroid):
+            built.append(real.__name__)
+            return real(matroid)
+        return build
 
-    monkeypatch.setattr(salvetti, "_salvetti_poset", counted)
+    for name in ("_salvetti_complex", "_salvetti_poset"):
+        monkeypatch.setattr(salvetti, name, counted(getattr(salvetti, name)))
+    cells, covers = salvetti_complex(m)
     assert all(retraction_check(m, t) for t in m.topes())
-    assert build_salvetti_poset(m) is build_salvetti_poset(m)
+    poset = build_salvetti_poset(m)
+    assert poset is build_salvetti_poset(m)
+    assert salvetti_complex(m)[0] is cells
     assert chain_determination_check(m)
-    assert built == [sum(EXPECTED_F["generic:4:3"])]
+    assert built == ["_salvetti_complex", "_salvetti_poset"]
+    # the closure is built on the kept pair: the same cells, the same covers
+    assert len(cells) == sum(EXPECTED_F["generic:4:3"])
+    assert all(a is b for a, b in zip(poset.elements, cells))
+    assert poset.covers() == covers
 
 
 @pytest.mark.parametrize("spec", ALL_FIXTURES)
@@ -205,30 +214,37 @@ def _transitive_reduction(poset):
 @pytest.mark.parametrize("spec", ALL_FIXTURES + ("boolean:5", "generic:6:4",
                                                  "boolean:6"))
 def test_kept_covers_equal_the_transitive_reduction(spec, om):
-    poset = build_salvetti_poset(om(spec))
-    assert poset.covers() == _transitive_reduction(poset)
+    m = om(spec)
+    poset = build_salvetti_poset(m)
+    assert poset.covers() == _transitive_reduction(poset) == salvetti_complex(m)[1]
 
 
 def test_kept_covers_of_parsed_and_cw_posets(om):
-    text = fileio.emit_salvetti_poset(build_salvetti_poset(om("generic:4:3")))
-    parsed = fileio.parse_salvetti_poset(text)
-    assert parsed.covers() == _transitive_reduction(parsed)
+    text = fileio.emit_salvetti_poset(*salvetti_complex(om("generic:4:3")))
+    cells, covers = fileio.parse_salvetti_poset(text)
+    parsed = FinitePoset.from_covers(cells, covers)
+    assert parsed.covers() == _transitive_reduction(parsed) == covers
     for q in (cw_polygon(6), cw_octagon_chords(False), cw_octagon_chords(True)):
         assert q.poset.covers() == _transitive_reduction(q.poset)
         reparsed = fileio.parse_cw(emit_cw(q)).poset
         assert reparsed.covers() == _transitive_reduction(reparsed)
 
 
+def _cellular_homology(m):
+    cells, covers = salvetti_complex(m)
+    return IntegerChainComplex.from_cw_covers(
+        [c.dim for c in cells], covers).homology()
+
+
 @pytest.mark.parametrize("spec", ALL_FIXTURES)
-def test_cellular_homology_equals_simplicial(spec, salvetti_poset,
-                                             salvetti_homology):
+def test_cellular_homology_equals_simplicial(spec, om, salvetti_homology):
     # the order complex is a subdivision of the cells: same groups
-    assert cellular_homology(salvetti_poset(spec)) == salvetti_homology(spec)
+    assert _cellular_homology(om(spec)) == salvetti_homology(spec)
 
 
 @pytest.mark.parametrize("spec", ["generic:5:4", "generic:6:4", "boolean:5"])
 def test_cellular_betti_numbers_are_nbc_counts(spec, om):
     m = om(spec)
-    groups = cellular_homology(build_salvetti_poset(m))
+    groups = _cellular_homology(m)
     assert all(g.torsion == () for g in groups)
     assert tuple(g.betti for g in groups) == os_betti(flats_from_covectors(m))

@@ -9,8 +9,9 @@ from omsal.signs import (
     compose,
     conforms,
     separation_mask,
-    separation_set,
 )
+
+from oracles import separation_set
 
 sign_strings = st.text(alphabet="+-0", min_size=1, max_size=9)
 
