@@ -229,12 +229,13 @@ def _cmd_paths(args):
     m, ident = _load_subject(args)
     t = _tope_arg(args.src, m)
     s = _tope_arg(args.dst, m)
+    d = tope_distance(m, t, s)
     found = minimal_positive_paths(m, t, s)
     labels = [[str(e.cell) for e in p.edges] for p in found]
-    lines = [f"distance={tope_distance(m, t, s)}", f"paths={len(found)}"]
+    lines = [f"distance={d}", f"paths={len(found)}"]
     lines += [" ".join(lab) if lab else "(empty)" for lab in labels]
     payload = {"subject": ident, "from": str(t), "to": str(s),
-               "distance": tope_distance(m, t, s), "count": len(found),
+               "distance": d, "count": len(found),
                "paths": labels}
     return 0, lines, payload
 

@@ -109,8 +109,9 @@ class NbcTable:
 def nbc_sets(u: UnderlyingMatroid, order=None) -> NbcTable:
     """Independent sets containing no broken circuit, grouped by size.
 
-    A broken circuit is a circuit minus its order-minimal element; the
-    default order is 1 < 2 < ... < n.
+    A broken circuit is a circuit minus its order-minimal element, listed
+    once however many circuits break to it; the default order is
+    1 < 2 < ... < n.
     """
     if order is None:
         order = tuple(range(1, u.n + 1))
@@ -119,7 +120,7 @@ def nbc_sets(u: UnderlyingMatroid, order=None) -> NbcTable:
         raise ValueError(f"{order} is not a permutation of 1..{u.n}")
     pos = {e: i for i, e in enumerate(order)}
     circs = circuits(u)
-    broken = [c - {min(c, key=pos.get)} for c in circs]
+    broken = {c - {min(c, key=pos.get)} for c in circs}
     rank = u.rank()
     layers = [[] for _ in range(rank + 1)]
     for size in range(rank + 1):

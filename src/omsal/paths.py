@@ -1,8 +1,10 @@
 """Tope metrics, tope posets, simpliciality, minimal positive paths.
 
 Tope distance is the separation count; the oriented 1-skeleton realizes
-it as graph distance, and minimal positive paths are enumerated by a
-depth-first walk that only ever steps closer to the target.
+it as graph distance.  Each tope keeps its neighbours with the element
+crossed to reach them, so minimal positive paths are enumerated by a
+depth-first walk that carries the elements still separating it from the
+target and steps only across one of them, clearing it.
 """
 
 from __future__ import annotations
@@ -48,12 +50,12 @@ def _adjacency(m: OrientedMatroid):
                 f"elements {elements} are parallel: adjacent topes "
                 f"{e.source}, {e.target} differ on all of them")
         adj[e.source].append((diff.bit_length(), e.target, e))
-    return {t: tuple((nb, e) for _, nb, e in sorted(steps, key=lambda s: s[0]))
+    return {t: tuple(sorted(steps, key=lambda s: s[0]))
             for t, steps in adj.items()}
 
 
 def skeleton_adjacency(m: OrientedMatroid):
-    """tope -> tuple of (neighbor, directed edge), sorted by crossed element.
+    """tope -> (crossed element, neighbor, directed edge) triples, by element.
 
     Built once per matroid from its oriented 1-skeleton; every caller
     gets the same dict of tuples, which must not be modified.
@@ -95,74 +97,61 @@ class PositivePath:
 def minimal_positive_paths(m: OrientedMatroid, t: SignVector, s: SignVector):
     """All minimal positive paths t -> s, lexicographic by crossed elements.
 
-    Each returned path has length tope_distance(t, s) and crosses every
-    separating element exactly once; that property is asserted, not
-    assumed.
+    The walk steps only across an element that still separates it from
+    s and then drops that element, so each returned path has length
+    tope_distance(t, s) and crosses every separating element exactly
+    once by construction; a walk that has crossed them all must stand
+    at s.  Steps are taken in the order of their crossed elements, so
+    the paths come out sorted.
     """
     _require_tope(m, t)
     _require_tope(m, s)
     adj = skeleton_adjacency(m)
-    sep = separation_mask(t, s)
-
     out = []
-    stack = [(t, ())]
+    stack = [(t, separation_mask(t, s), ())]
     while stack:
-        cur, edges = stack.pop()
-        if cur == s:
+        cur, left, edges = stack.pop()
+        if not left:
+            if cur != s:
+                raise ConsistencyFailure(
+                    f"path {PositivePath(t, edges)} crosses every element "
+                    f"separating {t} from {s} but ends at {cur}")
             out.append(PositivePath(t, edges))
             continue
-        remaining = separation_mask(cur, s)
-        steps = []
-        for nb, e in adj[cur]:
-            if separation_mask(nb, s).bit_count() == remaining.bit_count() - 1:
-                steps.append((nb, e))
-        for nb, e in reversed(steps):
-            stack.append((nb, edges + (e,)))
-
-    d = sep.bit_count()
-    for p in out:
-        crossed = p.crossed()
-        if len(crossed) != d or len(set(crossed)) != d:
-            raise ConsistencyFailure(f"path {p} repeats a crossing")
-        if any(not (sep >> (e - 1)) & 1 for e in crossed):
-            raise ConsistencyFailure(f"path {p} crosses a non-separating element")
-    out.sort(key=lambda p: p.crossed())
+        for k, nb, e in reversed(adj[cur]):
+            if left >> (k - 1) & 1:
+                stack.append((nb, left ^ 1 << (k - 1), edges + (e,)))
     return out
 
 
 def antipodal_extension_check(m: OrientedMatroid, pairs=None) -> bool:
     """Every minimal positive path t -> s extends to one from t to -t.
 
-    The extension is completed greedily through the remaining separating
-    elements (smallest crossing first); the concatenation is then
-    re-checked to be a minimal positive path.  pairs limits the ordered
-    tope pairs examined (default: all of them).
+    Every such path ends at s and crosses the elements separating t
+    from s, so it extends exactly when a walk from s reaches -t across
+    each of the other elements once.  That walk is taken greedily,
+    smallest crossing first.  pairs limits the ordered tope pairs
+    examined (default: all of them).
     """
     adj = skeleton_adjacency(m)
     tope_list = m.topes()
     if pairs is None:
         pairs = [(t, s) for t in tope_list for s in tope_list if t != s]
     for t, s in pairs:
-        anti = -t
-        if anti not in adj:
+        if -t not in adj:
             return False
-        for path in minimal_positive_paths(m, t, s):
-            cur = s
-            edges = list(path.edges)
-            while cur != anti:
-                rem = separation_mask(cur, anti)
-                step = next(
-                    ((nb, e) for nb, e in adj[cur]
-                     if separation_mask(nb, anti).bit_count() == rem.bit_count() - 1),
-                    None)
-                if step is None:
-                    return False
-                cur = step[0]
-                edges.append(step[1])
-            full = PositivePath(t, tuple(edges))
-            crossed = full.crossed()
-            if len(crossed) != tope_distance(m, t, anti) or len(set(crossed)) != len(crossed):
+        if not minimal_positive_paths(m, t, s):
+            continue
+        cur, left = s, separation_mask(s, -t)
+        while left:
+            step = next(((k, nb) for k, nb, _ in adj[cur]
+                         if left >> (k - 1) & 1), None)
+            if step is None:
                 return False
+            left ^= 1 << (step[0] - 1)
+            cur = step[1]
+        if cur != -t:
+            return False
     return True
 
 

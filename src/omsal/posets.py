@@ -4,12 +4,12 @@ Up-sets and down-sets are bitmasks over element indices, so subset tests
 and transitive reduction are single integer operations even for posets
 with a few hundred elements.  Every poset of the package is closed from
 a cover relation (face, Salvetti and tope posets, flat lattices and .cw
-files) or is the dual of one.  A closure is transitive by
-construction, so only cycles need a check.  A poset
-closed from its covers keeps the generating pairs as its only cover
-candidates, so its covers need no transitive reduction over all
-comparable pairs.  This module is a leaf: it imports nothing from the
-package but its errors.
+files) or is the dual of one.  The generating pairs are kept as masks
+both ways, above and below each element, and one closure closes each
+list, so neither the down-masks nor the dual are derived again; only
+cycles need a check.  The pairs above an element are its only cover
+candidates, and the pairs below it give its height.  This module is a
+leaf: it imports nothing from the package but its errors.
 """
 
 from __future__ import annotations
@@ -25,25 +25,42 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def _close(generated, ascending, once):
+    """Reflexive, transitive closure: each index, in ascending or
+    descending order, takes in the closed masks of its generating bits.
+    One pass closes them when every bit comes earlier in that order
+    (once); otherwise passes repeat until nothing changes."""
+    n = len(generated)
+    closed = [(1 << i) | g for i, g in enumerate(generated)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n) if ascending else range(n - 1, -1, -1):
+            m = closed[i]
+            for j in iter_bits(generated[i]):
+                m |= closed[j]
+            if m != closed[i]:
+                closed[i] = m
+                changed = True
+        changed = changed and not once
+    return closed
+
+
 class FinitePoset:
-    """An explicit finite poset given by reflexive, transitive up-masks.
+    """An explicit finite poset: reflexive, transitive up- and down-masks,
+    and the generating pairs above and below each element.
 
     Build one with FinitePoset.from_covers, which closes a cover
     relation and rejects cycles, or take the dual of one.
     """
 
-    def __init__(self, elements, up_masks):
+    def __init__(self, elements, up, down, above, below):
         self.elements = tuple(elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate poset elements")
-        self._up = list(up_masks)
-        n = len(self.elements)
-        self._down = [0] * n
-        for i in range(n):
-            for j in iter_bits(self._up[i]):
-                self._down[j] |= 1 << i
-        self._cover_candidates = self._up
+        self._up, self._down = up, down
+        self._above, self._below = above, below
         self._covers = None
         self._heights = None
 
@@ -54,44 +71,32 @@ class FinitePoset:
         The pairs are closed reflexively and transitively; a cycle raises
         NotAntisymmetric with the pair (x, y), x <= y <= x, of the lowest
         index x and then the lowest index y.  When every pair points to a
-        higher index (the Salvetti poset) one sweep from the top index
-        down closes them, and when every pair points to a lower index
-        (the face poset) one sweep from the bottom up does.  Any other
-        input is swept from the top down until nothing changes.
+        higher index (the Salvetti poset) one sweep closes the up-masks
+        from the top index down and one closes the down-masks from the
+        bottom up; when every pair points to a lower index (the face
+        poset) the sweeps run the other way.  Any other input is swept
+        until nothing changes.
 
-        Every cover of the closure is a generating pair, so the poset
-        keeps the generating pairs as the only candidates for covers():
-        those (i, j), i != j, with nothing strictly between i and j.
+        Every cover of the closure is a generating pair, so the pairs
+        above each element are the only candidates for covers().
         Duplicates, self pairs and pairs implied by others drop out.
         """
         n = len(elements)
-        up = [1 << i for i in range(n)]
+        above, below = [0] * n, [0] * n
         rising = falling = True
         for a, b in index_cover_pairs:
-            up[a] |= 1 << b
-            rising = rising and a <= b
-            falling = falling and a >= b
-        generated = up[:]
-        # in either one-way order each element's successors close first
-        order = range(n) if falling and not rising else range(n - 1, -1, -1)
-        changed = True
-        while changed:
-            changed = False
-            for i in order:
-                m = up[i]
-                for j in iter_bits(m & ~(1 << i)):
-                    m |= up[j]
-                if m != up[i]:
-                    up[i] = m
-                    changed = True
-            changed = changed and not (rising or falling)
-        poset = cls(elements, up)
+            if a != b:
+                above[a] |= 1 << b
+                below[b] |= 1 << a
+                rising = rising and a < b
+                falling = falling and a > b
+        poset = cls(elements, _close(above, falling, rising or falling),
+                    _close(below, rising, rising or falling), above, below)
         for i in range(n):
             cycle = poset._up[i] & poset._down[i] & ~(1 << i)
             if cycle:
                 j = next(iter_bits(cycle))
                 raise NotAntisymmetric((poset.elements[i], poset.elements[j]))
-        poset._cover_candidates = generated
         return poset
 
     # -- basic queries ----------------------------------------------------
@@ -124,29 +129,30 @@ class FinitePoset:
     def covers(self):
         """Sorted list of index pairs (i, j) with j covering i.
 
-        Only cover candidates are tested, one mask test each: every
-        comparable pair, or the generating pairs of from_covers.
+        Only the pairs above each element are tested, one mask test
+        each: the generating pairs of from_covers, or every comparable
+        pair of a poset given by its relation.
         """
         if self._covers is None:
             out = []
             for i in range(len(self.elements)):
-                strict = self._up[i] & ~(1 << i)
-                for j in iter_bits(self._cover_candidates[i] & strict):
-                    between = strict & (self._down[j] & ~(1 << j))
-                    if not between:
+                for j in iter_bits(self._above[i]):
+                    if not self._up[i] & self._down[j] & ~(1 << i | 1 << j):
                         out.append((i, j))
             self._covers = out
         return self._covers
 
     def heights(self):
-        """Longest-chain height of every element (minimal elements at 0)."""
+        """Longest-chain height of every element (minimal elements at 0),
+        one above the highest of the pairs below it, which hold its covers.
+        """
         if self._heights is None:
             n = len(self.elements)
             h = [0] * n
             order = sorted(range(n), key=lambda i: self._down[i].bit_count())
             for i in order:
-                below = self._down[i] & ~(1 << i)
-                h[i] = max((h[j] + 1 for j in iter_bits(below)), default=0)
+                h[i] = max((h[j] + 1 for j in iter_bits(self._below[i])),
+                           default=0)
             self._heights = h
         return self._heights
 
@@ -161,7 +167,8 @@ class FinitePoset:
         return all(h[j] == h[i] + 1 for i, j in self.covers())
 
     def dual(self) -> "FinitePoset":
-        return FinitePoset(self.elements, self._down)
+        return FinitePoset(self.elements, self._down, self._up,
+                           self._below, self._above)
 
     def comparability_mask(self, i: int) -> int:
         return self._up[i] | self._down[i]

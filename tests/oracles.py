@@ -14,7 +14,9 @@ MH tables ask every (context, vertex, subcell) question afresh, and
 the matrix text dump writes a dense copy of each boundary entry by entry.
 
 The relation scan build_poset is the reference for every poset the
-package closes from covers: it tests leq on every ordered pair.
+package closes from covers: it tests leq on every ordered pair and
+fills the up-masks, the down-masks and the pairs above and below each
+element from that one scan.
 
 The simplicial reference for Salvetti homology lives here too: a
 SimplicialComplex keeps its facets and closes them downward into faces,
@@ -372,18 +374,20 @@ def build_poset(elements, leq) -> FinitePoset:
 
     leq is tested on every ordered pair of distinct elements and closed
     reflexively; it must already be antisymmetric and transitive, since
-    nothing here checks either.
+    nothing here checks either.  Every comparable pair stands in for the
+    generating pairs, above and below each element, and the down-masks
+    come from the same scan, not from the up-masks.
     """
     elements = list(elements)
     n = len(elements)
-    up = [0] * n
+    above, below = [0] * n, [0] * n
     for i, x in enumerate(elements):
-        m = 1 << i
         for j, y in enumerate(elements):
             if i != j and leq(x, y):
-                m |= 1 << j
-        up[i] = m
-    return FinitePoset(elements, up)
+                above[i] |= 1 << j
+                below[j] |= 1 << i
+    return FinitePoset(elements, [a | 1 << i for i, a in enumerate(above)],
+                       [b | 1 << i for i, b in enumerate(below)], above, below)
 
 
 def dense_boundary_matrix(chain, k):
@@ -589,7 +593,7 @@ def tope_graph_distances(m: OrientedMatroid):
         while frontier:
             nxt = []
             for u in frontier:
-                for v, _ in adj[u]:
+                for _, v, _ in adj[u]:
                     if v not in d:
                         d[v] = d[u] + 1
                         nxt.append(v)

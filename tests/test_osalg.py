@@ -137,6 +137,14 @@ def test_nbc_counts_ignore_the_order(om):
     assert nbc_sets(u23(), (3, 2, 1)).broken_circuits == (frozenset({1, 2}),)
 
 
+@pytest.mark.parametrize("spec, count", [("generic:5:3", 4), ("nonpappus", 53)])
+def test_broken_circuits_are_listed_once(spec, count, om):
+    # 5 and 86 circuits: several break to the same set
+    tab = nbc_sets(flats_from_covectors(om(spec)))
+    assert len(set(tab.broken_circuits)) == len(tab.broken_circuits) == count
+    assert set(tab.broken_circuits) == {c - {min(c)} for c in tab.circuits}
+
+
 def test_nbc_rejects_non_permutations():
     with pytest.raises(ValueError):
         nbc_sets(u23(), (1, 2))

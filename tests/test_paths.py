@@ -146,8 +146,8 @@ def test_tope_arguments_are_checked(om):
 def test_adjacency_sorted_by_crossing(om):
     m = om("boolean:3")
     adj = skeleton_adjacency(m)
-    nbrs = [str(nb) for nb, _ in adj[sv("+++")]]
-    assert nbrs == ["-++", "+-+", "++-"]
+    steps = [(k, str(nb)) for k, nb, _ in adj[sv("+++")]]
+    assert steps == [(1, "-++"), (2, "+-+"), (3, "++-")]
 
 
 @pytest.mark.parametrize("normals, named", [
@@ -192,6 +192,35 @@ def test_cached_adjacency_equals_fresh(spec, om):
     assert skeleton_adjacency(m) is adj
     assert all(isinstance(nbrs, tuple) for nbrs in adj.values())
     assert adj == skeleton_adjacency(OrientedMatroid(m.n, m.covectors))
+
+
+def test_one_separation_mask_per_walk(om, monkeypatch):
+    # the walk carries the elements still to cross; it derives none again
+    m = om("generic:5:3")
+    t = m.topes()[0]
+    skeleton_adjacency(m)
+    calls = []
+    real = paths.separation_mask
+
+    def counted(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(paths, "separation_mask", counted)
+    found = minimal_positive_paths(m, t, -t)
+    assert len(found) > 1 and calls == [(t, -t)]
+
+
+def test_walk_that_misses_its_target_is_inconsistent(om, monkeypatch):
+    # an adjacency whose step across element 2 lands on the wrong tope
+    m = om("boolean:2")
+    adj = dict(skeleton_adjacency(m))
+    adj[sv("++")] = tuple((k, sv("-+") if k == 2 else nb, e)
+                          for k, nb, e in adj[sv("++")])
+    monkeypatch.setattr(paths, "skeleton_adjacency", lambda _: adj)
+    assert len(minimal_positive_paths(m, sv("++"), sv("-+"))) == 1
+    with pytest.raises(ConsistencyFailure, match="ends at -\\+"):
+        minimal_positive_paths(m, sv("++"), sv("+-"))
 
 
 @pytest.mark.parametrize("spec", SMALL + ["generic:5:3"])

@@ -3,9 +3,11 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import build_poset, homology, order_complex
 
+from omsal import posets
 from omsal.errors import NotAntisymmetric
 from omsal.posets import FinitePoset, is_lattice, iter_bits
 
@@ -131,6 +133,91 @@ def test_dual_swaps_relations():
     dd = d.dual()
     assert all(dd.leq(x, y) == p.leq(x, y)
                for x in p.elements for y in p.elements)
+
+
+def _mask_lists(p):
+    return p._up, p._down, p._above, p._below
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_chain_closes_in_linear_bits_and_dual_is_free(step, monkeypatch):
+    # each mask list is closed in one sweep over the generating pairs
+    n = 200
+    yielded = []
+    real = posets.iter_bits
+
+    def counted(mask):
+        for j in real(mask):
+            yielded.append(j)
+            yield j
+
+    monkeypatch.setattr(posets, "iter_bits", counted)
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    p = FinitePoset.from_covers(range(n), pairs if step > 0 else
+                                [(b, a) for a, b in pairs])
+    assert len(yielded) <= 2 * n
+    low, high = (0, n - 1) if step > 0 else (n - 1, 0)
+    assert p.up_mask(low) == p.down_mask(high) == (1 << n) - 1
+    yielded.clear()
+    assert _mask_lists(p.dual().dual()) == _mask_lists(p)
+    assert not yielded
+
+
+@st.composite
+def pair_lists(draw):
+    """(n, pairs) on n <= 8 indices: all rising, all falling, mixed but
+    rising in a hidden order of the indices (so acyclic), or arbitrary."""
+    n = draw(st.integers(1, 8))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=16))
+    order = draw(st.sampled_from(["rising", "falling", "hidden", "any"]))
+    if order == "rising":
+        pairs = [(min(p), max(p)) for p in pairs]
+    elif order == "falling":
+        pairs = [(max(p), min(p)) for p in pairs]
+    elif order == "hidden":
+        perm = draw(st.permutations(range(n)))
+        pairs = [(perm[min(p)], perm[max(p)]) for p in pairs]
+    return n, pairs
+
+
+def _reach(n, pairs):
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in pairs:
+        reach[a][b] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    return reach
+
+
+def _poset_view(p):
+    n = len(p)
+    return ([p.up_mask(i) for i in range(n)], [p.down_mask(i) for i in range(n)],
+            p.covers(), p.heights())
+
+
+@settings(derandomize=True, max_examples=300)
+@given(pair_lists())
+def test_from_covers_equals_the_relation_scan(case):
+    n, pairs = case
+    elements = "abcdefgh"[:n]
+    reach = _reach(n, pairs)
+    on_cycle = [[i != j and reach[i][j] and reach[j][i] for j in range(n)]
+                for i in range(n)]
+    if any(map(any, on_cycle)):
+        # the lowest element on a cycle, then the lowest one on a cycle with it
+        x = next(i for i in range(n) if any(on_cycle[i]))
+        y = on_cycle[x].index(True)
+        with pytest.raises(NotAntisymmetric) as info:
+            FinitePoset.from_covers(elements, pairs)
+        assert info.value.witness == (elements[x], elements[y])
+        return
+    p = FinitePoset.from_covers(elements, pairs)
+    q = build_poset(elements, lambda a, b: reach[elements.index(a)][elements.index(b)])
+    assert _poset_view(p) == _poset_view(q)
+    assert _poset_view(p.dual()) == _poset_view(q.dual())
 
 
 def test_chains_of_b2():

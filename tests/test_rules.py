@@ -1,7 +1,7 @@
 """The rules every change keeps: standard-library imports only, no
 floats, the module layering, no stale names in the package exports, no
-public name that only the tests read, one bit iterator, and no unused
-imports."""
+public name that only the tests read, one bit iterator, posets built
+only from their covers, and no unused imports."""
 
 import ast
 import sys
@@ -118,6 +118,23 @@ def test_one_bit_iterator():
     assert not {name: found for name, found in uses.items() if found}
     assert _lowest_bit_uses(ast.parse("def f(m):\n    return (m & -m).bit_length()\n")) \
         == [("f", 2)]
+
+
+def _calls_of(tree, name):
+    """Lines of every call to name, bare or as a module attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
+def test_posets_built_only_from_covers():
+    # outside posets.py a FinitePoset comes from from_covers or dual()
+    calls = {path.name: _calls_of(ast.parse(path.read_text()), "FinitePoset")
+             for path in sorted(SRC.glob("*.py")) if path.name != "posets.py"}
+    assert not {name: found for name, found in calls.items() if found}
+    assert _calls_of(ast.parse(
+        "p = FinitePoset.from_covers(e, c)\nq = posets.FinitePoset(e, u, d, a, b)\n"
+        "r = FinitePoset(e, u, d, a, b)\n"), "FinitePoset") == [2, 3]
 
 
 def _unused_imports(tree):
