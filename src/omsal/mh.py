@@ -18,6 +18,12 @@ them together), so only the nearest map needs a search.  Its constraints
 never couple different (vertex, target-cell) pairs, hence a consistent
 choice exists iff the candidate sets for each pair have a common member;
 the checker intersects them and reports the first empty intersection.
+
+Each (vertex, cell) question is answered once per metric.  A closed
+cell whose local table equals the 1-skeleton metric on its vertices
+shares the global answers; on the dual and Salvetti complexes of an
+oriented matroid every closed cell does (the topes above a covector are
+T-convex, BLSWZ 4.2), so only other cells need answers of their own.
 """
 
 from __future__ import annotations
@@ -135,7 +141,8 @@ class CWPoset:
 def cw_from_covers(cells, covers) -> CWPoset:
     """Build a CWPoset from (label, dim) pairs and covering (face, cell) pairs.
 
-    The cover relation is closed transitively; labels must be unique.
+    The cover relation is closed transitively; labels must be unique,
+    and no cell covers itself.
     """
     cells = list(cells)
     labels = [c for c, _ in cells]
@@ -146,7 +153,10 @@ def cw_from_covers(cells, covers) -> CWPoset:
     for face, cell in covers:
         if face not in index or cell not in index:
             raise ConsistencyFailure(f"cover ({face}, {cell}) names unknown cells")
-        pairs.append((index[face], index[cell]))
+        i, j = index[face], index[cell]
+        if i == j:
+            raise ConsistencyFailure(f"cell {face} covers itself")
+        pairs.append((i, j))
     poset = FinitePoset.from_covers(labels, pairs)
     return CWPoset(poset, [d for _, d in cells])
 
@@ -189,7 +199,7 @@ def skeleton_distances(q: CWPoset) -> SkeletonDistances:
             glob[(labels[i], labels[j])] = row[j]
     loc = {}
     for ci, cell in enumerate(q.poset.elements):
-        table = a.local_dist(ci)
+        table, _ = a.local_metric(ci)
         out = {}
         for s, row in table.items():
             for t, d in row.items():
@@ -224,26 +234,50 @@ class MHReport:
 
 
 class _Analysis:
-    """Distance tables shared by the three checks."""
+    """Distance tables and answers shared by the three checks.
+
+    A metric is a pair (dget, answers): dget reads hop counts, and
+    answers is a per-vertex memo {kslots: (lo, hi)} that answer(), the
+    one caller of _omega_pair, fills.  glob is the 1-skeleton's metric.
+    local_metric compares each kept local table once with the global
+    distances on its vertices.  _omega_pair reads only distances among
+    the vertex and the cell's vertices, all in that set, so an isometric
+    table takes glob as its metric: equal distances give equal answers.
+    Any other table gets a memo of its own.
+    """
 
     def __init__(self, q: CWPoset):
         self.q = q
         self.dist = [_bfs(q._adj, s) for s in range(len(q._adj))]
+        self.glob = (self.global_get, [{} for _ in self.dist])
         self._local = {}
 
     def global_get(self, a, b):
         d = self.dist[a][b]
         return d if d >= 0 else None
 
-    def local_dist(self, ctx: int) -> dict:
-        """Hop counts inside the closure of the cell at poset index ctx.
+    def answer(self, metric, v, k):
+        """(lo, hi) for vertex slot v and cell k under metric, asked once."""
+        dget, answers = metric
+        kslots = self.q._cell_vslots[k]
+        memo = answers[v]
+        pair = memo.get(kslots)
+        if pair is None:
+            pair = memo[kslots] = _omega_pair(v, kslots, dget)
+        return pair
+
+    def local_metric(self, ctx: int):
+        """(table, metric) of the closure of the cell at poset index ctx,
+        where table holds the hop counts inside that closure.
 
         Keyed by the subgraph itself so that closed cells with identical
-        1-skeleta share one table: the top cells of a doubled complex, and
-        every Salvetti cell [X, T] over the same covector X.  The table
-        returned is the one kept here, so a caller may key work on it:
-        _local_tables walks each (table, subcell) pair once, which is exact
-        because a second walk would repeat the same idempotent update.
+        1-skeleta share one table and one metric: the top cells of a
+        doubled complex, and every Salvetti cell [X, T] over the same
+        covector X.  The pair returned is the one kept here, so a caller
+        may key work on the table: _local_tables walks each (table,
+        subcell) pair once, which is exact because a second walk would
+        repeat the same idempotent update.  metric is glob when the
+        table is isometric.
         """
         q = self.q
         below = q.poset.down_mask(ctx)
@@ -251,8 +285,8 @@ class _Analysis:
         pairs = tuple(sorted(q._edge_ends[j] for j in iter_bits(below)
                              if q.dims[j] == 1))
         key = (vsl, pairs)
-        table = self._local.get(key)
-        if table is None:
+        kept = self._local.get(key)
+        if kept is None:
             adj = {s: set() for s in vsl}
             for a, b in pairs:
                 adj[a].add(b)
@@ -269,8 +303,26 @@ class _Analysis:
                             dist[w] = du
                             dq.append(w)
                 table[s] = dist
-            self._local[key] = table
-        return table
+            if _isometric(table, self.dist):
+                metric = self.glob
+            else:
+                metric = (lambda x, y: table[x].get(y),
+                          [{} for _ in self.dist])
+            kept = self._local[key] = (table, metric)
+        return kept
+
+
+def _isometric(table, dist):
+    """Whether a local table holds the global hop count of every pair of
+    its vertices (a pair unreachable inside the cell never does)."""
+    for s, row in table.items():
+        if len(row) != len(table):
+            return False
+        ds = dist[s]
+        for t, d in row.items():
+            if ds[t] != d:
+                return False
+    return True
 
 
 def _omega_pair(vslot, kslots, dget):
@@ -311,14 +363,8 @@ def _global_tables(a: _Analysis):
     lo_tab = {}
     hi_tab = {}
     for v in range(len(labels)):
-        # cells with the same vertex set ask v the same question
-        answers = {}
         for ci in range(len(q.poset.elements)):
-            kslots = q._cell_vslots[ci]
-            pair = answers.get(kslots)
-            if pair is None:
-                pair = answers[kslots] = _omega_pair(v, kslots, a.global_get)
-            lo, hi = pair
+            lo, hi = a.answer(a.glob, v, ci)
             if hi is None:
                 return (MHCheck(False, (labels[v], q.poset.elements[ci], 3)),
                         None, None)
@@ -336,8 +382,11 @@ def _local_tables(a: _Analysis):
     common forced farthest vertex with the first context that set it.
 
     The answers under a context depend only on its local table, the
-    vertex and the subcell's vertex slots, so a (table, subcell) pair
-    already walked under an earlier context is skipped.  That is exact:
+    vertex and the subcell's vertex slots.  They are read from the
+    table's metric, which is the global one when the table is
+    isometric, so after _global_tables every question a matroid complex
+    asks here is already answered.  A (table, subcell) pair already
+    walked under an earlier context is skipped.  That is exact:
     repeating it would set the same hi for the same keys and intersect
     each lo_intersections entry with a set that already contains it.
     Contexts are still walked in index order, so the first failing
@@ -350,15 +399,14 @@ def _local_tables(a: _Analysis):
     hi_seen = {}
     walked = {}  # id of a table kept by a -> mask of subcells walked under it
     for ctx in range(len(elements)):
-        table = a.local_dist(ctx)
-        dget = lambda x, y: table[x].get(y)
+        table, metric = a.local_metric(ctx)
         done = walked.get(id(table), 0)
         todo = q.poset.down_mask(ctx) & ~done
         walked[id(table)] = done | todo
         subcells = list(iter_bits(todo))
         for v in q._cell_vslots[ctx]:
             for k in subcells:
-                lo, hi = _omega_pair(v, q._cell_vslots[k], dget)
+                lo, hi = a.answer(metric, v, k)
                 if hi is None:
                     return (MHCheck(False,
                                     ("local", elements[ctx], labels[v],
@@ -373,15 +421,15 @@ def _local_tables(a: _Analysis):
                                (elements[seen[1]], labels[seen[0]]),
                                (elements[ctx], labels[hi]))
                     return MHCheck(False, witness), None, None
-                cur = lo_inter.get(key)
-                if cur is None:
-                    lo_inter[key] = lo
-                elif not (cur & lo):
-                    witness = ("lower", labels[v], elements[k],
-                               _lower_constraints(a, v, k))
-                    return MHCheck(False, witness), None, None
-                else:
-                    lo_inter[key] = cur & lo
+                # a shared answer hands out the same set again
+                cur = lo_inter.get(key, lo)
+                if cur is not lo:
+                    cur = cur & lo
+                    if not cur:
+                        witness = ("lower", labels[v], elements[k],
+                                   _lower_constraints(a, v, k))
+                        return MHCheck(False, witness), None, None
+                lo_inter[key] = cur
     return MHCheck(True, None), lo_inter, hi_seen
 
 
@@ -394,9 +442,7 @@ def _lower_constraints(a: _Analysis, v, k):
     for ctx in range(len(q.poset.elements)):
         if not (q.poset.down_mask(ctx) & kmask) or v not in q._cell_vslots[ctx]:
             continue
-        table = a.local_dist(ctx)
-        dget = lambda x, y: table[x].get(y)
-        lo, _ = _omega_pair(v, q._cell_vslots[k], dget)
+        lo, _ = a.answer(a.local_metric(ctx)[1], v, k)
         out.append((q.poset.elements[ctx],
                     tuple(labels[s] for s in sorted(lo))))
     return tuple(out)
@@ -429,57 +475,63 @@ def mh_check(q: CWPoset) -> MHReport:
     labels = q.vertex_labels()
     elements = q.poset.elements
 
-    def global_only_tables():
-        if not qmh.passed:
-            return None
-        lower = {(labels[v], elements[ci]): labels[min(s)]
-                 for (v, ci), s in glob_lo.items()}
-        upper = {(labels[v], elements[ci]): labels[w]
-                 for (v, ci), w in glob_hi.items()}
+    def tables(narrowed):
+        lower = {}
+        upper = {}
+        for vk, s in glob_lo.items():
+            v, ci = vk
+            key = (labels[v], elements[ci])
+            lower[key] = labels[min(narrowed.get(vk, s))]
+            upper[key] = labels[glob_hi[vk]]
         return {"lower": lower, "upper": upper}
 
     if not (qmh.passed and lmh.passed):
         witness = qmh.witness if not qmh.passed else lmh.witness
         return MHReport(qmh, lmh, MHCheck(False, witness),
-                        global_only_tables())
+                        tables({}) if qmh.passed else None)
 
-    chosen = {}
+    # a local intersection that is still the global answer itself needs
+    # no new set, and only a failure needs the keys in sorted order
+    narrowed = {}
+    for vk, (hi_local, _) in loc_hi.items():
+        full = loc_inter[vk]
+        if full is not glob_lo[vk]:
+            full = narrowed[vk] = glob_lo[vk] & full
+        if glob_hi[vk] != hi_local or not full:
+            break
+    else:
+        _check_local_global_metric(a)
+        return MHReport(qmh, lmh, MHCheck(True, None), tables(narrowed))
+
     for (v, k) in sorted(loc_hi):
         hi_local, ctx = loc_hi[(v, k)]
         if glob_hi[(v, k)] != hi_local:
             witness = ("upper", labels[v], elements[k],
                        ("global", labels[glob_hi[(v, k)]]),
                        (elements[ctx], labels[hi_local]))
-            return MHReport(qmh, lmh, MHCheck(False, witness),
-                            global_only_tables())
-        full = glob_lo[(v, k)] & loc_inter[(v, k)]
-        if not full:
+            break
+        if not glob_lo[(v, k)] & loc_inter[(v, k)]:
             witness = ("lower", labels[v], elements[k],
                        (("global",
                          tuple(labels[s] for s in sorted(glob_lo[(v, k)]))),)
                        + _lower_constraints(a, v, k))
-            return MHReport(qmh, lmh, MHCheck(False, witness),
-                            global_only_tables())
-        chosen[(v, k)] = min(full)
-
-    _check_local_global_metric(a)
-    lower = {}
-    for (v, ci), s in glob_lo.items():
-        pick = chosen.get((v, ci))
-        lower[(labels[v], elements[ci])] = labels[pick if pick is not None
-                                                  else min(s)]
-    upper = {(labels[v], elements[ci]): labels[w]
-             for (v, ci), w in glob_hi.items()}
-    return MHReport(qmh, lmh, MHCheck(True, None),
-                    {"lower": lower, "upper": upper})
+            break
+    return MHReport(qmh, lmh, MHCheck(False, witness), tables({}))
 
 
 def _check_local_global_metric(a: _Analysis):
-    """Within-cell hop counts must equal global ones on a full pass."""
+    """Within-cell hop counts must equal global ones on a full pass.
+
+    local_metric compared every kept table with the global distances
+    once, so only the tables it found non-isometric are scanned here,
+    in context order, for the first pair that differs.
+    """
     q = a.q
     labels = q.vertex_labels()
     for ctx in range(len(q.poset.elements)):
-        table = a.local_dist(ctx)
+        table, metric = a.local_metric(ctx)
+        if metric is a.glob:
+            continue
         for s, row in table.items():
             for t in q._cell_vslots[ctx]:
                 if row.get(t) != a.dist[s][t]:

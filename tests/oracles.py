@@ -542,7 +542,7 @@ def local_tables_unshared(a):
     lo_inter = {}
     hi_seen = {}
     for ctx in range(len(elements)):
-        table = a.local_dist(ctx)
+        table, _ = a.local_metric(ctx)
         dget = lambda x, y: table[x].get(y)
         subcells = list(iter_bits(q.poset.down_mask(ctx)))
         for v in q._cell_vslots[ctx]:

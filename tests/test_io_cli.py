@@ -211,6 +211,8 @@ def test_cw_parse_errors():
                         "cover a e\n")
     with pytest.raises(ParseError, match=r"<input>: face a \(dim 0\) under e"):
         fileio.parse_cw("cell a dim 0\ncell e dim 0\ncover a e\n")
+    with pytest.raises(ParseError, match="<input>: cell e covers itself"):
+        fileio.parse_cw("cell e dim 0\ncover e e\n")
 
 
 def test_cw_emit_rejects_unwritable_labels():
@@ -612,6 +614,17 @@ def test_cli_malformed_cw_is_bad_input(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith(f"ParseError: {bad}: face a (dim 0)")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_cli_self_cover_in_cw_is_bad_input(tmp_path):
+    bad = tmp_path / "loop.cw"
+    bad.write_text("cell e dim 0\ncover e e\n")
+    proc = subprocess.run([sys.executable, "-m", "omsal", "mh-check", "--in",
+                           str(bad)], capture_output=True, text=True,
+                          cwd=str(Path(__file__).parent.parent))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"ParseError: {bad}: cell e covers itself\n"
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_complex_with_cw_input_is_bad_input(tmp_path):

@@ -1,7 +1,8 @@
 """The rules every change keeps: standard-library imports only, no
 floats, the module layering, no stale names in the package exports, no
 public name that only the tests read, one bit iterator, posets built
-only from their covers, and no unused imports."""
+only from their covers, one place that asks an MH question, and no
+unused imports."""
 
 import ast
 import sys
@@ -135,6 +136,37 @@ def test_posets_built_only_from_covers():
     assert _calls_of(ast.parse(
         "p = FinitePoset.from_covers(e, c)\nq = posets.FinitePoset(e, u, d, a, b)\n"
         "r = FinitePoset(e, u, d, a, b)\n"), "FinitePoset") == [2, 3]
+
+
+def _enclosing_scopes_of_calls(tree, name):
+    """The dotted class and function scope of every call to name, bare
+    or as an attribute, in source order."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "id", getattr(node.func, "attr", None)) == name:
+            out.append(".".join(scope))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return out
+
+
+def test_one_place_asks_an_mh_question():
+    # every route to an (lo, hi) answer goes through the per-metric memo
+    calls = {path.name: _enclosing_scopes_of_calls(ast.parse(path.read_text()),
+                                                   "_omega_pair")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == \
+        {"mh.py": ["_Analysis.answer"]}
+    assert _enclosing_scopes_of_calls(ast.parse(
+        "class A:\n    def answer(self):\n        return _omega_pair(1)\n"
+        "def f(a):\n    return a.answer() or mh._omega_pair(2)\n"),
+        "_omega_pair") == ["A.answer", "f"]
 
 
 def _unused_imports(tree):
