@@ -421,7 +421,8 @@ def _local_tables(a: _Analysis):
                                (elements[seen[1]], labels[seen[0]]),
                                (elements[ctx], labels[hi]))
                     return MHCheck(False, witness), None, None
-                # a shared answer hands out the same set again
+                # a shared answer hands out the same set again, which
+                # leaves the intersection as it is; any other set narrows it
                 cur = lo_inter.get(key, lo)
                 if cur is not lo:
                     cur = cur & lo
@@ -490,32 +491,32 @@ def mh_check(q: CWPoset) -> MHReport:
         return MHReport(qmh, lmh, MHCheck(False, witness),
                         tables({}) if qmh.passed else None)
 
-    # a local intersection that is still the global answer itself needs
-    # no new set, and only a failure needs the keys in sorted order
+    # a local intersection that is still the global answer itself leaves
+    # it as it is, so only other sets are intersected; the smallest
+    # failing key names the failure
     narrowed = {}
+    failed = None
     for vk, (hi_local, _) in loc_hi.items():
         full = loc_inter[vk]
         if full is not glob_lo[vk]:
             full = narrowed[vk] = glob_lo[vk] & full
         if glob_hi[vk] != hi_local or not full:
-            break
-    else:
+            failed = vk if failed is None else min(failed, vk)
+    if failed is None:
         _check_local_global_metric(a)
         return MHReport(qmh, lmh, MHCheck(True, None), tables(narrowed))
 
-    for (v, k) in sorted(loc_hi):
-        hi_local, ctx = loc_hi[(v, k)]
-        if glob_hi[(v, k)] != hi_local:
-            witness = ("upper", labels[v], elements[k],
-                       ("global", labels[glob_hi[(v, k)]]),
-                       (elements[ctx], labels[hi_local]))
-            break
-        if not glob_lo[(v, k)] & loc_inter[(v, k)]:
-            witness = ("lower", labels[v], elements[k],
-                       (("global",
-                         tuple(labels[s] for s in sorted(glob_lo[(v, k)]))),)
-                       + _lower_constraints(a, v, k))
-            break
+    v, k = failed
+    hi_local, ctx = loc_hi[failed]
+    if glob_hi[failed] != hi_local:
+        witness = ("upper", labels[v], elements[k],
+                   ("global", labels[glob_hi[failed]]),
+                   (elements[ctx], labels[hi_local]))
+    else:
+        witness = ("lower", labels[v], elements[k],
+                   (("global",
+                     tuple(labels[s] for s in sorted(glob_lo[failed]))),)
+                   + _lower_constraints(a, v, k))
     return MHReport(qmh, lmh, MHCheck(False, witness), tables({}))
 
 

@@ -1,7 +1,7 @@
 """Small CW complexes for the metric checks, and their .cw text.
 
-cw_polygon and cw_octagon_chords build the standalone CW inputs of the
-MH tests; emit_cw writes any CWPoset in the format that
+cw_polygon, cw_octagon_chords and cw_octagon_pair build the standalone
+CW inputs of the MH tests; emit_cw writes any CWPoset in the format that
 omsal.fileio.parse_cw reads, for round trips and for the .cw input of
 the CLI tests and the CLI transcript.
 """
@@ -49,6 +49,23 @@ def cw_octagon_chords(trapezoid: bool) -> CWPoset:
     if trapezoid:
         cells.append(("trap", 2))
         covers += [(e, "trap") for e in ("e12", "e23", "e34", "c14")]
+    return cw_from_covers(cells, covers)
+
+
+def cw_octagon_pair() -> CWPoset:
+    """Two copies of cw_octagon_chords(False) joined by an edge from v5
+    to wv1.  The copy whose labels carry a 'w' has the first vertices
+    but the last cells, so its failures are found after the other's
+    while its (vertex, cell) keys are the smaller ones."""
+    q = cw_octagon_chords(False)
+    elements, dims = q.poset.elements, q.dims
+    vertices = [x for x, d in zip(elements, dims) if d == 0]
+    rest = [(x, d) for x, d in zip(elements, dims) if d > 0]
+    cells = [("w" + x, 0) for x in vertices] + [(x, 0) for x in vertices]
+    cells += rest + [("w" + x, d) for x, d in rest] + [("bridge", 1)]
+    covers = [(elements[i], elements[j]) for i, j in q.poset.covers()]
+    covers += [("w" + a, "w" + b) for a, b in covers]
+    covers += [("v5", "bridge"), ("wv1", "bridge")]
     return cw_from_covers(cells, covers)
 
 

@@ -18,7 +18,8 @@ from omsal.mh import (
 )
 from omsal.paths import tope_distance
 
-from cw_complexes import cw_octagon_chords, cw_polygon
+import oracles
+from cw_complexes import cw_octagon_chords, cw_octagon_pair, cw_polygon
 from oracles import global_tables_unshared, local_tables_unshared, skeleton_is_bipartite
 
 
@@ -241,6 +242,7 @@ CW_EXAMPLES = {
     "polygon8": lambda: cw_polygon(8),
     "octagon": lambda: cw_octagon_chords(False),
     "octagon-trapezoid": lambda: cw_octagon_chords(True),
+    "octagon-pair": cw_octagon_pair,
 }
 CW_EXAMPLES.update({f"{name}-doubled": (lambda build=build: doubled(build()))
                     for name, build in list(CW_EXAMPLES.items())})
@@ -339,6 +341,68 @@ def test_shared_answers_equal_the_unshared_oracle(q):
     assert _outcome(q) == _unshared_outcome(q)
 
 
+# -- the lower checks, under answers that no upper check can refuse ------------
+#
+# With real answers no complex of dimension two reaches a lower witness: a
+# vertex of a 2-cell is its own nearest vertex, and an edge's nearest end is
+# the one its farthest end is not, so a lower conflict always comes with an
+# upper one, which is reported first.  nearest_and_last reads the same
+# distances as _omega_pair, so a shared answer is still exact under it, but
+# it names the cell's last vertex as the farthest one: the upper checks all
+# pass and the nearest sets decide.
+
+_omega_pair = mh._omega_pair
+
+
+def nearest_and_last(vslot, kslots, dget):
+    lo, _ = _omega_pair(vslot, kslots, dget)
+    return lo, (kslots[-1] if lo else None)
+
+
+@pytest.fixture
+def nearest_and_last_answers(monkeypatch):
+    monkeypatch.setattr(mh, "_omega_pair", nearest_and_last)
+    monkeypatch.setattr(oracles, "_omega_pair", nearest_and_last)
+
+
+# the lmh route pits two contexts against each other, the mh route the
+# global nearest set against the local intersection
+LOWER_WITNESSES = {
+    "octagon": ("mh", ("lower", "v1", "e34", (("global", ("v4",)),
+                                              ("oct", ("v3",))))),
+    "octagon-doubled": ("mh", ("lower", "v1", "e34", (
+        ("global", ("v4",)), ("oct", ("v3",)), ("oct'", ("v3",))))),
+    # both copies fail; the one with the smaller keys is named
+    "octagon-pair": ("mh", ("lower", "wv1", "we34", (
+        ("global", ("wv4",)), ("woct", ("wv3",))))),
+    "octagon-trapezoid": ("lmh", ("lower", "v1", "e34", (
+        ("oct", ("v3",)), ("trap", ("v4",))))),
+    "octagon-trapezoid-doubled": ("lmh", ("lower", "v1", "e34", (
+        ("oct", ("v3",)), ("oct'", ("v3",)), ("trap", ("v4",)),
+        ("trap'", ("v4",))))),
+}
+
+
+@pytest.mark.parametrize("name", LOWER_WITNESSES)
+def test_lower_witnesses_equal_the_unshared_tables(nearest_and_last_answers,
+                                                   name):
+    route, witness = LOWER_WITNESSES[name]
+    q = CW_EXAMPLES[name]()
+    rep = mh_check(q)
+    assert rep.qmh.passed and rep.lmh.passed == (route == "mh")
+    assert rep.mh.witness == witness
+    assert rep == _unshared_outcome(q)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(chorded_polygons())
+def test_lower_checks_equal_the_unshared_oracle(q):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mh, "_omega_pair", nearest_and_last)
+        mp.setattr(oracles, "_omega_pair", nearest_and_last)
+        assert _outcome(q) == _unshared_outcome(q)
+
+
 def test_omega_pair_calls_on_nonpappus(om, monkeypatch):
     calls = []
     stage_calls = {"_global_tables": [], "_local_tables": []}
@@ -408,3 +472,10 @@ def test_octagon_keeps_a_table_of_its_own(trapezoid):
     with pytest.raises(ConsistencyFailure, match="cell oct: distance 3 "
                        "between v1 and v4 differs from the global 1"):
         mh._check_local_global_metric(a)
+
+
+def test_first_failing_key_names_the_failure():
+    # the copy walked second holds the smallest failing (vertex, cell) key
+    rep = mh_check(cw_octagon_pair())
+    assert rep.mh.witness == ("upper", "wv1", "we34", ("global", "wv3"),
+                              ("woct", "wv4"))
