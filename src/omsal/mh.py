@@ -20,7 +20,7 @@ choice exists iff the candidate sets for each pair have a common member;
 the checker intersects them and reports the first empty intersection.
 
 Each (vertex, cell) question is answered once per metric.  A closed
-cell whose local table equals the 1-skeleton metric on its vertices
+cell whose distance rows equal the 1-skeleton metric on its vertices
 shares the global answers; on the dual and Salvetti complexes of an
 oriented matroid every closed cell does (the topes above a covector are
 T-convex, BLSWZ 4.2), so only other cells need answers of their own.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ConsistencyFailure, Disconnected, EmptyInput
@@ -189,22 +190,14 @@ def skeleton_distances(q: CWPoset) -> SkeletonDistances:
     """
     a = _Analysis(q)
     labels = q.vertex_labels()
-    nv = len(labels)
-    glob = {}
-    for i in range(nv):
-        row = a.dist[i]
-        for j in range(nv):
-            if row[j] < 0:
-                raise Disconnected((labels[i], labels[j]))
-            glob[(labels[i], labels[j])] = row[j]
+    glob = {(labels[s], labels[t]): d
+            for s, row in enumerate(a.dist) for t, d in enumerate(row)}
     loc = {}
-    for ci, cell in enumerate(q.poset.elements):
-        table, _ = a.local_metric(ci)
-        out = {}
-        for s, row in table.items():
-            for t, d in row.items():
-                out[(labels[s], labels[t])] = d
-        loc[cell] = out
+    for ctx, c in enumerate(a.contexts):
+        vsl = q._cell_vslots[ctx]
+        loc[q.poset.elements[ctx]] = {
+            (labels[s], labels[t]): c.rows[s][t]
+            for s in vsl for t in vsl if c.rows[s][t] >= 0}
     return SkeletonDistances(glob, loc)
 
 
@@ -233,125 +226,100 @@ class MHReport:
                           line("mh", self.mh)))
 
 
-class _Analysis:
-    """Distance tables and answers shared by the three checks.
+class _Context(NamedTuple):
+    """A closed cell as a context of the local checks."""
+    rows: dict     # vertex slot of the cell -> _bfs row inside the closure
+    metric: tuple  # the _Analysis.glob when rows agree with it on the cell
+    todo: int      # mask of subcells no earlier context with these rows walked
 
-    A metric is a pair (dget, answers): dget reads hop counts, and
-    answers is a per-vertex memo {kslots: (lo, hi)} that answer(), the
-    one caller of _omega_pair, fills.  glob is the 1-skeleton's metric.
-    local_metric compares each kept local table once with the global
-    distances on its vertices.  _omega_pair reads only distances among
-    the vertex and the cell's vertices, all in that set, so an isometric
-    table takes glob as its metric: equal distances give equal answers.
-    Any other table gets a memo of its own.
+
+def _one_skeleton(q: CWPoset, ctx: int):
+    """Vertex slots and sorted edge ends of the closure of cell ctx."""
+    below = q.poset.down_mask(ctx)
+    return q._cell_vslots[ctx], tuple(sorted(
+        q._edge_ends[j] for j in iter_bits(below) if q.dims[j] == 1))
+
+
+class _Analysis:
+    """Distance rows and answers shared by the three checks.
+
+    A metric is a pair (rows, answers): rows[s][t] is the hop count from
+    vertex slot s to t, -1 when t is not reached, and answers is a
+    per-vertex memo {kslots: (lo, hi)} that answer(), the one caller of
+    _omega_pair, fills.  glob is the 1-skeleton's metric.  _omega_pair
+    reads only distances among the vertex and the cell's vertices, so a
+    closed cell whose rows equal the global ones on its vertices takes
+    glob as its metric: equal distances give equal answers.
     """
 
     def __init__(self, q: CWPoset):
         self.q = q
         self.dist = [_bfs(q._adj, s) for s in range(len(q._adj))]
-        self.glob = (self.global_get, [{} for _ in self.dist])
-        self._local = {}
-
-    def global_get(self, a, b):
-        d = self.dist[a][b]
-        return d if d >= 0 else None
+        self.glob = (self.dist, [{} for _ in self.dist])
 
     def answer(self, metric, v, k):
         """(lo, hi) for vertex slot v and cell k under metric, asked once."""
-        dget, answers = metric
+        rows, answers = metric
         kslots = self.q._cell_vslots[k]
         memo = answers[v]
         pair = memo.get(kslots)
         if pair is None:
-            pair = memo[kslots] = _omega_pair(v, kslots, dget)
+            pair = memo[kslots] = _omega_pair(v, kslots, rows)
         return pair
 
-    def local_metric(self, ctx: int):
-        """(table, metric) of the closure of the cell at poset index ctx,
-        where table holds the hop counts inside that closure.
+    @cached_property
+    def contexts(self) -> list:
+        """One _Context per cell, in poset index order.
 
-        Keyed by the subgraph itself so that closed cells with identical
-        1-skeleta share one table and one metric: the top cells of a
-        doubled complex, and every Salvetti cell [X, T] over the same
-        covector X.  The pair returned is the one kept here, so a caller
-        may key work on the table: _local_tables walks each (table,
-        subcell) pair once, which is exact because a second walk would
-        repeat the same idempotent update.  metric is glob when the
-        table is isometric.
+        Closed cells with identical 1-skeleta share one rows dict and
+        one metric: the top cells of a doubled complex, and every
+        Salvetti cell [X, T] over the same covector X.  A subcell walked
+        under earlier rows is left out of todo, which is exact: a second
+        walk would repeat the same idempotent update.
         """
-        q = self.q
-        below = q.poset.down_mask(ctx)
-        vsl = q._cell_vslots[ctx]
-        pairs = tuple(sorted(q._edge_ends[j] for j in iter_bits(below)
-                             if q.dims[j] == 1))
-        key = (vsl, pairs)
-        kept = self._local.get(key)
-        if kept is None:
-            adj = {s: set() for s in vsl}
-            for a, b in pairs:
-                adj[a].add(b)
-                adj[b].add(a)
-            table = {}
-            for s in vsl:
-                dist = {s: 0}
-                dq = deque([s])
-                while dq:
-                    u = dq.popleft()
-                    du = dist[u] + 1
-                    for w in adj[u]:
-                        if w not in dist:
-                            dist[w] = du
-                            dq.append(w)
-                table[s] = dist
-            if _isometric(table, self.dist):
-                metric = self.glob
-            else:
-                metric = (lambda x, y: table[x].get(y),
-                          [{} for _ in self.dist])
-            kept = self._local[key] = (table, metric)
-        return kept
+        q, dist = self.q, self.dist
+        kept = {}  # one-skeleton key -> [rows, metric, mask walked]
+        out = []
+        for ctx in range(len(q)):
+            key = _one_skeleton(q, ctx)
+            entry = kept.get(key)
+            if entry is None:
+                vsl, pairs = key
+                adj = [[] for _ in dist]
+                for s, t in pairs:
+                    adj[s].append(t)
+                    adj[t].append(s)
+                rows = {s: _bfs(adj, s) for s in vsl}
+                if all(rows[s][t] == dist[s][t] for s in vsl for t in vsl):
+                    metric = self.glob
+                else:
+                    metric = (rows, [{} for _ in dist])
+                entry = kept[key] = [rows, metric, 0]
+            todo = q.poset.down_mask(ctx) & ~entry[2]
+            entry[2] |= todo
+            out.append(_Context(entry[0], entry[1], todo))
+        return out
 
 
-def _isometric(table, dist):
-    """Whether a local table holds the global hop count of every pair of
-    its vertices (a pair unreachable inside the cell never does)."""
-    for s, row in table.items():
-        if len(row) != len(table):
-            return False
-        ds = dist[s]
-        for t, d in row.items():
-            if ds[t] != d:
-                return False
-    return True
-
-
-def _omega_pair(vslot, kslots, dget):
+def _omega_pair(vslot, kslots, rows):
     """Nearest candidates and the forced farthest vertex of one cell.
 
     Returns (lo, hi): lo is the frozenset of distance minimizers in
     kslots seen from vslot, hi the unique additive farthest slot or None
     when no vertex satisfies the additivity clause (including the case
-    of a pair unreachable under the metric).
+    of a vertex of kslots not reached from vslot).
     """
     if len(kslots) == 1:
         return frozenset(kslots), kslots[0]
-    dv = []
-    for u in kslots:
-        d = dget(vslot, u)
-        if d is None:
-            return frozenset(), None
-        dv.append(d)
+    dv = [rows[vslot][u] for u in kslots]
     mn = min(dv)
+    if mn < 0:
+        return frozenset(), None
     mx = max(dv)
     lo = frozenset(u for u, d in zip(kslots, dv) if d == mn)
+    # all of kslots is reached from vslot, so each reaches the others
     for w, dw in zip(kslots, dv):
-        if dw != mx:
-            continue
-        for u, du in zip(kslots, dv):
-            duw = dget(u, w)
-            if duw is None or dw != du + duw:
-                break
-        else:
+        if dw == mx and all(dw == du + rows[u][w] for u, du in zip(kslots, dv)):
             return lo, w
     return lo, None
 
@@ -381,13 +349,12 @@ def _local_tables(a: _Analysis):
     cell k and whose vertex set contains v; hi_values[(v, k)] is the
     common forced farthest vertex with the first context that set it.
 
-    The answers under a context depend only on its local table, the
-    vertex and the subcell's vertex slots.  They are read from the
-    table's metric, which is the global one when the table is
-    isometric, so after _global_tables every question a matroid complex
-    asks here is already answered.  A (table, subcell) pair already
-    walked under an earlier context is skipped.  That is exact:
-    repeating it would set the same hi for the same keys and intersect
+    The answers under a context depend only on its rows, the vertex and
+    the subcell's vertex slots.  They are read from the context's
+    metric, which is the global one when the rows agree with it, so
+    after _global_tables every question a matroid complex asks here is
+    already answered.  Only the context's todo subcells are walked: a
+    repeated walk would set the same hi for the same keys and intersect
     each lo_intersections entry with a set that already contains it.
     Contexts are still walked in index order, so the first failing
     context and every witness are the same as with no skipping.
@@ -397,16 +364,11 @@ def _local_tables(a: _Analysis):
     elements = q.poset.elements
     lo_inter = {}
     hi_seen = {}
-    walked = {}  # id of a table kept by a -> mask of subcells walked under it
-    for ctx in range(len(elements)):
-        table, metric = a.local_metric(ctx)
-        done = walked.get(id(table), 0)
-        todo = q.poset.down_mask(ctx) & ~done
-        walked[id(table)] = done | todo
-        subcells = list(iter_bits(todo))
+    for ctx, c in enumerate(a.contexts):
+        subcells = list(iter_bits(c.todo))
         for v in q._cell_vslots[ctx]:
             for k in subcells:
-                lo, hi = a.answer(metric, v, k)
+                lo, hi = a.answer(c.metric, v, k)
                 if hi is None:
                     return (MHCheck(False,
                                     ("local", elements[ctx], labels[v],
@@ -440,10 +402,10 @@ def _lower_constraints(a: _Analysis, v, k):
     labels = q.vertex_labels()
     out = []
     kmask = 1 << k
-    for ctx in range(len(q.poset.elements)):
+    for ctx, c in enumerate(a.contexts):
         if not (q.poset.down_mask(ctx) & kmask) or v not in q._cell_vslots[ctx]:
             continue
-        lo, _ = a.answer(a.local_metric(ctx)[1], v, k)
+        lo, _ = a.answer(c.metric, v, k)
         out.append((q.poset.elements[ctx],
                     tuple(labels[s] for s in sorted(lo))))
     return tuple(out)
@@ -523,22 +485,22 @@ def mh_check(q: CWPoset) -> MHReport:
 def _check_local_global_metric(a: _Analysis):
     """Within-cell hop counts must equal global ones on a full pass.
 
-    local_metric compared every kept table with the global distances
-    once, so only the tables it found non-isometric are scanned here,
-    in context order, for the first pair that differs.
+    The contexts compared their rows with the global ones once, so only
+    those whose metric is not glob are scanned here, in context order,
+    for the first pair that differs.
     """
     q = a.q
     labels = q.vertex_labels()
-    for ctx in range(len(q.poset.elements)):
-        table, metric = a.local_metric(ctx)
-        if metric is a.glob:
+    for ctx, c in enumerate(a.contexts):
+        if c.metric is a.glob:
             continue
-        for s, row in table.items():
-            for t in q._cell_vslots[ctx]:
-                if row.get(t) != a.dist[s][t]:
+        vsl = q._cell_vslots[ctx]
+        for s in vsl:
+            for t in vsl:
+                if c.rows[s][t] != a.dist[s][t]:
                     raise ConsistencyFailure(
                         f"cell {q.poset.elements[ctx]}: distance "
-                        f"{row.get(t)} between {labels[s]} and {labels[t]} "
+                        f"{c.rows[s][t]} between {labels[s]} and {labels[t]} "
                         f"differs from the global {a.dist[s][t]}")
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ComparisonFailure
+from .errors import ComparisonFailure, NotSimple
 from .homology import IntegerChainComplex
 from .matroid import OrientedMatroid
-from .posets import FinitePoset
+from .posets import FinitePoset, iter_bits
 from .salvetti import salvetti_complex
 
 
@@ -164,7 +164,15 @@ def gr_comparison(m: OrientedMatroid) -> GrComparison:
 
     Raises ComparisonFailure on the first degree where the ranks differ
     or torsion appears; also insists the nbc counts alternate to zero.
+    The comparison holds only without loops, so a loop raises NotSimple.
     """
+    support = 0
+    for x in m.covectors:
+        support |= x.support_mask
+    loops = [str(e + 1) for e in iter_bits(((1 << m.n) - 1) & ~support)]
+    if loops:
+        raise NotSimple(f"element {loops[0]} is a loop" if len(loops) == 1 else
+                        f"elements {', '.join(loops)} are loops")
     cells, covers = salvetti_complex(m)
     groups = IntegerChainComplex.from_cw_covers(
         [c.dim for c in cells], covers).homology()

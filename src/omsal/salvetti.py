@@ -98,8 +98,9 @@ def f_vector_and_euler(cells):
     """(f-vector, Euler characteristic) of Salvetti cells, checked.
 
     f_0 and f_rank must both equal the number of topes and the
-    alternating sum must vanish; violations raise, since they would mean
-    the complex upstream is corrupt.
+    alternating sum must vanish, except on the point, the complex of
+    rank 0, whose sum is 1; violations raise, since they would mean the
+    complex upstream is corrupt.
     """
     top = max(c.dim for c in cells)
     fv = [0] * (top + 1)
@@ -111,8 +112,9 @@ def f_vector_and_euler(cells):
     if fv[0] != ntopes or fv[top] != ntopes:
         raise ConsistencyFailure(
             f"f_0={fv[0]}, f_top={fv[top]} but #topes={ntopes}")
-    if euler != 0:
-        raise ConsistencyFailure(f"Euler characteristic {euler} != 0")
+    expected = 1 if fv == (1,) else 0
+    if euler != expected:
+        raise ConsistencyFailure(f"Euler characteristic {euler} != {expected}")
     return fv, euler
 
 

@@ -10,8 +10,9 @@ rather than by the parallel-element check of the paths layer, the
 covector closure composes every vector with every other, both ways, and
 the cocircuits of an arrangement are the sign vectors of the kernel
 lines of its corank-1 normal subsets, found by Fraction RREF, the
-MH tables ask every (context, vertex, subcell) question afresh, and
-the matrix text dump writes a dense copy of each boundary entry by entry.
+MH tables ask every (context, vertex, subcell) question afresh under
+hop counts from a dict BFS over each closed cell, and the matrix
+text dump writes a dense copy of each boundary entry by entry.
 
 The relation scan build_poset is the reference for every poset the
 package closes from covers: it tests leq on every ordered pair and
@@ -524,7 +525,7 @@ def global_tables_unshared(a):
     hi_tab = {}
     for v in range(len(labels)):
         for ci in range(len(q.poset.elements)):
-            lo, hi = _omega_pair(v, q._cell_vslots[ci], a.global_get)
+            lo, hi = _omega_pair(v, q._cell_vslots[ci], a.dist)
             if hi is None:
                 return (MHCheck(False, (labels[v], q.poset.elements[ci], 3)),
                         None, None)
@@ -533,21 +534,45 @@ def global_tables_unshared(a):
     return MHCheck(True, None), lo_tab, hi_tab
 
 
+def closure_hop_rows(q, ctx):
+    """Hop counts inside the closure of the cell at poset index ctx, by
+    a dict BFS over its edges, as _omega_pair rows: slot -> list over
+    every vertex slot, -1 where the closure does not reach."""
+    vsl = q._cell_vslots[ctx]
+    adj = {s: set() for s in vsl}
+    for j in iter_bits(q.poset.down_mask(ctx)):
+        if q.dims[j] == 1:
+            a, b = q._edge_ends[j]
+            adj[a].add(b)
+            adj[b].add(a)
+    rows = {}
+    for s in vsl:
+        dist = {s: 0}
+        dq = deque([s])
+        while dq:
+            u = dq.popleft()
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    dq.append(w)
+        rows[s] = [dist.get(t, -1) for t in range(len(q._adj))]
+    return rows
+
+
 def local_tables_unshared(a):
     """mh._local_tables with one _omega_pair call per (context, vertex,
-    subcell) triple, however many contexts share a local table."""
+    subcell) triple, each context's hop counts found by its own BFS."""
     q = a.q
     labels = q.vertex_labels()
     elements = q.poset.elements
     lo_inter = {}
     hi_seen = {}
     for ctx in range(len(elements)):
-        table, _ = a.local_metric(ctx)
-        dget = lambda x, y: table[x].get(y)
+        rows = closure_hop_rows(q, ctx)
         subcells = list(iter_bits(q.poset.down_mask(ctx)))
         for v in q._cell_vslots[ctx]:
             for k in subcells:
-                lo, hi = _omega_pair(v, q._cell_vslots[k], dget)
+                lo, hi = _omega_pair(v, q._cell_vslots[k], rows)
                 if hi is None:
                     return (MHCheck(False,
                                     ("local", elements[ctx], labels[v],

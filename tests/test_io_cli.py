@@ -655,6 +655,34 @@ def test_cli_paths_on_parallel_elements_is_bad_input(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name, text", [
+    ("loop.cov", "+0\n-0\n00\n"),
+    ("loop.chi", "chirotope r=1 n=2\n+0\n"),
+])
+def test_cli_gr_compare_on_a_loop_is_bad_input(tmp_path, name, text):
+    # element 2 is 0 in every covector; verify passes the input, but the
+    # comparison theorem holds only without loops
+    path = tmp_path / name
+    path.write_text(text)
+    for cmd, code in (("verify", 0), ("gr-compare", 2)):
+        proc = subprocess.run([sys.executable, "-m", "omsal", cmd, "--in",
+                               str(path)], capture_output=True, text=True,
+                              cwd=str(Path(__file__).parent.parent))
+        assert proc.returncode == code
+    assert proc.stdout == "" and proc.stderr == "NotSimple: element 2 is a loop\n"
+
+
+def test_cli_salvetti_of_rank_zero_is_a_point(capsys, tmp_path):
+    # one covector, the zero one: the complex is a point, of Euler
+    # characteristic 1
+    cov = tmp_path / "point.cov"
+    cov.write_text("0\n")
+    assert run(capsys, "verify", "--in", str(cov))[0] == 0
+    assert run(capsys, "salvetti", "--in", str(cov)) == (0, "f=(1) χ=1\n", "")
+    assert run(capsys, "homology", "--in", str(cov)) == \
+        (0, "H_0: Z\nbetti=(1)\n", "")
+
+
 def test_cli_non_integer_cap_is_bad_input(capsys, monkeypatch):
     monkeypatch.setenv("OM_SALVETTI_MAX_N", "abc")
     code, out, err = run(capsys, "salvetti", "--fixture", "boolean:3",

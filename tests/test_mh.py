@@ -269,7 +269,10 @@ def test_doubled_top_cells_share_one_local_table():
     for x in ("oct", "trap"):
         i = q.poset.index[x]
         assert q.closed_cell(x + "'") == q.closed_cell(x)[:-1] + [x + "'"]
-        assert a.local_metric(i + 1) is a.local_metric(i)
+        copy, first = a.contexts[i + 1], a.contexts[i]
+        assert copy.rows is first.rows and copy.metric is first.metric
+        # the copy walks only itself: its boundary was walked under x
+        assert copy.todo == 1 << (i + 1)
 
 
 def _outcome(q):
@@ -354,8 +357,8 @@ def test_shared_answers_equal_the_unshared_oracle(q):
 _omega_pair = mh._omega_pair
 
 
-def nearest_and_last(vslot, kslots, dget):
-    lo, _ = _omega_pair(vslot, kslots, dget)
+def nearest_and_last(vslot, kslots, rows):
+    lo, _ = _omega_pair(vslot, kslots, rows)
     return lo, (kslots[-1] if lo else None)
 
 
@@ -437,34 +440,48 @@ def test_omega_pair_calls_on_nonpappus(om, monkeypatch):
 
 
 def test_isometry_compared_once_per_kept_table(om, monkeypatch):
-    compared = []
-    real = mh._isometric
+    keyed = []
+    searched = []
+    real_key, real_bfs = mh._one_skeleton, mh._bfs
 
-    def counted(table, dist):
-        compared.append(id(table))
-        return real(table, dist)
+    def counted_key(q, ctx):
+        keyed.append(ctx)
+        return real_key(q, ctx)
 
-    monkeypatch.setattr(mh, "_isometric", counted)
+    def counted_bfs(adj, source):
+        searched.append(source)
+        return real_bfs(adj, source)
+
+    monkeypatch.setattr(mh, "_one_skeleton", counted_key)
+    monkeypatch.setattr(mh, "_bfs", counted_bfs)
     q = salvetti_cw(om("nonpappus"))
+    searched.clear()  # the connectivity check of CWPoset
     a = mh._Analysis(q)
+    assert len(searched) == len(q._adj) == 58  # the global rows
     assert mh._global_tables(a)[0].passed and mh._local_tables(a)[0].passed
     mh._check_local_global_metric(a)
-    # 500 contexts, one table per covector, each compared once
-    assert len(q) == 500
-    assert len(compared) == len(set(compared)) == len(a._local) == 195
-    assert all(metric is a.glob for _, metric in a._local.values())
-    # no isometric table is scanned again: the check reads no distance
+    mh._lower_constraints(a, 0, 0)
+    # 500 contexts, one row set per covector: each key is derived once,
+    # each kept row set is searched once, and each metric is the global one
+    assert len(q) == 500 and keyed == list(range(500))
+    kept = {id(c.rows): c.rows for c in a.contexts}
+    assert len(kept) == 195
+    # a covector X has as many topes above it as cells [X, T]: one search
+    # from each vertex of each kept row set is one per cell
+    assert sum(len(rows) for rows in kept.values()) == 500
+    assert len(searched) == 58 + 500
+    assert all(c.metric is a.glob for c in a.contexts)
+    # no isometric context is scanned again: the check reads no distance
     a.dist = []
     mh._check_local_global_metric(a)
-    assert len(compared) == 195
+    assert len(keyed) == 500
 
 
 @pytest.mark.parametrize("trapezoid", [False, True])
 def test_octagon_keeps_a_table_of_its_own(trapezoid):
     q = cw_octagon_chords(trapezoid)
     a = mh._Analysis(q)
-    _, metric = a.local_metric(q.poset.index["oct"])
-    assert metric is not a.glob
+    assert a.contexts[q.poset.index["oct"]].metric is not a.glob
     # the witnesses of the fallback route, and its metric scan
     rep = mh_check(q)
     assert rep.mh.witness[:3] == ("upper", "v1", "e34")

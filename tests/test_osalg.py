@@ -2,9 +2,11 @@
 
 import pytest
 
-from oracles import build_poset, whitney_numbers
+from oracles import build_poset, is_simple, whitney_numbers
 
+from omsal.errors import NotSimple
 from omsal.fixtures import ALL_FIXTURES
+from omsal.matroid import OrientedMatroid
 from omsal.osalg import (
     UnderlyingMatroid,
     circuits,
@@ -13,6 +15,7 @@ from omsal.osalg import (
     nbc_sets,
     os_betti,
 )
+from omsal.signs import SignVector
 
 # frozen against the Mobius/Whitney oracle below
 OS_EXPECTED = {
@@ -168,6 +171,15 @@ def test_gr_comparison_matches(spec, om):
     assert cmp_.matches
     assert cmp_.os == cmp_.homology_betti == OS_EXPECTED[spec]
     assert cmp_.torsion == ()
+
+
+def test_gr_comparison_names_the_loops():
+    # a line with two loops: the comparison holds only without them
+    m = OrientedMatroid(3, {SignVector.from_string(s)
+                            for s in ("000", "0+0", "0-0")})
+    assert m.verify().passes and is_simple(m) == (False, (1, 3))
+    with pytest.raises(NotSimple, match="^elements 1, 3 are loops$"):
+        gr_comparison(m)
 
 
 def test_gr_table_text(om):

@@ -1,8 +1,8 @@
 """The rules every change keeps: standard-library imports only, no
 floats, the module layering, no stale names in the package exports, no
 public name that only the tests read, one bit iterator, posets built
-only from their covers, one place that asks an MH question, and no
-unused imports."""
+only from their covers, one place that asks an MH question, one
+breadth-first search, and no unused imports."""
 
 import ast
 import sys
@@ -167,6 +167,19 @@ def test_one_place_asks_an_mh_question():
         "class A:\n    def answer(self):\n        return _omega_pair(1)\n"
         "def f(a):\n    return a.answer() or mh._omega_pair(2)\n"),
         "_omega_pair") == ["A.answer", "f"]
+
+
+def test_one_bfs():
+    # mh._bfs is the one breadth-first search: the only popleft call
+    calls = {path.name: _enclosing_scopes_of_calls(ast.parse(path.read_text()),
+                                                   "popleft")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == \
+        {"mh.py": ["_bfs"]}
+    assert _enclosing_scopes_of_calls(ast.parse(
+        "def _bfs(dq):\n    return dq.popleft()\n"
+        "class A:\n    def walk(self, dq):\n        dq.popleft()\n"),
+        "popleft") == ["_bfs", "A.walk"]
 
 
 def _unused_imports(tree):
