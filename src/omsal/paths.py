@@ -127,22 +127,20 @@ def minimal_positive_paths(m: OrientedMatroid, t: SignVector, s: SignVector):
 def antipodal_extension_check(m: OrientedMatroid, pairs=None) -> bool:
     """Every minimal positive path t -> s extends to one from t to -t.
 
-    Every such path ends at s and crosses the elements separating t
-    from s, so it extends exactly when a walk from s reaches -t across
-    each of the other elements once.  That walk is taken greedily,
-    smallest crossing first.  pairs limits the ordered tope pairs
-    examined (default: all of them).
+    Such a path crosses each element separating t from s once, and it
+    extends exactly when a walk from s reaches -t across each of the
+    other elements once.  Both walks, t -> s and s -> -t, are taken
+    greedily, smallest crossing first; one stuck or ending off its target
+    refutes the pair.  pairs limits the ordered tope pairs examined
+    (default: all of them); a non-tope among them raises NotATope.
     """
     adj = skeleton_adjacency(m)
     tope_list = m.topes()
     if pairs is None:
         pairs = [(t, s) for t in tope_list for s in tope_list if t != s]
-    for t, s in pairs:
-        if -t not in adj:
-            return False
-        if not minimal_positive_paths(m, t, s):
-            continue
-        cur, left = s, separation_mask(s, -t)
+
+    def walk(cur, target):
+        left = separation_mask(cur, target)
         while left:
             step = next(((k, nb) for k, nb, _ in adj[cur]
                          if left >> (k - 1) & 1), None)
@@ -150,7 +148,12 @@ def antipodal_extension_check(m: OrientedMatroid, pairs=None) -> bool:
                 return False
             left ^= 1 << (step[0] - 1)
             cur = step[1]
-        if cur != -t:
+        return cur == target
+
+    for t, s in pairs:
+        _require_tope(m, t)
+        _require_tope(m, s)
+        if not (walk(t, s) and walk(s, -t)):
             return False
     return True
 

@@ -7,9 +7,9 @@ are the cells [Y, Y o T] with Y covering X in the face poset; the cells
 and these covers define the regular CW complex, and its f-vector,
 integer homology and .poset text are read off them.  Only the callers
 that read up- and down-masks (the checks below, MH and the matrix dump)
-close the covers into a poset.  The nerve built from the pairwise
-intersection rule is checked to coincide with the order complex, and
-the theorem-level count/retraction checks live here too.
+close the covers into a poset.  The nerve of the open-star cover is
+checked against the order complex through the comparability masks of
+that poset, and the theorem-level count/retraction checks live here too.
 """
 
 from __future__ import annotations
@@ -161,40 +161,14 @@ def oriented_one_skeleton(m: OrientedMatroid) -> OrientedSkeleton:
 # -- nerve comparison ---------------------------------------------------------
 
 
-def _pairwise_intersecting(a: SalvettiCell, b: SalvettiCell) -> bool:
-    # Open stars of (F1,T1), (F2,T2) meet iff F1 <= F2 and T2 = F2 o T1,
-    # one way or the other.
-    return ((conforms(a.covector, b.covector) and compose(b.covector, a.tope) == b.tope)
-            or (conforms(b.covector, a.covector) and compose(a.covector, b.tope) == a.tope))
-
-
-def _max_cliques(adj, n):
-    """Bron-Kerbosch with pivoting; adjacency as bitmasks."""
-    out = []
-
-    def bk(r, p, x):
-        if not p and not x:
-            out.append(r)
-            return
-        # pivot: the lowest vertex of p | x with the most neighbours in p
-        best = max(iter_bits(p | x), key=lambda v: (p & adj[v]).bit_count())
-        for v in iter_bits(p & ~adj[best]):
-            low = 1 << v
-            bk(r | low, p & adj[v], x & adj[v])
-            p &= ~low
-            x |= low
-    if n:
-        bk(0, (1 << n) - 1, 0)
-    return out
-
-
 def nerve_check(m: OrientedMatroid):
-    """Nerve from the pairwise rule vs the Salvetti order complex.
+    """Nerve of the open-star cover vs the Salvetti order complex.
 
-    Builds the intersection graph of the open-star cover independently
-    of the poset, takes its clique complex, and compares facets with the
-    maximal chains of the Salvetti poset.  Returns (True, stats) or
-    (False, witness).
+    Two open stars meet iff one cell is a face of the other, so the
+    intersection graph is built from cell_leq alone and compared, cell by
+    cell, with the comparability masks of the closed covers; once they
+    agree its cliques are the chains.  Returns (True, stats), the maximal
+    chains counted along the covers, or (False, (cell, cell)).
     """
     poset = build_salvetti_poset(m)
     cells = poset.elements
@@ -202,26 +176,25 @@ def nerve_check(m: OrientedMatroid):
     adj = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if _pairwise_intersecting(cells[i], cells[j]):
+            if cell_leq(cells[i], cells[j]) or cell_leq(cells[j], cells[i]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
 
     for i in range(n):
-        comparable = (poset.up_mask(i) | poset.down_mask(i)) & ~(1 << i)
+        comparable = poset.comparability_mask(i) & ~(1 << i)
         if adj[i] != comparable:
             j = next(iter_bits(adj[i] ^ comparable))
             return False, (cells[i], cells[j])
 
-    nerve_facets = {frozenset(iter_bits(mask)) for mask in _max_cliques(adj, n)}
-    chain_facets = {frozenset(ch) for ch, mx in poset.iter_chains() if mx}
-    if nerve_facets != chain_facets:
-        odd = next(iter(nerve_facets ^ chain_facets))
-        return False, tuple(cells[i] for i in sorted(odd))
-
+    # saturated chains from a minimal cell up to each cell; cells are sorted
+    # by dimension and covers() by face, so each count is final when read
+    chains = [int(poset.down_mask(i) == 1 << i) for i in range(n)]
+    for i, j in poset.covers():
+        chains[j] += chains[i]
     stats = {
         "vertices": n,
         "edges": sum(a.bit_count() for a in adj) // 2,
-        "facets": len(nerve_facets),
+        "facets": sum(chains[i] for i in poset.maximal_indices()),
     }
     return True, stats
 

@@ -10,9 +10,10 @@ rather than by the parallel-element check of the paths layer, the
 covector closure composes every vector with every other, both ways, and
 the cocircuits of an arrangement are the sign vectors of the kernel
 lines of its corank-1 normal subsets, found by Fraction RREF, the
-MH tables ask every (context, vertex, subcell) question afresh under
-hop counts from a dict BFS over each closed cell, and the matrix
-text dump writes a dense copy of each boundary entry by entry.
+MH tables and their lower witnesses ask every (context, vertex,
+subcell) question afresh under hop counts from a dict BFS over each
+closed cell, and the matrix text dump writes a dense copy of each
+boundary entry by entry.
 
 The relation scan build_poset is the reference for every poset the
 package closes from covers: it tests leq on every ordered pair and
@@ -24,7 +25,10 @@ SimplicialComplex keeps its facets and closes them downward into faces,
 and order_complex takes the maximal chains of a poset as its facets.
 Its homology is the check on the cellular route of the package, which
 assembles boundaries from covers; the two share only the Smith engine
-of IntegerChainComplex.
+of IntegerChainComplex.  max_cliques, a Bron-Kerbosch enumeration over
+bitmask adjacency, lists the facets of a clique complex, so the tests
+can compare the nerve of the Salvetti open-star cover with the order
+complex facet by facet.
 
 smith_normal_form is not an oracle but a dense-list adapter over the
 package's sparse elimination, so tests can state invariant factors of
@@ -51,7 +55,7 @@ from itertools import combinations, product
 from omsal.homology import (HomologyGroup, IntegerChainComplex,
                             _normalize_factors, _sparse_eliminate)
 from omsal.matroid import OrientedMatroid
-from omsal.mh import CWPoset, MHCheck, _lower_constraints, _omega_pair
+from omsal.mh import CWPoset, MHCheck, _omega_pair
 from omsal.paths import skeleton_adjacency
 from omsal.posets import FinitePoset, iter_bits
 from omsal.signs import SignVector, _mask_to_set, compose, separation_mask
@@ -370,6 +374,26 @@ def order_complex(poset) -> SimplicialComplex:
     return SimplicialComplex(poset.elements, facets)
 
 
+def max_cliques(adj, n):
+    """Bron-Kerbosch with pivoting; adjacency as bitmasks."""
+    out = []
+
+    def bk(r, p, x):
+        if not p and not x:
+            out.append(r)
+            return
+        # pivot: the lowest vertex of p | x with the most neighbours in p
+        best = max(iter_bits(p | x), key=lambda v: (p & adj[v]).bit_count())
+        for v in iter_bits(p & ~adj[best]):
+            low = 1 << v
+            bk(r | low, p & adj[v], x & adj[v])
+            p &= ~low
+            x |= low
+    if n:
+        bk(0, (1 << n) - 1, 0)
+    return out
+
+
 def build_poset(elements, leq) -> FinitePoset:
     """The FinitePoset of a partial order leq(a, b), by a relation scan.
 
@@ -592,11 +616,24 @@ def local_tables_unshared(a):
                     lo_inter[key] = lo
                 elif not (cur & lo):
                     witness = ("lower", labels[v], elements[k],
-                               _lower_constraints(a, v, k))
+                               lower_constraints_unshared(a, v, k))
                     return MHCheck(False, witness), None, None
                 else:
                     lo_inter[key] = cur & lo
     return MHCheck(True, None), lo_inter, hi_seen
+
+
+def lower_constraints_unshared(a, v, k):
+    """mh._lower_constraints with each context's nearest set for the
+    pair (v, k) taken under that context's own closure_hop_rows."""
+    q = a.q
+    labels = q.vertex_labels()
+    out = []
+    for ctx, cell in enumerate(q.poset.elements):
+        if q.poset.down_mask(ctx) >> k & 1 and v in q._cell_vslots[ctx]:
+            lo, _ = _omega_pair(v, q._cell_vslots[k], closure_hop_rows(q, ctx))
+            out.append((cell, tuple(labels[s] for s in sorted(lo))))
+    return tuple(out)
 
 
 # -- small references read only by the tests --------------------------------

@@ -20,7 +20,8 @@ from omsal.paths import tope_distance
 
 import oracles
 from cw_complexes import cw_octagon_chords, cw_octagon_pair, cw_polygon
-from oracles import global_tables_unshared, local_tables_unshared, skeleton_is_bipartite
+from oracles import (global_tables_unshared, local_tables_unshared,
+                     lower_constraints_unshared, skeleton_is_bipartite)
 
 
 def edge():
@@ -284,10 +285,12 @@ def _outcome(q):
 
 
 def _unshared_outcome(q):
-    """_outcome(q) with every question asked afresh."""
+    """_outcome(q) with every question asked afresh, the lower
+    witnesses of mh_check's own assembly included."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mh, "_global_tables", global_tables_unshared)
         mp.setattr(mh, "_local_tables", local_tables_unshared)
+        mp.setattr(mh, "_lower_constraints", lower_constraints_unshared)
         return _outcome(q)
 
 

@@ -235,6 +235,23 @@ def test_antipodal_extension_nonpappus_base(om):
     assert antipodal_extension_check(m, [(base, s) for s in topes if s != base])
 
 
+def test_antipodal_extension_requires_topes(om):
+    m = om("boolean:2")
+    for pair in ((sv("++"), sv("0+")), (sv("0+"), sv("++"))):
+        with pytest.raises(NotATope):
+            antipodal_extension_check(m, [pair])
+
+
+def test_antipodal_extension_refutes_a_missing_step(om, monkeypatch):
+    # ++ loses its step across element 2, so no walk reaches +- from it
+    m = om("boolean:2")
+    adj = dict(skeleton_adjacency(m))
+    adj[sv("++")] = tuple(step for step in adj[sv("++")] if step[0] != 2)
+    monkeypatch.setattr(paths, "skeleton_adjacency", lambda _: adj)
+    assert antipodal_extension_check(m, [(sv("+-"), sv("--"))])
+    assert not antipodal_extension_check(m, [(sv("++"), sv("+-"))])
+
+
 @pytest.mark.parametrize("spec", ["boolean:3", "generic:3:2", "generic:4:3"])
 def test_tope_poset_graded_by_distance(spec, om):
     m = om(spec)

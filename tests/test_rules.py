@@ -2,7 +2,8 @@
 floats, the module layering, no stale names in the package exports, no
 public name that only the tests read, one bit iterator, posets built
 only from their covers, one place that asks an MH question, one
-breadth-first search, and no unused imports."""
+breadth-first search, chains listed only for the matrix dump, and no
+unused imports."""
 
 import ast
 import sys
@@ -180,6 +181,19 @@ def test_one_bfs():
         "def _bfs(dq):\n    return dq.popleft()\n"
         "class A:\n    def walk(self, dq):\n        dq.popleft()\n"),
         "popleft") == ["_bfs", "A.walk"]
+
+
+def test_chains_listed_only_for_the_matrix_dump():
+    # the exponential chain enumeration serves the order-complex dump only
+    calls = {path.name: _enclosing_scopes_of_calls(ast.parse(path.read_text()),
+                                                   "iter_chains")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == \
+        {"cli.py": ["_cmd_homology"]}
+    assert _enclosing_scopes_of_calls(ast.parse(
+        "def _cmd_homology(p):\n    return list(p.iter_chains())\n"
+        "def nerve_check(p):\n    return [c for c, mx in p.iter_chains() if mx]\n"),
+        "iter_chains") == ["_cmd_homology", "nerve_check"]
 
 
 def _unused_imports(tree):

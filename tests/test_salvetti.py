@@ -4,7 +4,7 @@ cellular homology."""
 import pytest
 
 from cw_complexes import cw_octagon_chords, cw_polygon, emit_cw
-from oracles import build_poset
+from oracles import build_poset, max_cliques
 
 from omsal import fileio, salvetti
 from omsal.errors import EnumerationLimitExceeded, NotATope
@@ -97,11 +97,55 @@ def test_oriented_skeleton_pairs_up(spec, om):
         assert compose(e.cell.covector, e.target) == e.target
 
 
-@pytest.mark.parametrize("spec", ALL_FIXTURES)
+# (vertices, edges, facets) of the nerve: cells, comparable pairs, and
+# maximal chains of the Salvetti poset
+NERVE_STATS = {
+    "boolean:1": (4, 4, 4),
+    "boolean:2": (16, 48, 32),
+    "boolean:3": (64, 448, 384),
+    "generic:3:2": (24, 96, 72),
+    "braid:3": (24, 96, 72),
+    "generic:4:3": (124, 1180, 1344),
+    "generic:5:3": (204, 2604, 3520),
+    "nonpappus": (500, 13556, 22272),
+    "boolean:4": (256, 3840, 6144),
+}
+
+
+@pytest.mark.parametrize("spec", NERVE_STATS)
 def test_nerve_equals_order_complex(spec, om):
     ok, stats = nerve_check(om(spec))
     assert ok, f"nerve mismatch at {stats}"
-    assert stats["vertices"] == sum(EXPECTED_F[spec])
+    assert (stats["vertices"], stats["edges"], stats["facets"]) == NERVE_STATS[spec]
+
+
+def test_nerve_names_the_pair_of_a_missing_cover(om, monkeypatch):
+    m = om("generic:3:2")
+    cells, covers = salvetti_complex(m)
+    for drop in (covers[0], covers[len(covers) // 2], covers[-1]):
+        kept = [c for c in covers if c != drop]
+        monkeypatch.setattr(salvetti, "build_salvetti_poset",
+                            lambda _, kept=kept: FinitePoset.from_covers(cells, kept))
+        assert nerve_check(m) == (False, (cells[drop[0]], cells[drop[1]]))
+    # the middle one: an edge no longer on the boundary of its 2-cell
+    assert covers[len(covers) // 2] == (8, 18)
+    assert (str(cells[8]), str(cells[18])) == ("[+0-,++-]", "[000,+++]")
+
+
+@pytest.mark.parametrize("spec", ["boolean:3", "generic:3:2", "braid:3", "generic:4:3"])
+def test_nerve_cliques_are_the_maximal_chains(spec, om):
+    # the clique complex of the open-star graph, listed by Bron-Kerbosch
+    m = om(spec)
+    poset = build_salvetti_poset(m)
+    cells = poset.elements
+    n = len(cells)
+    adj = [sum(1 << j for j, d in enumerate(cells)
+               if j != i and (cell_leq(c, d) or cell_leq(d, c)))
+           for i, c in enumerate(cells)]
+    cliques = {frozenset(iter_bits(mask)) for mask in max_cliques(adj, n)}
+    chains = {frozenset(ch) for ch, mx in poset.iter_chains() if mx}
+    assert cliques == chains
+    assert len(cliques) == nerve_check(m)[1]["facets"] == NERVE_STATS[spec][2]
 
 
 def test_nerve_stats_generic_three_lines(om):
