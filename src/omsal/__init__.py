@@ -62,6 +62,7 @@ from .mh import (
     dual_complex,
     lmh_check,
     mh_check,
+    omega_tables,
     qmh_check,
     salvetti_cw,
     skeleton_distances,
@@ -112,6 +113,7 @@ __all__ = [
     "minimal_positive_paths",
     "nbc_sets",
     "nerve_check",
+    "omega_tables",
     "oriented_one_skeleton",
     "os_betti",
     "parse_fixture_spec",

@@ -14,6 +14,7 @@ from itertools import combinations
 
 from . import fileio
 from .errors import UnknownFixture
+from .limits import check_cap
 from .matroid import (Chirotope, OrientedMatroid, RationalArrangement,
                       cocircuits_from_chirotope, from_arrangement,
                       span_from_cocircuits)
@@ -147,6 +148,9 @@ def generate_fixture(spec) -> OrientedMatroid:
     if spec.kind == "nonpappus":
         m = span_from_cocircuits(cocircuits_from_chirotope(nonpappus_chirotope()))
     else:
+        # the cap counts normals; refuse before any normal is built
+        n = spec.args[0]
+        check_cap(n * (n - 1) // 2 if spec.kind == "braid" else n)
         m = from_arrangement(fixture_arrangement(spec))
     _cache[spec.name] = m
     return m

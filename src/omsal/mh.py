@@ -19,11 +19,12 @@ never couple different (vertex, target-cell) pairs, hence a consistent
 choice exists iff the candidate sets for each pair have a common member;
 the checker intersects them and reports the first empty intersection.
 
-Each (vertex, cell) question is answered once per metric.  A closed
-cell whose distance rows equal the 1-skeleton metric on its vertices
-shares the global answers; on the dual and Salvetti complexes of an
-oriented matroid every closed cell does (the topes above a covector are
-T-convex, BLSWZ 4.2), so only other cells need answers of their own.
+MH is QMH plus isometry: once QMH passes and every closed cell is
+isometric to the 1-skeleton, each local answer is the global one, so
+LMH and MH pass and mh_check stops there.  On the dual and Salvetti
+complexes of an oriented matroid every closed cell is isometric (the
+topes above a covector are T-convex, BLSWZ 4.2).  omega_tables builds
+the maps.
 """
 
 from __future__ import annotations
@@ -211,7 +212,6 @@ class MHReport:
     qmh: MHCheck
     lmh: MHCheck
     mh: MHCheck
-    omega_tables: dict | None
 
     @property
     def passed(self) -> bool:
@@ -230,7 +230,6 @@ class _Context(NamedTuple):
     """A closed cell as a context of the local checks."""
     rows: dict     # vertex slot of the cell -> _bfs row inside the closure
     metric: tuple  # the _Analysis.glob when rows agree with it on the cell
-    todo: int      # mask of subcells no earlier context with these rows walked
 
 
 def _one_skeleton(q: CWPoset, ctx: int):
@@ -271,19 +270,19 @@ class _Analysis:
     def contexts(self) -> list:
         """One _Context per cell, in poset index order.
 
-        Closed cells with identical 1-skeleta share one rows dict and
-        one metric: the top cells of a doubled complex, and every
-        Salvetti cell [X, T] over the same covector X.  A subcell walked
-        under earlier rows is left out of todo, which is exact: a second
-        walk would repeat the same idempotent update.
+        Closed cells with identical 1-skeleta share one _Context: the
+        top cells of a doubled complex, and every Salvetti cell [X, T]
+        over the same covector X.  Each kept rows dict is compared once
+        with the global rows on its vertices; a metric that is glob
+        certifies the closed cell isometric.
         """
         q, dist = self.q, self.dist
-        kept = {}  # one-skeleton key -> [rows, metric, mask walked]
+        kept = {}  # one-skeleton key -> _Context
         out = []
         for ctx in range(len(q)):
             key = _one_skeleton(q, ctx)
-            entry = kept.get(key)
-            if entry is None:
+            c = kept.get(key)
+            if c is None:
                 vsl, pairs = key
                 adj = [[] for _ in dist]
                 for s, t in pairs:
@@ -294,10 +293,8 @@ class _Analysis:
                     metric = self.glob
                 else:
                     metric = (rows, [{} for _ in dist])
-                entry = kept[key] = [rows, metric, 0]
-            todo = q.poset.down_mask(ctx) & ~entry[2]
-            entry[2] |= todo
-            out.append(_Context(entry[0], entry[1], todo))
+                c = kept[key] = _Context(rows, metric)
+            out.append(c)
         return out
 
 
@@ -350,14 +347,10 @@ def _local_tables(a: _Analysis):
     common forced farthest vertex with the first context that set it.
 
     The answers under a context depend only on its rows, the vertex and
-    the subcell's vertex slots.  They are read from the context's
-    metric, which is the global one when the rows agree with it, so
-    after _global_tables every question a matroid complex asks here is
-    already answered.  Only the context's todo subcells are walked: a
-    repeated walk would set the same hi for the same keys and intersect
-    each lo_intersections entry with a set that already contains it.
-    Contexts are still walked in index order, so the first failing
-    context and every witness are the same as with no skipping.
+    the subcell's vertex slots, so they are read from the context's
+    metric: an isometric context reads the global answers.  Contexts
+    are walked in index order, each over every cell of its closure, so
+    the first failing context names the failure.
     """
     q = a.q
     labels = q.vertex_labels()
@@ -365,7 +358,7 @@ def _local_tables(a: _Analysis):
     lo_inter = {}
     hi_seen = {}
     for ctx, c in enumerate(a.contexts):
-        subcells = list(iter_bits(c.todo))
+        subcells = list(iter_bits(q.poset.down_mask(ctx)))
         for v in q._cell_vslots[ctx]:
             for k in subcells:
                 lo, hi = a.answer(c.metric, v, k)
@@ -383,15 +376,11 @@ def _local_tables(a: _Analysis):
                                (elements[seen[1]], labels[seen[0]]),
                                (elements[ctx], labels[hi]))
                     return MHCheck(False, witness), None, None
-                # a shared answer hands out the same set again, which
-                # leaves the intersection as it is; any other set narrows it
-                cur = lo_inter.get(key, lo)
-                if cur is not lo:
-                    cur = cur & lo
-                    if not cur:
-                        witness = ("lower", labels[v], elements[k],
-                                   _lower_constraints(a, v, k))
-                        return MHCheck(False, witness), None, None
+                cur = lo_inter.get(key, lo) & lo
+                if not cur:
+                    witness = ("lower", labels[v], elements[k],
+                               _lower_constraints(a, v, k))
+                    return MHCheck(False, witness), None, None
                 lo_inter[key] = cur
     return MHCheck(True, None), lo_inter, hi_seen
 
@@ -424,50 +413,31 @@ def lmh_check(q: CWPoset) -> MHCheck:
 def mh_check(q: CWPoset) -> MHReport:
     """Full report: global, local, and the agreement between the two.
 
-    On a full pass the report carries the chosen maps: omega_tables
-    maps 'lower' and 'upper' to {(vertex, cell): vertex} dicts for a
-    globally consistent assignment.  When only the global level passes
-    the tables describe it alone.  A full pass additionally asserts
-    that within-cell distances agree with global ones on every closed
-    cell (a theorem for these complexes); disagreement means the input
-    was accepted wrongly, reported as ConsistencyFailure.
+    QMH with every closed cell isometric passes all three levels with
+    no local walk.  Otherwise the smallest (vertex, cell) key whose local
+    answers disagree with the global ones names the failure; with none,
+    a non-isometric cell contradicts a full pass (a theorem for these
+    complexes): the input was accepted wrongly, a ConsistencyFailure.
     """
     a = _Analysis(q)
     qmh, glob_lo, glob_hi = _global_tables(a)
+    if qmh.passed and all(c.metric is a.glob for c in a.contexts):
+        # every local answer is the global one, so LMH and MH pass as QMH
+        return MHReport(qmh, qmh, qmh)
     lmh, loc_inter, loc_hi = _local_tables(a)
-    labels = q.vertex_labels()
-    elements = q.poset.elements
-
-    def tables(narrowed):
-        lower = {}
-        upper = {}
-        for vk, s in glob_lo.items():
-            v, ci = vk
-            key = (labels[v], elements[ci])
-            lower[key] = labels[min(narrowed.get(vk, s))]
-            upper[key] = labels[glob_hi[vk]]
-        return {"lower": lower, "upper": upper}
-
     if not (qmh.passed and lmh.passed):
         witness = qmh.witness if not qmh.passed else lmh.witness
-        return MHReport(qmh, lmh, MHCheck(False, witness),
-                        tables({}) if qmh.passed else None)
+        return MHReport(qmh, lmh, MHCheck(False, witness))
 
-    # a local intersection that is still the global answer itself leaves
-    # it as it is, so only other sets are intersected; the smallest
-    # failing key names the failure
-    narrowed = {}
-    failed = None
-    for vk, (hi_local, _) in loc_hi.items():
-        full = loc_inter[vk]
-        if full is not glob_lo[vk]:
-            full = narrowed[vk] = glob_lo[vk] & full
-        if glob_hi[vk] != hi_local or not full:
-            failed = vk if failed is None else min(failed, vk)
+    failed = min((vk for vk, (hi_local, _) in loc_hi.items()
+                  if glob_hi[vk] != hi_local
+                  or not glob_lo[vk] & loc_inter[vk]), default=None)
     if failed is None:
+        # the early verdict was not taken, so some context is not
+        # isometric and this raises
         _check_local_global_metric(a)
-        return MHReport(qmh, lmh, MHCheck(True, None), tables(narrowed))
-
+    labels = q.vertex_labels()
+    elements = q.poset.elements
     v, k = failed
     hi_local, ctx = loc_hi[failed]
     if glob_hi[failed] != hi_local:
@@ -479,7 +449,27 @@ def mh_check(q: CWPoset) -> MHReport:
                    (("global",
                      tuple(labels[s] for s in sorted(glob_lo[failed]))),)
                    + _lower_constraints(a, v, k))
-    return MHReport(qmh, lmh, MHCheck(False, witness), tables({}))
+    return MHReport(qmh, lmh, MHCheck(False, witness))
+
+
+def omega_tables(q: CWPoset) -> dict | None:
+    """'lower' and 'upper' {(vertex, cell): vertex} maps, None if QMH fails.
+
+    The smallest nearest and the forced farthest vertex of each cell
+    from each vertex, under the 1-skeleton metric.
+    """
+    qmh, lo_tab, hi_tab = _global_tables(_Analysis(q))
+    if not qmh.passed:
+        return None
+    labels = q.vertex_labels()
+    elements = q.poset.elements
+    lower = {}
+    upper = {}
+    for (v, ci), lo in lo_tab.items():
+        key = (labels[v], elements[ci])
+        lower[key] = labels[min(lo)]
+        upper[key] = labels[hi_tab[v, ci]]
+    return {"lower": lower, "upper": upper}
 
 
 def _check_local_global_metric(a: _Analysis):
@@ -487,7 +477,7 @@ def _check_local_global_metric(a: _Analysis):
 
     The contexts compared their rows with the global ones once, so only
     those whose metric is not glob are scanned here, in context order,
-    for the first pair that differs.
+    for the first pair that differs; it raises iff one of them exists.
     """
     q = a.q
     labels = q.vertex_labels()

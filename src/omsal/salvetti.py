@@ -188,7 +188,9 @@ def nerve_check(m: OrientedMatroid):
 
     # saturated chains from a minimal cell up to each cell; cells are sorted
     # by dimension and covers() by face, so each count is final when read
-    chains = [int(poset.down_mask(i) == 1 << i) for i in range(n)]
+    chains = [0] * n
+    for i in poset.minimal_indices():
+        chains[i] = 1
     for i, j in poset.covers():
         chains[j] += chains[i]
     stats = {

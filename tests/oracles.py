@@ -10,10 +10,10 @@ rather than by the parallel-element check of the paths layer, the
 covector closure composes every vector with every other, both ways, and
 the cocircuits of an arrangement are the sign vectors of the kernel
 lines of its corank-1 normal subsets, found by Fraction RREF, the
-MH tables and their lower witnesses ask every (context, vertex,
-subcell) question afresh under hop counts from a dict BFS over each
-closed cell, and the matrix text dump writes a dense copy of each
-boundary entry by entry.
+MH check takes the full route with no early verdict, asking every
+(context, vertex, subcell) question afresh under hop counts from a dict
+BFS over each closed cell and over the whole 1-skeleton, and the matrix
+text dump writes a dense copy of each boundary entry by entry.
 
 The relation scan build_poset is the reference for every poset the
 package closes from covers: it tests leq on every ordered pair and
@@ -40,12 +40,13 @@ takes tope distance by BFS over the tope graph, and skeleton_is_bipartite
 two-colours the 1-skeleton of a CW poset.
 
 Nothing here imports from the package beyond the sign-vector primitives
-that closure composes, the per-cell MH primitives the unshared tables
-call, the chain complex the simplicial reference feeds and the sparse
-elimination the dense adapter wraps, the oriented matroid class the
-simplicity test reads, the poset class the relation scan fills and its
-bit iterator, the tope adjacency and the separation mask the three small
-references read, and test parametrization done by the callers.
+that closure composes, the per-cell MH primitive and the report types
+the unshared check returns, the chain complex the simplicial reference
+feeds and the sparse elimination the dense adapter wraps, the oriented
+matroid class the simplicity test reads, the poset class the relation
+scan fills and its bit iterator, the tope adjacency and the separation
+mask the three small references read, and test parametrization done by
+the callers.
 """
 
 from collections import deque
@@ -55,7 +56,7 @@ from itertools import combinations, product
 from omsal.homology import (HomologyGroup, IntegerChainComplex,
                             _normalize_factors, _sparse_eliminate)
 from omsal.matroid import OrientedMatroid
-from omsal.mh import CWPoset, MHCheck, _omega_pair
+from omsal.mh import CWPoset, MHCheck, MHReport, _omega_pair
 from omsal.paths import skeleton_adjacency
 from omsal.posets import FinitePoset, iter_bits
 from omsal.signs import SignVector, _mask_to_set, compose, separation_mask
@@ -541,36 +542,11 @@ def kernel_line_cocircuits(arr):
     return cocircuits
 
 
-def global_tables_unshared(a):
-    """mh._global_tables with one _omega_pair call per (vertex, cell)."""
-    q = a.q
-    labels = q.vertex_labels()
-    lo_tab = {}
-    hi_tab = {}
-    for v in range(len(labels)):
-        for ci in range(len(q.poset.elements)):
-            lo, hi = _omega_pair(v, q._cell_vslots[ci], a.dist)
-            if hi is None:
-                return (MHCheck(False, (labels[v], q.poset.elements[ci], 3)),
-                        None, None)
-            lo_tab[(v, ci)] = lo
-            hi_tab[(v, ci)] = hi
-    return MHCheck(True, None), lo_tab, hi_tab
-
-
-def closure_hop_rows(q, ctx):
-    """Hop counts inside the closure of the cell at poset index ctx, by
-    a dict BFS over its edges, as _omega_pair rows: slot -> list over
-    every vertex slot, -1 where the closure does not reach."""
-    vsl = q._cell_vslots[ctx]
-    adj = {s: set() for s in vsl}
-    for j in iter_bits(q.poset.down_mask(ctx)):
-        if q.dims[j] == 1:
-            a, b = q._edge_ends[j]
-            adj[a].add(b)
-            adj[b].add(a)
+def _dict_bfs_rows(adj, sources, nv):
+    """Hop counts from each source over a {slot: neighbours} dict, as
+    _omega_pair rows: slot -> list over all nv slots, -1 if not reached."""
     rows = {}
-    for s in vsl:
+    for s in sources:
         dist = {s: 0}
         dq = deque([s])
         while dq:
@@ -579,14 +555,48 @@ def closure_hop_rows(q, ctx):
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     dq.append(w)
-        rows[s] = [dist.get(t, -1) for t in range(len(q._adj))]
+        rows[s] = [dist.get(t, -1) for t in range(nv)]
     return rows
 
 
-def local_tables_unshared(a):
+def skeleton_hop_rows(q):
+    """Hop counts on the whole 1-skeleton, by the dict BFS."""
+    nv = len(q._adj)
+    return _dict_bfs_rows(dict(enumerate(q._adj)), range(nv), nv)
+
+
+def closure_hop_rows(q, ctx):
+    """Hop counts inside the closure of the cell at poset index ctx, by
+    the dict BFS over its edges."""
+    vsl = q._cell_vslots[ctx]
+    adj = {s: set() for s in vsl}
+    for j in iter_bits(q.poset.down_mask(ctx)):
+        if q.dims[j] == 1:
+            a, b = q._edge_ends[j]
+            adj[a].add(b)
+            adj[b].add(a)
+    return _dict_bfs_rows(adj, vsl, len(q._adj))
+
+
+def global_tables_unshared(q, dist):
+    """mh._global_tables with one _omega_pair call per (vertex, cell)."""
+    labels = q.vertex_labels()
+    lo_tab = {}
+    hi_tab = {}
+    for v in range(len(labels)):
+        for ci in range(len(q.poset.elements)):
+            lo, hi = _omega_pair(v, q._cell_vslots[ci], dist)
+            if hi is None:
+                return (MHCheck(False, (labels[v], q.poset.elements[ci], 3)),
+                        None, None)
+            lo_tab[(v, ci)] = lo
+            hi_tab[(v, ci)] = hi
+    return MHCheck(True, None), lo_tab, hi_tab
+
+
+def local_tables_unshared(q):
     """mh._local_tables with one _omega_pair call per (context, vertex,
     subcell) triple, each context's hop counts found by its own BFS."""
-    q = a.q
     labels = q.vertex_labels()
     elements = q.poset.elements
     lo_inter = {}
@@ -616,17 +626,16 @@ def local_tables_unshared(a):
                     lo_inter[key] = lo
                 elif not (cur & lo):
                     witness = ("lower", labels[v], elements[k],
-                               lower_constraints_unshared(a, v, k))
+                               lower_constraints_unshared(q, v, k))
                     return MHCheck(False, witness), None, None
                 else:
                     lo_inter[key] = cur & lo
     return MHCheck(True, None), lo_inter, hi_seen
 
 
-def lower_constraints_unshared(a, v, k):
+def lower_constraints_unshared(q, v, k):
     """mh._lower_constraints with each context's nearest set for the
     pair (v, k) taken under that context's own closure_hop_rows."""
-    q = a.q
     labels = q.vertex_labels()
     out = []
     for ctx, cell in enumerate(q.poset.elements):
@@ -634,6 +643,61 @@ def lower_constraints_unshared(a, v, k):
             lo, _ = _omega_pair(v, q._cell_vslots[k], closure_hop_rows(q, ctx))
             out.append((cell, tuple(labels[s] for s in sorted(lo))))
     return tuple(out)
+
+
+def mh_check_unshared(q):
+    """The full MH route on the unshared tables, with no early verdict:
+    (report, maps) with maps as mh.omega_tables gives them, or the text
+    of the ConsistencyFailure for a cell whose hop counts differ from
+    the global ones although every (vertex, cell) key agrees.  On a full
+    pass the lower map reads the global set narrowed by the local one."""
+    labels = q.vertex_labels()
+    elements = q.poset.elements
+    dist = skeleton_hop_rows(q)
+    qmh, glob_lo, glob_hi = global_tables_unshared(q, dist)
+    lmh, loc_inter, loc_hi = local_tables_unshared(q)
+
+    def maps(narrowed):
+        if not qmh.passed:
+            return None
+        lower = {}
+        upper = {}
+        for (v, ci), lo in glob_lo.items():
+            key = (labels[v], elements[ci])
+            lower[key] = labels[min(narrowed.get((v, ci), lo))]
+            upper[key] = labels[glob_hi[v, ci]]
+        return {"lower": lower, "upper": upper}
+
+    if not (qmh.passed and lmh.passed):
+        witness = qmh.witness if not qmh.passed else lmh.witness
+        return MHReport(qmh, lmh, MHCheck(False, witness)), maps({})
+
+    narrowed = {vk: glob_lo[vk] & loc_inter[vk] for vk in loc_hi}
+    failed = [vk for vk, (hi_local, _) in sorted(loc_hi.items())
+              if glob_hi[vk] != hi_local or not narrowed[vk]]
+    if not failed:
+        for ctx in range(len(elements)):
+            rows = closure_hop_rows(q, ctx)
+            vsl = q._cell_vslots[ctx]
+            for s, t in product(vsl, vsl):
+                if rows[s][t] != dist[s][t]:
+                    return (f"cell {elements[ctx]}: distance {rows[s][t]} "
+                            f"between {labels[s]} and {labels[t]} differs "
+                            f"from the global {dist[s][t]}")
+        return MHReport(qmh, lmh, MHCheck(True, None)), maps(narrowed)
+
+    v, k = failed[0]
+    hi_local, ctx = loc_hi[v, k]
+    if glob_hi[v, k] != hi_local:
+        witness = ("upper", labels[v], elements[k],
+                   ("global", labels[glob_hi[v, k]]),
+                   (elements[ctx], labels[hi_local]))
+    else:
+        witness = ("lower", labels[v], elements[k],
+                   (("global",
+                     tuple(labels[s] for s in sorted(glob_lo[v, k]))),)
+                   + lower_constraints_unshared(q, v, k))
+    return MHReport(qmh, lmh, MHCheck(False, witness)), maps({})
 
 
 # -- small references read only by the tests --------------------------------

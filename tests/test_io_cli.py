@@ -1,11 +1,15 @@
 """Round trips for the five file formats and the command-line reports."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cw_complexes import cw_octagon_chords, emit_cw
 from oracles import dense_boundary_matrix, order_complex, write_dense_matrix_text
@@ -559,6 +563,26 @@ def test_cli_input_errors(capsys):
     assert code == 2 and "EnumerationLimitExceeded" in err
 
 
+def test_cli_oversized_fixture_builds_no_normals(capsys, monkeypatch):
+    # the arrangement form does not check the cap: braid:6 has 15 normals
+    code, out, _ = run(capsys, "gen", "--fixture", "braid:6", "--format", "arr")
+    assert code == 0 and out.splitlines()[0] == "rank 5"
+    assert len(out.splitlines()) == 1 + 15
+
+    def refuse(*args):
+        raise AssertionError("normals built for a spec over the cap")
+
+    for name in ("boolean_arrangement", "generic_arrangement",
+                 "braid_arrangement"):
+        monkeypatch.setattr(fixtures, name, refuse)
+    for spec, n in (("braid:45", 990), ("braid:6", 15), ("boolean:13", 13),
+                    ("generic:13:3", 13)):
+        code, out, err = run(capsys, "verify", "--fixture", spec)
+        assert (code, out) == (2, "")
+        assert err == f"EnumerationLimitExceeded: n={n} exceeds " \
+                      "OM_SALVETTI_MAX_N=12\n"
+
+
 def test_cli_bad_chirotope_header_is_bad_input(tmp_path):
     bad = tmp_path / "bad.chi"
     bad.write_text("chirotope r=-1 n=3\n++-\n")
@@ -734,3 +758,62 @@ def test_cli_argparse_failures():
     with pytest.raises(SystemExit) as exc:
         main(["paths", "--fixture", "boolean:2", "--from", "++"])
     assert exc.value.code == 2
+
+
+# lines that break a .cw text: an unknown cell, a self-cover, a cover
+# against the dimensions that closes a cycle, a repeated cell, bad dims
+# and a cell with no vertex below it
+CW_NOISE = ("cover v0 zz", "cover v0 v0", "cover e0 v0", "cover f v0",
+            "cell v0 dim 0", "cell w dim -1", "cell w dim x", "cell w dim 1.5",
+            "cell w dim 2", "cover w v0")
+
+
+@st.composite
+def cw_texts(draw):
+    """Short .cw texts: vertices, edges between them (a path or a cycle
+    through all vertices, then any pairs, loops too) and at most one
+    2-cell on some of the edges, with at most one noise line; now and
+    then the lines come reversed, covers before their cells."""
+    nv = draw(st.integers(1, 5))
+    verts = [f"v{i}" for i in range(nv)]
+    shape = draw(st.sampled_from(["cycle", "path", "none"]))
+    edges = [] if shape == "none" else list(zip(verts, verts[1:]))
+    if shape == "cycle" and nv > 2:
+        edges.append((verts[-1], verts[0]))
+    ends = st.integers(0, nv - 1).map(verts.__getitem__)
+    edges += draw(st.lists(st.tuples(ends, ends), max_size=3))
+    lines = [f"cell {v} dim 0" for v in verts]
+    lines += [f"cell e{i} dim 1" for i in range(len(edges))]
+    lines += [f"cover {v} e{i}" for i, pair in enumerate(edges) for v in pair]
+    if edges and draw(st.booleans()):
+        lines.append("cell f dim 2")
+        bound = draw(st.integers(1, 2 ** len(edges) - 1))
+        lines += [f"cover e{i} f" for i in range(len(edges)) if bound >> i & 1]
+    lines += draw(st.lists(st.sampled_from(CW_NOISE), max_size=1))
+    if draw(st.integers(0, 4)) == 0:
+        lines.reverse()
+    return "".join(line + "\n" for line in lines)
+
+
+def test_cli_mh_check_cw_fuzz_exits_cleanly(tmp_path):
+    path = tmp_path / "x.cw"
+    codes = Counter()
+
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              database=None)
+    @given(cw_texts(), st.booleans())
+    def check(text, as_json):
+        path.write_text(text)
+        argv = ["mh-check", "--in", str(path)] + ["--json"] * as_json
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if as_json:
+            assert json.loads(out.getvalue())["command"] == "mh-check"
+        codes[code] += 1
+
+    check()
+    # the texts reach every exit code, not only the parser's refusals
+    assert set(codes) == {0, 1, 2}

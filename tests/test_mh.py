@@ -12,6 +12,7 @@ from omsal.mh import (
     dual_complex,
     lmh_check,
     mh_check,
+    omega_tables,
     qmh_check,
     salvetti_cw,
     skeleton_distances,
@@ -20,8 +21,7 @@ from omsal.paths import tope_distance
 
 import oracles
 from cw_complexes import cw_octagon_chords, cw_octagon_pair, cw_polygon
-from oracles import (global_tables_unshared, local_tables_unshared,
-                     lower_constraints_unshared, skeleton_is_bipartite)
+from oracles import mh_check_unshared, skeleton_is_bipartite
 
 
 def edge():
@@ -123,8 +123,8 @@ def test_edge_and_square_pass_everything():
 
 
 def test_square_omega_tables():
-    rep = mh_check(cw_polygon(4))
-    upper, lower = rep.omega_tables["upper"], rep.omega_tables["lower"]
+    maps = omega_tables(cw_polygon(4))
+    upper, lower = maps["upper"], maps["lower"]
     assert upper[("v1", "top")] == "v3"  # antipode on the 4-cycle
     assert lower[("v1", "top")] == "v1"
     assert upper[("v1", "e3")] == "v3"
@@ -141,17 +141,18 @@ def test_odd_cycle_has_no_farthest_vertex():
     rep = mh_check(cw_polygon(3))
     assert not rep.passed
     assert rep.mh.witness == chk.witness
-    assert rep.omega_tables is None
+    assert omega_tables(cw_polygon(3)) is None
     assert str(rep).startswith("qmh: FAIL at ('v1', 'e2', 3)")
 
 
 def test_chorded_octagon_passes_locally_but_not_globally():
-    rep = mh_check(cw_octagon_chords(False))
+    q = cw_octagon_chords(False)
+    rep = mh_check(q)
     assert rep.qmh.passed and rep.lmh.passed and not rep.mh.passed
     assert rep.mh.witness == \
         ("upper", "v1", "e34", ("global", "v3"), ("oct", "v4"))
-    # the global structure alone is still reported
-    assert sorted(rep.omega_tables) == ["lower", "upper"]
+    # the global structure alone still has its maps
+    assert sorted(omega_tables(q)) == ["lower", "upper"]
 
 
 def test_two_cells_can_disagree_locally():
@@ -272,33 +273,32 @@ def test_doubled_top_cells_share_one_local_table():
         assert q.closed_cell(x + "'") == q.closed_cell(x)[:-1] + [x + "'"]
         copy, first = a.contexts[i + 1], a.contexts[i]
         assert copy.rows is first.rows and copy.metric is first.metric
-        # the copy walks only itself: its boundary was walked under x
-        assert copy.todo == 1 << (i + 1)
 
 
 def _outcome(q):
-    """mh_check(q), or the text of the ConsistencyFailure it raises."""
+    """(mh_check(q), omega_tables(q)), or the text of the
+    ConsistencyFailure that mh_check raises: the shape of
+    mh_check_unshared(q)."""
     try:
-        return mh_check(q)
+        return mh_check(q), omega_tables(q)
     except ConsistencyFailure as exc:
         return str(exc)
 
 
-def _unshared_outcome(q):
-    """_outcome(q) with every question asked afresh, the lower
-    witnesses of mh_check's own assembly included."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mh, "_global_tables", global_tables_unshared)
-        mp.setattr(mh, "_local_tables", local_tables_unshared)
-        mp.setattr(mh, "_lower_constraints", lower_constraints_unshared)
-        return _outcome(q)
+def _no_local_walk(a):
+    raise AssertionError("a matroid complex took the local walk")
 
 
 @pytest.mark.parametrize("name", ORACLE_COMPLEXES)
-def test_mh_report_equals_unshared_tables(name, om):
+def test_mh_report_equals_unshared_tables(name, om, monkeypatch):
     q = complex_for(name, om)
+    expected = mh_check_unshared(q)
+    if not name.startswith("cw-"):
+        # every closed cell is isometric: the early verdict, and a pass
+        monkeypatch.setattr(mh, "_local_tables", _no_local_walk)
+        assert expected[0].passed
     # the three checks with their witnesses, and the omega tables
-    assert mh_check(q) == _unshared_outcome(q)
+    assert _outcome(q) == expected
 
 
 def chorded_polygon(n, chords, cap):
@@ -344,7 +344,7 @@ def chorded_polygons(draw):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(chorded_polygons())
 def test_shared_answers_equal_the_unshared_oracle(q):
-    assert _outcome(q) == _unshared_outcome(q)
+    assert _outcome(q) == mh_check_unshared(q)
 
 
 # -- the lower checks, under answers that no upper check can refuse ------------
@@ -397,7 +397,7 @@ def test_lower_witnesses_equal_the_unshared_tables(nearest_and_last_answers,
     rep = mh_check(q)
     assert rep.qmh.passed and rep.lmh.passed == (route == "mh")
     assert rep.mh.witness == witness
-    assert rep == _unshared_outcome(q)
+    assert (rep, omega_tables(q)) == mh_check_unshared(q)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -406,7 +406,7 @@ def test_lower_checks_equal_the_unshared_oracle(q):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mh, "_omega_pair", nearest_and_last)
         mp.setattr(oracles, "_omega_pair", nearest_and_last)
-        assert _outcome(q) == _unshared_outcome(q)
+        assert _outcome(q) == mh_check_unshared(q)
 
 
 def test_omega_pair_calls_on_nonpappus(om, monkeypatch):
@@ -438,8 +438,9 @@ def test_omega_pair_calls_on_nonpappus(om, monkeypatch):
         calls.clear()
         assert mh_check(q).passed
         assert len(calls) == 11_310
+    # both complexes take the early verdict: no local walk at all
     assert stage_calls == {"_global_tables": [11_310, 11_310],
-                           "_local_tables": [0, 0]}
+                           "_local_tables": []}
 
 
 def test_isometry_compared_once_per_kept_table(om, monkeypatch):
@@ -488,7 +489,7 @@ def test_octagon_keeps_a_table_of_its_own(trapezoid):
     # the witnesses of the fallback route, and its metric scan
     rep = mh_check(q)
     assert rep.mh.witness[:3] == ("upper", "v1", "e34")
-    assert rep == _unshared_outcome(q)
+    assert (rep, omega_tables(q)) == mh_check_unshared(q)
     with pytest.raises(ConsistencyFailure, match="cell oct: distance 3 "
                        "between v1 and v4 differs from the global 1"):
         mh._check_local_global_metric(a)
