@@ -1,8 +1,10 @@
 """Integer homology of regular CW complexes via Smith normal form.
 
-The workhorse is a sparse elimination over Z with unit-pivot preference;
-invariant factors come from the eliminated diagonal after a gcd/lcm
-normalization.  Cellular boundaries of a regular CW complex are
+The workhorse is a sparse elimination over Z: one sweep over the
+columns clears each with a unit pivot from its shortest row, and a plain
+dense diagonalization takes whatever has no unit when its column is
+visited.  Invariant factors come from the eliminated diagonal after a
+gcd/lcm normalization.  Cellular boundaries of a regular CW complex are
 assembled from its cover pairs and grades alone: each incidence number
 is +-1 and, once one sign per cell is fixed, the diamond property of the
 cell's boundary forces the rest.  Simplicial boundaries are assembled
@@ -14,7 +16,6 @@ boundaries compose to zero.
 
 from __future__ import annotations
 
-import heapq
 from math import gcd
 from typing import NamedTuple
 
@@ -48,121 +49,77 @@ def _sparse_eliminate(rows):
     rows maps row index -> {col: value}, mutated destructively.  Only
     unimodular row and column operations are used, so the invariant
     factors of the original matrix are those of the returned diagonal.
+    The columns are swept once in index order, and each is cleared by a
+    unit pivot from its shortest row (the lowest index on ties).  What
+    the sweep leaves goes to _dense_diagonalize: the columns with no
+    unit when visited, and units that fill-in makes in columns already
+    passed.
     """
     cols: dict[int, set] = {}
     for i, r in rows.items():
         for j in r:
             cols.setdefault(j, set()).add(i)
-
-    def score(i, j, v):
-        # Markowitz fill-in count; non-unit pivots only as a last resort.
-        fill = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-        return fill if abs(v) == 1 else (1 << 40) + abs(v) * 1024 + fill
-
     diag = []
-
-    def eliminate(i, j):
-        # Pivot column must already be clear unless the pivot is a unit.
-        v = rows[i][j]
-        prow = rows[i]
+    for j in sorted(cols):
+        units = [i for i in cols[j] if abs(rows[i][j]) == 1]
+        if not units:
+            continue
+        i = min(units, key=lambda u: (len(rows[u]), u))
+        prow = rows.pop(i)
+        v = prow[j]
+        # The implicit column ops clearing the pivot row are unimodular
+        # because the pivot is a unit and alone in its column once the
+        # other rows are cleared.
+        for j2 in prow:
+            cols[j2].discard(i)
         for i2 in list(cols[j]):
-            if i2 == i:
-                continue
-            factor = rows[i2][j] * v
             r2 = rows[i2]
+            factor = r2[j] * v
             for j2, vj in prow.items():
                 nv = r2.get(j2, 0) - factor * vj
                 if nv:
                     r2[j2] = nv
-                    cols.setdefault(j2, set()).add(i2)
-                    if abs(nv) == 1:
-                        heapq.heappush(heap, (score(i2, j2, nv), i2, j2))
+                    cols[j2].add(i2)
                 else:
-                    if j2 in r2:
-                        del r2[j2]
-                        cols[j2].discard(i2)
+                    del r2[j2]
+                    cols[j2].discard(i2)
             if not r2:
                 del rows[i2]
-        # The implicit column ops clearing the pivot row are unimodular
-        # because the pivot is now alone in its column and divides its row.
-        for j2 in prow:
-            cols[j2].discard(i)
-        del rows[i]
         diag.append(v)
+    return diag + _dense_diagonalize(rows)
 
-    def reduce_nonunit(i, j):
-        # Shrink the pivot until it divides its row and column, then
-        # clear both so eliminate() sees an isolated entry.
-        while True:
-            v = rows[i][j]
-            moved = False
-            for i2 in list(cols[j]):
-                if i2 == i:
-                    continue
-                q = rows[i2][j] // v
-                if q:
-                    _row_addmul(rows, cols, i2, i, -q)
-                rem = rows[i2].get(j, 0) if i2 in rows else 0
-                if rem:
-                    i, moved = i2, True
-                    break
-            if moved:
-                continue
-            r = rows[i]
-            target = next((j2 for j2, c in r.items() if j2 != j and c % v), None)
-            if target is None:
-                for j2 in [c for c in r if c != j]:
-                    _col_addmul(rows, cols, j2, j, -(r[j2] // v))
-                return i, j
-            _col_addmul(rows, cols, target, j, -(r[target] // v))
-            j = target
 
-    heap = [(score(i, j, v), i, j) for i, r in rows.items() for j, v in r.items()]
-    heapq.heapify(heap)
+def _dense_diagonalize(rows):
+    """Pivot values of a plain dense diagonalization of sparse rows.
+
+    Each step takes the smallest nonzero entry and reduces its row and
+    column by division.  Once no remainder is left the entry stands
+    alone and is struck out; otherwise a smaller remainder is the next
+    pivot.
+    """
+    cs = sorted({j for r in rows.values() for j in r})
+    a = [[r.get(j, 0) for j in cs] for _, r in sorted(rows.items())]
+    diag = []
     while True:
-        while heap:
-            s, i, j = heapq.heappop(heap)
-            if i not in rows or j not in rows[i]:
-                continue
-            v = rows[i][j]
-            cur = score(i, j, v)
-            if cur > s and heap and heap[0][0] < cur:
-                heapq.heappush(heap, (cur, i, j))
-                continue
-            if abs(v) != 1:
-                i, j = reduce_nonunit(i, j)
-            eliminate(i, j)
-        if not rows:
+        nz = [(abs(v), i, j) for i, r in enumerate(a) for j, v in enumerate(r) if v]
+        if not nz:
             return diag
-        # Fill-in from non-unit reduction never enters the heap; resweep.
-        heap = [(score(i, j, v), i, j) for i, r in rows.items() for j, v in r.items()]
-        heapq.heapify(heap)
-
-
-def _row_addmul(rows, cols, dst, src, k):
-    rdst = rows[dst]
-    for j, v in rows[src].items():
-        nv = rdst.get(j, 0) + k * v
-        if nv:
-            rdst[j] = nv
-            cols[j].add(dst)
-        elif j in rdst:
-            del rdst[j]
-            cols[j].discard(dst)
-    if not rdst:
-        del rows[dst]
-
-
-def _col_addmul(rows, cols, dst, src, k):
-    for i in list(cols.get(src, ())):
-        v = rows[i][src]
-        nv = rows[i].get(dst, 0) + k * v
-        if nv:
-            rows[i][dst] = nv
-            cols.setdefault(dst, set()).add(i)
-        else:
-            rows[i].pop(dst, None)
-            cols[dst].discard(i)
+        _, p, q = min(nz)
+        prow, v = a[p], a[p][q]
+        for i, r in enumerate(a):
+            if i != p and r[q]:
+                k = r[q] // v
+                a[i] = [x - k * y for x, y in zip(r, prow)]
+        for j, x in enumerate(prow):
+            if j != q and x:
+                k = x // v
+                for r in a:
+                    r[j] -= k * r[q]
+        if sum(map(bool, prow)) == 1 and sum(1 for r in a if r[q]) == 1:
+            diag.append(v)
+            del a[p]
+            for r in a:
+                del r[q]
 
 
 # -- chain complexes and homology ------------------------------------------

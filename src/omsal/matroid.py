@@ -558,11 +558,8 @@ def are_isomorphic(m1: OrientedMatroid, m2: OrientedMatroid):
         raise SearchBudgetExceeded(f"isomorphism search capped at n=8, got {m1.n}")
     if len(m1.covectors) != len(m2.covectors):
         return False, None
-    try:
-        if m1.height_profile() != m2.height_profile():
-            return False, None
-    except NotGraded:
-        pass
+    if m1.height_profile() != m2.height_profile():
+        return False, None
     if sorted(x.support_mask.bit_count() for x in m1.cocircuits()) != \
        sorted(x.support_mask.bit_count() for x in m2.cocircuits()):
         return False, None

@@ -4,9 +4,9 @@ cached_salvetti_homology is the simplicial route: the homology of the
 order complex of the Salvetti poset, built by the reference
 SimplicialComplex in oracles.py.  It is the independent check on the
 cellular route of the package.  On nonpappus (71,656 faces) its Smith
-reduction takes a few seconds, against a few hundredths on the cells,
-so homology groups and cell posets are memoized here instead of being
-recomputed per test.
+reduction takes about 6 s (5.9 s in process, Python 3.11 on 2 shared
+CPUs), against 7 ms on the cells, so homology groups and cell posets
+are memoized here instead of being recomputed per test.
 """
 
 import pytest

@@ -1,6 +1,6 @@
-"""Smith normal form (sparse engine and dense oracle), simplicial
-integer homology (the reference in oracles.py), and cellular homology of
-regular CW complexes."""
+"""Smith normal form (the sparse engine, its unit sweep and dense stage,
+and the dense oracle), simplicial integer homology (the reference in
+oracles.py), and cellular homology of regular CW complexes."""
 
 from fractions import Fraction
 
@@ -12,13 +12,17 @@ from oracles import (
     betti_numbers,
     dense_boundary_matrix,
     homology,
+    order_complex,
     smith_normal_form,
     smith_normal_form_with_transforms,
     write_dense_matrix_text,
 )
 
+from omsal import homology as homology_module
 from omsal.errors import ConsistencyFailure
+from omsal.fixtures import ALL_FIXTURES, generate_fixture
 from omsal.homology import HomologyGroup, IntegerChainComplex, write_matrix_text
+from omsal.salvetti import build_salvetti_poset, salvetti_complex
 
 # the 6-vertex triangulation of the projective plane: every edge lies in
 # exactly two of the ten triangles, every vertex link is a 5-cycle
@@ -60,6 +64,44 @@ def test_snf_known_values():
     assert smith_normal_form([[6]]) == ((6,), 1)
     # the standard torsion source: boundary of a Moebius-like relation
     assert smith_normal_form([[2]]) == ((2,), 1)
+
+
+@pytest.fixture
+def dense_inputs(monkeypatch):
+    """Copies of the matrices that reach the dense stage of the elimination."""
+    seen = []
+    dense = homology_module._dense_diagonalize
+
+    def record(rows):
+        seen.append({i: dict(r) for i, r in rows.items()})
+        return dense(rows)
+
+    monkeypatch.setattr(homology_module, "_dense_diagonalize", record)
+    return seen
+
+
+def test_snf_leftovers_of_the_unit_sweep(dense_inputs):
+    # the unit pivot of column 1 turns row 1 into (1, 0): a unit that
+    # fill-in makes in column 0, already passed
+    assert smith_normal_form([[2, 1], [3, 1]]) == ((1, 1), 2)
+    # no unit anywhere: the dense stage gets the whole matrix
+    assert smith_normal_form([[2, 3], [4, 5]]) == ((1, 2), 2)
+    assert dense_inputs == [{1: {0: 1}}, {0: {0: 2, 1: 3}, 1: {0: 4, 1: 5}}]
+
+
+@pytest.mark.parametrize(
+    "route, spec",
+    [("cells", s) for s in ALL_FIXTURES + ("boolean:4", "generic:5:4")]
+    + [("chains", s) for s in ("boolean:3", "generic:4:3")])
+def test_unit_sweep_diagonalizes_salvetti_boundaries(route, spec, dense_inputs):
+    # every pivot of these boundaries is a unit that the sweep takes
+    m = generate_fixture(spec)
+    if route == "cells":
+        cells, covers = salvetti_complex(m)
+        IntegerChainComplex.from_cw_covers([c.dim for c in cells], covers).homology()
+    else:
+        homology(order_complex(build_salvetti_poset(m)))
+    assert dense_inputs and not any(dense_inputs)
 
 
 def test_snf_many_units_beside_torsion():

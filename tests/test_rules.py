@@ -2,8 +2,8 @@
 floats, the module layering, no stale names in the package exports, no
 public name that only the tests read, one bit iterator, posets built
 only from their covers, one place that asks an MH question, one
-breadth-first search, chains listed only for the matrix dump, and no
-unused imports."""
+breadth-first search, one Smith elimination, chains listed only for the
+matrix dump, and no unused imports."""
 
 import ast
 import sys
@@ -181,6 +181,22 @@ def test_one_bfs():
         "def _bfs(dq):\n    return dq.popleft()\n"
         "class A:\n    def walk(self, dq):\n        dq.popleft()\n"),
         "popleft") == ["_bfs", "A.walk"]
+
+
+def test_one_elimination():
+    # one Smith engine: homology() runs the unit sweep, the sweep alone
+    # hands its leftovers to the dense stage
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    for name, scopes in (("_sparse_eliminate", ["IntegerChainComplex.homology"]),
+                         ("_dense_diagonalize", ["_sparse_eliminate"])):
+        calls = {path: _enclosing_scopes_of_calls(tree, name)
+                 for path, tree in trees.items()}
+        assert {path: found for path, found in calls.items() if found} == \
+            {"homology.py": scopes}
+    assert _enclosing_scopes_of_calls(ast.parse(
+        "class C:\n    def homology(self, r):\n        return _sparse_eliminate(r)\n"
+        "def coreduce(r):\n    return homology._sparse_eliminate(r)\n"),
+        "_sparse_eliminate") == ["C.homology", "coreduce"]
 
 
 def test_chains_listed_only_for_the_matrix_dump():

@@ -1,5 +1,5 @@
 """Salvetti cell poset: f-vectors, nerve comparison, theorem checks,
-cellular homology."""
+cellular homology, 2-cells bounded by minimal positive paths."""
 
 import pytest
 
@@ -12,6 +12,7 @@ from omsal.homology import IntegerChainComplex
 from omsal.fixtures import ALL_FIXTURES
 from omsal.matroid import OrientedMatroid
 from omsal.osalg import flats_from_covectors, os_betti
+from omsal.paths import minimal_positive_paths
 from omsal.posets import FinitePoset, iter_bits
 from omsal.salvetti import (
     SalvettiCell,
@@ -292,3 +293,40 @@ def test_cellular_betti_numbers_are_nbc_counts(spec, om):
     groups = _cellular_homology(m)
     assert all(g.torsion == () for g in groups)
     assert tuple(g.betti for g in groups) == os_betti(flats_from_covectors(m))
+
+
+@pytest.mark.parametrize("spec", ALL_FIXTURES)
+def test_two_cells_are_pairs_of_minimal_positive_paths(spec, om):
+    # [X, T] is bounded by the two minimal positive paths T -> X o (-T)
+    # around the polygon of X: a second route to the signs of boundary 2
+    m = om(spec)
+    cells, covers = salvetti_complex(m)
+    index = {c: k for k, c in enumerate(cells)}
+    # the chain complex numbers the cells of one dimension in index order
+    first = {}
+    for k, c in enumerate(cells):
+        first.setdefault(c.dim, k)
+    pos = {c: k - first[c.dim] for k, c in enumerate(cells)}
+    chain = IntegerChainComplex.from_cw_covers([c.dim for c in cells], covers)
+    facets = {}
+    for f, c in covers:
+        facets.setdefault(c, set()).add(cells[f])
+    two_cells = [c for c in cells if c.dim == 2]
+    assert two_cells or m.rank < 2
+    for cell in two_cells:
+        x, t = cell.covector, cell.tope
+        found = minimal_positive_paths(m, t, compose(x, -t))
+        assert len(found) == 2
+        assert all(p.length == len(x.zero_set()) for p in found)
+        assert {e.cell for p in found for e in p.edges} == facets[index[cell]]
+        # +1 along the first path, -1 along the second; an edge counts +1
+        # when it runs from its lower-indexed endpoint to the other
+        column = {}
+        for sign, p in zip((1, -1), found):
+            for e in p.edges:
+                low_first = index[SalvettiCell(e.source, e.source, 0)] < \
+                    index[SalvettiCell(e.target, e.target, 0)]
+                column[pos[e.cell]] = sign if low_first else -sign
+        expected = {r: row[pos[cell]] for r, row in chain.boundaries[2].items()
+                    if pos[cell] in row}
+        assert column in (expected, {r: -v for r, v in expected.items()})
