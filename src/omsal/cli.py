@@ -62,6 +62,9 @@ def _load_subject(args):
 
 
 def _tope_arg(text, m):
+    if text == []:
+        # argparse turns an attached value of exactly "--" (--to=--) into []
+        text = "--"
     try:
         t = SignVector.from_string(text)
     except ValueError as exc:
@@ -210,7 +213,7 @@ def _cmd_topes(args):
     m, ident = _load_subject(args)
     ts = m.topes()
     if args.poset:
-        base = _tope_arg(args.base, m) if args.base else ts[0]
+        base = ts[0] if args.base is None else _tope_arg(args.base, m)
         tp = tope_poset(m, base)
         elems = tp.poset.elements
         pairs = sorted((str(elems[i]), str(elems[j]))

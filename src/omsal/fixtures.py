@@ -3,7 +3,7 @@
 Fixture specs are strings: boolean:n (coordinate normals), generic:n:l
 (moment-curve normals, provably generic), braid:n (essentialized
 pairwise-difference normals), nonpappus (rank-3 non-realizable, built by
-a single basis-sign flip), or file kind carrying a path.
+a single basis-sign flip).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import fileio
 from .errors import UnknownFixture
 from .limits import check_cap
 from .matroid import (Chirotope, OrientedMatroid, RationalArrangement,
@@ -25,7 +24,6 @@ class FixtureSpec:
     name: str
     kind: str
     args: tuple = ()
-    note: str = ""
 
 
 def parse_fixture_spec(text: str) -> FixtureSpec:
@@ -33,25 +31,18 @@ def parse_fixture_spec(text: str) -> FixtureSpec:
     kind = parts[0]
     if kind == "boolean" and len(parts) == 2:
         n = _positive_int(parts[1], text)
-        return FixtureSpec(text.strip(), "boolean", (n,),
-                           "coordinate normals in rank n")
+        return FixtureSpec(text.strip(), "boolean", (n,))
     if kind == "generic" and len(parts) == 3:
         n = _positive_int(parts[1], text)
         l = _positive_int(parts[2], text)
-        return FixtureSpec(text.strip(), "generic", (n, l),
-                           "moment-curve normals (1, t, ..., t^(l-1)), t=1..n")
+        return FixtureSpec(text.strip(), "generic", (n, l))
     if kind == "braid" and len(parts) == 2:
         n = _positive_int(parts[1], text)
         if n < 2:
             raise UnknownFixture(f"braid needs n >= 2, got {text!r}")
-        return FixtureSpec(text.strip(), "braid", (n,),
-                           "pairwise difference normals, essentialized")
+        return FixtureSpec(text.strip(), "braid", (n,))
     if kind == "nonpappus" and len(parts) == 1:
-        return FixtureSpec("nonpappus", "nonpappus", (),
-                           "rank-3 non-realizable covector set")
-    if kind == "file" and len(parts) >= 2:
-        path = text.strip().split(":", 1)[1]
-        return FixtureSpec(text.strip(), "file", (path,), "external input")
+        return FixtureSpec("nonpappus", "nonpappus")
     raise UnknownFixture(f"unrecognized fixture spec {text!r}")
 
 
@@ -140,8 +131,6 @@ def generate_fixture(spec) -> OrientedMatroid:
     """Build (and cache) the oriented matroid named by a fixture spec."""
     if isinstance(spec, str):
         spec = parse_fixture_spec(spec)
-    if spec.kind == "file":
-        return fileio.load_oriented_matroid(spec.args[0])
     hit = _cache.get(spec.name)
     if hit is not None:
         return hit

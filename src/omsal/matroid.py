@@ -209,7 +209,8 @@ def _check_v3(vecs) -> AxiomCheck:
 # Builders of the data that OrientedMatroid.derived keeps per matroid.
 
 def _sorted_covectors(m):
-    # canonical order everywhere: ASCII sorts '+' < '-' < '0'
+    # the one sign-string sort (ASCII '+' < '-' < '0'); the cocircuits,
+    # the face poset, the topes and the Salvetti cells inherit its order
     return tuple(sorted(m.covectors, key=str))
 
 
@@ -239,7 +240,7 @@ def _minimal_support_vectors(m):
         if all(t & ~s for t in minimal):
             minimal.append(s)
     keep = set(minimal)
-    return tuple(sorted((x for x in m.covectors if x.support_mask in keep), key=str))
+    return tuple(x for x in m.sorted_covectors() if x.support_mask in keep)
 
 
 def _cocircuit_axioms_hold(cc) -> bool:
@@ -314,7 +315,7 @@ def _graded_heights(m):
 
 def _topes(m):
     poset = m.face_poset()
-    return tuple(sorted((poset.elements[i] for i in poset.maximal_indices()), key=str))
+    return tuple(poset.elements[i] for i in poset.maximal_indices())
 
 
 def _tope_set(m):

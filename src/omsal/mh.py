@@ -321,21 +321,15 @@ def _omega_pair(vslot, kslots, rows):
     return lo, None
 
 
-def _global_tables(a: _Analysis):
-    """(check, lo_table, hi_table) for the whole-complex metric."""
+def _global_tables(a: _Analysis) -> MHCheck:
+    """QMH: every (vertex, cell) has a farthest vertex under the
+    whole-complex metric; the answers stay in a.glob's memo."""
     q = a.q
-    labels = q.vertex_labels()
-    lo_tab = {}
-    hi_tab = {}
-    for v in range(len(labels)):
+    for v in range(len(a.dist)):
         for ci in range(len(q.poset.elements)):
-            lo, hi = a.answer(a.glob, v, ci)
-            if hi is None:
-                return (MHCheck(False, (labels[v], q.poset.elements[ci], 3)),
-                        None, None)
-            lo_tab[(v, ci)] = lo
-            hi_tab[(v, ci)] = hi
-    return MHCheck(True, None), lo_tab, hi_tab
+            if a.answer(a.glob, v, ci)[1] is None:
+                return MHCheck(False, (q.vertex_labels()[v], q.poset.elements[ci], 3))
+    return MHCheck(True, None)
 
 
 def _local_tables(a: _Analysis):
@@ -402,7 +396,7 @@ def _lower_constraints(a: _Analysis, v, k):
 
 def qmh_check(q: CWPoset) -> MHCheck:
     """Existence of globally additive farthest vertices for every cell."""
-    return _global_tables(_Analysis(q))[0]
+    return _global_tables(_Analysis(q))
 
 
 def lmh_check(q: CWPoset) -> MHCheck:
@@ -420,7 +414,7 @@ def mh_check(q: CWPoset) -> MHReport:
     complexes): the input was accepted wrongly, a ConsistencyFailure.
     """
     a = _Analysis(q)
-    qmh, glob_lo, glob_hi = _global_tables(a)
+    qmh = _global_tables(a)
     if qmh.passed and all(c.metric is a.glob for c in a.contexts):
         # every local answer is the global one, so LMH and MH pass as QMH
         return MHReport(qmh, qmh, qmh)
@@ -429,9 +423,11 @@ def mh_check(q: CWPoset) -> MHReport:
         witness = qmh.witness if not qmh.passed else lmh.witness
         return MHReport(qmh, lmh, MHCheck(False, witness))
 
-    failed = min((vk for vk, (hi_local, _) in loc_hi.items()
-                  if glob_hi[vk] != hi_local
-                  or not glob_lo[vk] & loc_inter[vk]), default=None)
+    def disagrees(vk):
+        lo, hi = a.answer(a.glob, *vk)
+        return hi != loc_hi[vk][0] or not lo & loc_inter[vk]
+
+    failed = min(filter(disagrees, loc_hi), default=None)
     if failed is None:
         # the early verdict was not taken, so some context is not
         # isometric and this raises
@@ -440,14 +436,14 @@ def mh_check(q: CWPoset) -> MHReport:
     elements = q.poset.elements
     v, k = failed
     hi_local, ctx = loc_hi[failed]
-    if glob_hi[failed] != hi_local:
+    glob_lo, glob_hi = a.answer(a.glob, v, k)
+    if glob_hi != hi_local:
         witness = ("upper", labels[v], elements[k],
-                   ("global", labels[glob_hi[failed]]),
+                   ("global", labels[glob_hi]),
                    (elements[ctx], labels[hi_local]))
     else:
         witness = ("lower", labels[v], elements[k],
-                   (("global",
-                     tuple(labels[s] for s in sorted(glob_lo[failed]))),)
+                   (("global", tuple(labels[s] for s in sorted(glob_lo))),)
                    + _lower_constraints(a, v, k))
     return MHReport(qmh, lmh, MHCheck(False, witness))
 
@@ -458,17 +454,17 @@ def omega_tables(q: CWPoset) -> dict | None:
     The smallest nearest and the forced farthest vertex of each cell
     from each vertex, under the 1-skeleton metric.
     """
-    qmh, lo_tab, hi_tab = _global_tables(_Analysis(q))
-    if not qmh.passed:
+    a = _Analysis(q)
+    if not _global_tables(a).passed:
         return None
     labels = q.vertex_labels()
-    elements = q.poset.elements
     lower = {}
     upper = {}
-    for (v, ci), lo in lo_tab.items():
-        key = (labels[v], elements[ci])
-        lower[key] = labels[min(lo)]
-        upper[key] = labels[hi_tab[v, ci]]
+    for v, label in enumerate(labels):
+        for ci, cell in enumerate(q.poset.elements):
+            lo, hi = a.answer(a.glob, v, ci)
+            lower[label, cell] = labels[min(lo)]
+            upper[label, cell] = labels[hi]
     return {"lower": lower, "upper": upper}
 
 

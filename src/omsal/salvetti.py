@@ -3,8 +3,11 @@
 Cells are pairs [X, T] of a covector and a tope above it; the face
 relation is [Y, S] <= [X, T] iff X <= Y and Y o T = S (the smaller cell
 sits left so poset height equals cell dimension).  The facets of [X, T]
-are the cells [Y, Y o T] with Y covering X in the face poset; the cells
-and these covers define the regular CW complex, and its f-vector,
+are the cells [Y, Y o T] with Y covering X in the face poset.  Both are
+read off that poset: its covectors and topes are in sign-string order,
+its up-masks name the topes above each covector and its covers give the
+facets, so the cells come out in canonical order with no sort.  The
+cells and their covers define the regular CW complex, and its f-vector,
 integer homology and .poset text are read off them.  Only the callers
 that read up- and down-masks (the checks below, MH and the matrix dump)
 close the covers into a poset.  The nerve of the open-star cover is
@@ -14,7 +17,7 @@ that poset, and the theorem-level count/retraction checks live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConsistencyFailure, NotATope
 from .limits import check_cap
@@ -28,25 +31,12 @@ class SalvettiCell:
     covector: SignVector
     tope: SignVector
     dim: int
-    # cells key the MH tables and the poset index, so the hash of the
-    # two sign vectors is taken once, not on every lookup
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.covector, self.tope, self.dim)))
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         return f"[{self.covector},{self.tope}]"
 
     def __repr__(self):
         return f"SalvettiCell({self.covector!r}, {self.tope!r}, dim={self.dim})"
-
-
-def _sort_key(c: SalvettiCell):
-    return (c.dim, str(c.covector), str(c.tope))
 
 
 def cell_leq(a: SalvettiCell, b: SalvettiCell) -> bool:
@@ -57,17 +47,21 @@ def cell_leq(a: SalvettiCell, b: SalvettiCell) -> bool:
 
 def _salvetti_complex(m: OrientedMatroid):
     rank = m.rank
-    heights = m.heights()
-    tope_list = m.topes()
     face = m.face_poset()
-    covs = face.elements
-    above = [[t for t in tope_list if conforms(x, t)] for x in covs]
-    cells = sorted((SalvettiCell(x, t, rank - heights[x])
-                    for x, ts in zip(covs, above) for t in ts), key=_sort_key)
-    index = {(c.covector, c.tope): k for k, c in enumerate(cells)}
+    covs, heights = face.elements, face.heights()
+    topes = sum(1 << i for i in face.maximal_indices())
+    above = [list(iter_bits(face.up_mask(i) & topes)) for i in range(len(covs))]
+    # covectors and topes are indexed in sign-string order, so visiting
+    # the covectors by height, stably, emits the cells in canonical
+    # (dimension, covector, tope) order
+    cells, index = [], {}
+    for i in sorted(range(len(covs)), key=lambda i: -heights[i]):
+        for t in above[i]:
+            index[i, t] = len(cells)
+            cells.append(SalvettiCell(covs[i], covs[t], rank - heights[i]))
     # [X, T] covers its facets [Y, Y o T], Y covering X; the face poset
     # is graded, so these pairs are exactly the covers of cell_leq.
-    covers = sorted((index[covs[j], compose(covs[j], t)], index[covs[i], t])
+    covers = sorted((index[j, face.index[compose(covs[j], covs[t])]], index[i, t])
                     for i, j in face.covers() for t in above[i])
     return cells, covers
 

@@ -579,7 +579,8 @@ def closure_hop_rows(q, ctx):
 
 
 def global_tables_unshared(q, dist):
-    """mh._global_tables with one _omega_pair call per (vertex, cell)."""
+    """(check, lo_table, hi_table) under the whole-complex metric, one
+    _omega_pair call per (vertex, cell); the check is mh._global_tables'."""
     labels = q.vertex_labels()
     lo_tab = {}
     hi_tab = {}

@@ -480,6 +480,20 @@ def test_cli_paths_rejects_non_topes(capsys):
     assert "NotATope" in err
 
 
+def test_cli_names_the_all_minus_tope_of_two_elements(capsys):
+    # argparse hands the attached value "--" (--to=--) to the command as []
+    for ends in (("--from", "++", "--to=--"), ("--from=--", "--to", "++")):
+        code, out, _ = run(capsys, "paths", "--fixture", "boolean:2", *ends)
+        assert (code, out.splitlines()[:2]) == (0, ["distance=2", "paths=2"])
+    code, out, _ = run(capsys, "topes", "--fixture", "boolean:2",
+                       "--poset", "--base=--")
+    assert (code, out.splitlines()[0]) == (0, "base=--")
+    # an empty base is bad input, not the first tope
+    code, out, err = run(capsys, "topes", "--fixture", "boolean:2",
+                         "--poset", "--base=")
+    assert (code, out) == (2, "") and "NotATope" in err
+
+
 def test_cli_isomorphic(capsys, tmp_path):
     code, out, _ = run(capsys, "isomorphic", "--fixture", "braid:3",
                        "--other", "generic:3:2")
@@ -561,6 +575,12 @@ def test_cli_input_errors(capsys):
     assert code == 2 and "UnknownFixture" in err
     code, out, err = run(capsys, "verify", "--fixture", "boolean:99")
     assert code == 2 and "EnumerationLimitExceeded" in err
+
+
+def test_cli_file_fixture_kind_is_unknown(capsys):
+    # files are read with --in; a fixture spec names a built-in subject
+    code, out, err = run(capsys, "verify", "--fixture", "file:x.cov")
+    assert (code, out) == (2, "") and "UnknownFixture" in err
 
 
 def test_cli_oversized_fixture_builds_no_normals(capsys, monkeypatch):

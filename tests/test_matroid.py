@@ -1,6 +1,7 @@
 """Covector axioms, arrangements, chirotopes, and isomorphism search."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,12 @@ def test_chirotope_validation():
         Chirotope(2, 3, {(1, 2): 0, (1, 3): 0, (2, 3): 0})
     with pytest.raises(NotAlternating):
         Chirotope(2, 3, {(1, 2): 1, (2, 1): 1, (1, 3): 1, (2, 3): 1})
+    with pytest.raises(LengthMismatch):
+        Chirotope(2, 3, {(1, 2): 1, (1, 2, 3): 1})
+    with pytest.raises(NotAlternating):
+        Chirotope(2, 3, {(1, 1): 1, (1, 2): 1})
+    # a repeated element with sign 0 says nothing and is dropped
+    assert Chirotope(2, 3, {(1, 1): 0, (1, 2): 1}).values == {(1, 2): 1}
 
 
 def test_chirotope_span_matches_arrangement(om):
@@ -497,6 +504,26 @@ def test_non_isomorphic_pairs(om):
     # same size, different structure: boolean:3 vs generic 3 lines in
     # the plane have different covector counts, caught before search
     assert not are_isomorphic(om("generic:4:3"), om("boolean:3"))[0]
+
+
+def _simplicial_topes(m):
+    face = m.face_poset()
+    walls = Counter(j for _, j in face.covers())
+    return sum(walls[face.index[t]] == m.rank for t in m.topes())
+
+
+def test_search_decides_non_isomorphic_pairs(om):
+    # uniform rank 3 on six elements with equal pre-search invariants,
+    # but 12 against 14 simplicial topes: only the search can say no
+    m1 = om("generic:6:3")
+    m2 = from_arrangement(RationalArrangement(3, [
+        (-3, 5, 2), (0, -3, -4), (2, -1, 3), (3, 3, 0), (-4, 0, 4), (5, -5, -1)]))
+    assert len(m1.covectors) == len(m2.covectors) == 123
+    assert m1.height_profile() == m2.height_profile()
+    assert sorted(x.support_mask.bit_count() for x in m1.cocircuits()) == \
+        sorted(x.support_mask.bit_count() for x in m2.cocircuits())
+    assert (_simplicial_topes(m1), _simplicial_topes(m2)) == (12, 14)
+    assert are_isomorphic(m1, m2) == (False, None)
 
 
 def test_isomorphism_budget(om):

@@ -462,7 +462,7 @@ def test_isometry_compared_once_per_kept_table(om, monkeypatch):
     searched.clear()  # the connectivity check of CWPoset
     a = mh._Analysis(q)
     assert len(searched) == len(q._adj) == 58  # the global rows
-    assert mh._global_tables(a)[0].passed and mh._local_tables(a)[0].passed
+    assert mh._global_tables(a).passed and mh._local_tables(a)[0].passed
     mh._check_local_global_metric(a)
     mh._lower_constraints(a, 0, 0)
     # 500 contexts, one row set per covector: each key is derived once,

@@ -2,8 +2,8 @@
 floats, the module layering, no stale names in the package exports, no
 public name that only the tests read, one bit iterator, posets built
 only from their covers, one place that asks an MH question, one
-breadth-first search, one Smith elimination, chains listed only for the
-matrix dump, and no unused imports."""
+breadth-first search, one Smith elimination, one canonical sort, chains
+listed only for the matrix dump, and no unused imports."""
 
 import ast
 import sys
@@ -139,14 +139,17 @@ def test_posets_built_only_from_covers():
         "r = FinitePoset(e, u, d, a, b)\n"), "FinitePoset") == [2, 3]
 
 
-def _enclosing_scopes_of_calls(tree, name):
+def _enclosing_scopes_of_calls(tree, name, key=None):
     """The dotted class and function scope of every call to name, bare
-    or as an attribute, in source order."""
+    or as an attribute, in source order; with key, only the calls that
+    pass key=<that bare name>."""
     out = []
 
     def visit(node, scope):
         if isinstance(node, ast.Call) and \
-                getattr(node.func, "id", getattr(node.func, "attr", None)) == name:
+                getattr(node.func, "id", getattr(node.func, "attr", None)) == name \
+                and (key is None or any(kw.arg == "key" and getattr(kw.value, "id", None) == key
+                                        for kw in node.keywords)):
             out.append(".".join(scope))
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = scope + (node.name,)
@@ -181,6 +184,23 @@ def test_one_bfs():
         "def _bfs(dq):\n    return dq.popleft()\n"
         "class A:\n    def walk(self, dq):\n        dq.popleft()\n"),
         "popleft") == ["_bfs", "A.walk"]
+
+
+def test_one_canonical_sort():
+    # a matroid's vectors are put in sign-string order once, by
+    # _sorted_covectors, and its cocircuits, topes and Salvetti cells
+    # inherit that order; verify_axioms takes arbitrary input and _strs
+    # sorts witness sets
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    found = {name: sorted(scope for call in ("sorted", "sort")
+                          for scope in _enclosing_scopes_of_calls(tree, call, key="str"))
+             for name, tree in trees.items()}
+    assert {name: scopes for name, scopes in found.items() if scopes} == \
+        {"cli.py": ["_strs"], "matroid.py": ["_sorted_covectors", "verify_axioms"]}
+    snippet = ast.parse("def f(v):\n    return sorted(v, key=str), sorted(v, key=len), sorted(v)\n"
+                        "class C:\n    def g(self, v):\n        v.sort(key=str)\n")
+    assert _enclosing_scopes_of_calls(snippet, "sorted", key="str") == ["f"]
+    assert _enclosing_scopes_of_calls(snippet, "sort", key="str") == ["C.g"]
 
 
 def test_one_elimination():

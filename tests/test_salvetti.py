@@ -243,12 +243,37 @@ def test_poset_from_covers_equals_cell_relation(spec, om):
     m = om(spec)
     cells = sorted((SalvettiCell(x, t, m.rank - m.height(x))
                     for x in m.covectors for t in m.topes() if conforms(x, t)),
-                   key=salvetti._sort_key)
+                   key=lambda c: (c.dim, str(c.covector), str(c.tope)))
     oracle = build_poset(cells, cell_leq)
     poset = build_salvetti_poset(m)
     assert poset.elements == oracle.elements
     assert [poset.up_mask(i) for i in range(len(poset))] == \
         [oracle.up_mask(i) for i in range(len(oracle))]
+
+
+@pytest.mark.parametrize("spec", ["generic:5:3", "nonpappus"])
+def test_cells_are_read_off_the_face_poset(spec, om, monkeypatch):
+    # the face poset holds the topes above each covector and the
+    # canonical order, so the cells need no conformity scan and no sort
+    m = OrientedMatroid(om(spec).n, om(spec).covectors)
+    m.face_poset(), m.rank, m.topes()
+    calls = []
+    real_conforms, real_str = salvetti.conforms, SignVector.__str__
+
+    def counted_conforms(y, x):
+        calls.append("conforms")
+        return real_conforms(y, x)
+
+    def counted_str(x):
+        calls.append("str")
+        return real_str(x)
+
+    monkeypatch.setattr(salvetti, "conforms", counted_conforms)
+    monkeypatch.setattr(SignVector, "__str__", counted_str)
+    cells, covers = salvetti_complex(m)
+    assert calls == []
+    monkeypatch.undo()
+    assert (cells, covers) == salvetti_complex(om(spec))
 
 
 def _transitive_reduction(poset):
