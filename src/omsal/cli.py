@@ -65,6 +65,8 @@ def _tope_arg(text, m):
     if text == []:
         # argparse turns an attached value of exactly "--" (--to=--) into []
         text = "--"
+    if not text:
+        raise ParseError(f"bad sign string {text!r}: empty")
     try:
         t = SignVector.from_string(text)
     except ValueError as exc:

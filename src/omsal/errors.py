@@ -25,10 +25,6 @@ class NotEssential(OMError):
     """The normals do not span the ambient space."""
 
 
-class NotGraded(OMError):
-    """A poset expected to be graded has maximal chains of unequal length."""
-
-
 class AxiomFailure(OMError):
     """Covector axioms failed; carries the verification report."""
 

@@ -32,7 +32,6 @@ from .errors import (
     LengthMismatch,
     NotAlternating,
     NotEssential,
-    NotGraded,
     SearchBudgetExceeded,
     ZeroNormal,
 )
@@ -300,26 +299,9 @@ def _face_poset(m):
     return FinitePoset.from_covers(covs, covers)
 
 
-def _graded_heights(m):
-    poset = m.face_poset()
-    hs = poset.heights()
-    rank = max(hs, default=0)
-    if not poset.is_graded():
-        raise NotGraded("covector poset has unequal maximal chains")
-    for i in poset.maximal_indices():
-        if hs[i] != rank:
-            raise NotGraded(
-                f"maximal covector {poset.elements[i]} at height {hs[i]} != rank {rank}")
-    return rank, {poset.elements[i]: h for i, h in enumerate(hs)}
-
-
 def _topes(m):
     poset = m.face_poset()
     return tuple(poset.elements[i] for i in poset.maximal_indices())
-
-
-def _tope_set(m):
-    return frozenset(m.derived(_topes))
 
 
 class OrientedMatroid:
@@ -367,17 +349,12 @@ class OrientedMatroid:
 
     @property
     def rank(self) -> int:
-        return self.derived(_graded_heights)[0]
-
-    def height(self, x: SignVector) -> int:
-        return self.derived(_graded_heights)[1][x]
-
-    def heights(self) -> dict:
-        return dict(self.derived(_graded_heights)[1])
+        """Height of the face poset, graded with the topes on top (BLSWZ 4.1.14)."""
+        return self.face_poset().height()
 
     def height_profile(self) -> tuple[int, ...]:
         prof = [0] * (self.rank + 1)
-        for h in self.derived(_graded_heights)[1].values():
+        for h in self.face_poset().heights():
             prof[h] += 1
         return tuple(prof)
 
@@ -386,7 +363,9 @@ class OrientedMatroid:
         return list(self.derived(_topes))
 
     def is_tope(self, x: SignVector) -> bool:
-        return x in self.derived(_tope_set)
+        face = self.face_poset()
+        i = face.index.get(x)
+        return i is not None and face.up_mask(i) == 1 << i
 
     def cocircuits(self) -> list[SignVector]:
         """Nonzero covectors of minimal support, in canonical order."""

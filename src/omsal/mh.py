@@ -497,10 +497,9 @@ def dual_complex(m: OrientedMatroid) -> CWPoset:
     1-cells are the walls between adjacent chambers and the zero
     covector is the unique top cell.  Expects a verified simple input.
     """
-    heights = m.heights()
-    rank = m.rank
-    poset = m.face_poset().dual()
-    return CWPoset(poset, [rank - heights[x] for x in poset.elements])
+    face = m.face_poset()
+    rank = face.height()
+    return CWPoset(face.dual(), [rank - h for h in face.heights()])
 
 
 def salvetti_cw(m: OrientedMatroid) -> CWPoset:

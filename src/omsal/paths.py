@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import ConsistencyFailure, EquivalenceViolation, NotATope, NotSimple
 from .matroid import OrientedMatroid
 from .posets import FinitePoset, is_lattice, iter_bits
-from .salvetti import oriented_one_skeleton
+from .salvetti import DirectedEdge, SalvettiCell, oriented_one_skeleton
 from .signs import SignVector, compose, conforms, separation_mask
 
 
@@ -40,16 +40,17 @@ def crossing_element(source: SignVector, target: SignVector) -> int:
 
 
 def _adjacency(m: OrientedMatroid):
-    sk = m.derived(oriented_one_skeleton)
-    adj: dict[SignVector, list] = {t: [] for t in sk.vertices}
-    for e in sk.edges:
-        diff = separation_mask(e.source, e.target)
+    adj: dict[SignVector, list] = {t: [] for t in m.topes()}
+    for x, a, b in m.derived(oriented_one_skeleton):
+        diff = separation_mask(a, b)
         if diff & (diff - 1):
             elements = ", ".join(str(k + 1) for k in iter_bits(diff))
             raise NotSimple(
                 f"elements {elements} are parallel: adjacent topes "
-                f"{e.source}, {e.target} differ on all of them")
-        adj[e.source].append((diff.bit_length(), e.target, e))
+                f"{a}, {b} differ on all of them")
+        k = diff.bit_length()
+        adj[a].append((k, b, DirectedEdge(SalvettiCell(x, a, 1), a, b)))
+        adj[b].append((k, a, DirectedEdge(SalvettiCell(x, b, 1), b, a)))
     return {t: tuple(sorted(steps, key=lambda s: s[0]))
             for t, steps in adj.items()}
 
@@ -175,15 +176,15 @@ def tope_poset(m: OrientedMatroid, t: SignVector) -> TopePoset:
 
     The tope graph directed away from t, a -> b with S(t, a) inside
     S(t, b), is the Hasse diagram of this order (BLSWZ, Oriented
-    Matroids, 4.2; Edelman 1984), so the poset is the closure of those
-    edges of the oriented 1-skeleton, which is built once per matroid.
+    Matroids, 4.2; Edelman 1984), so the poset is the closure of the
+    walls of the oriented 1-skeleton, each directed away from t.
     """
     _require_tope(m, t)
-    sk = m.derived(oriented_one_skeleton)
-    pos = {s: i for i, s in enumerate(sk.vertices)}
-    covers = ((pos[e.source], pos[e.target]) for e in sk.edges
-              if not separation_mask(t, e.source) & ~separation_mask(t, e.target))
-    return TopePoset(t, FinitePoset.from_covers(sk.vertices, covers))
+    topes = m.topes()
+    pos = {s: i for i, s in enumerate(topes)}
+    covers = ((pos[a], pos[b]) if not separation_mask(t, a) & ~separation_mask(t, b)
+              else (pos[b], pos[a]) for _, a, b in m.derived(oriented_one_skeleton))
+    return TopePoset(t, FinitePoset.from_covers(topes, covers))
 
 
 # -- simpliciality ---------------------------------------------------------------
@@ -197,20 +198,13 @@ def _interval_is_boolean(m: OrientedMatroid, t: SignVector) -> bool:
     interval = {x for x in m.covectors if conforms(x, t)}
     if len(interval) != 1 << rank:
         return False
-    elems = {}
-    for bits in range(1 << rank):
-        x = SignVector.zero(m.n)
-        for i in range(rank):
-            if (bits >> i) & 1:
-                x = compose(x, atoms[i])
-        elems[bits] = x
-    if len(set(elems.values())) != 1 << rank or set(elems.values()) != interval:
-        return False
-    for a in elems:
-        for b in elems:
-            if conforms(elems[a], elems[b]) != (a & ~b == 0):
-                return False
-    return True
+    # a composition of atoms has t's signs on its support, so conformity
+    # is support inclusion; when the 2^rank atom sets give 2^rank distinct
+    # vectors, supp(A) <= supp(B) means A | B and B give one vector, so A <= B
+    comps = [SignVector.zero(m.n)]
+    for atom in atoms:
+        comps += [compose(x, atom) for x in comps]
+    return set(comps) == interval
 
 
 def is_simplicial(m: OrientedMatroid):

@@ -122,34 +122,23 @@ class DirectedEdge:
     target: SignVector
 
 
-@dataclass(frozen=True)
-class OrientedSkeleton:
-    vertices: tuple
-    edges: tuple
-
-
-def oriented_one_skeleton(m: OrientedMatroid) -> OrientedSkeleton:
-    """Each 1-cell [X, T] becomes the directed edge [T,T] -> [T',T'].
-
-    T' is the unique other tope above X, so edges come in opposite
-    pairs and every vertex has in-degree equal to out-degree.
+def oriented_one_skeleton(m: OrientedMatroid) -> tuple:
+    """The walls (X, a, b) of the tope graph: X of height rank - 1, in
+    index order, and a, b the two topes above it, in index order.  The
+    1-cells [X, a] and [X, b] are the directed edges a -> b and b -> a.
     """
-    tope_list = m.topes()
-    rank = m.rank
-    heights = m.heights()
     face = m.face_poset()
-    edges = []
-    for i, x in enumerate(face.elements):
-        if heights[x] != rank - 1:
+    rank, heights, covs = face.height(), face.heights(), face.elements
+    walls = []
+    for i, x in enumerate(covs):
+        if heights[i] != rank - 1:
             continue
-        above = [face.elements[j] for j in iter_bits(face.up_mask(i) & ~(1 << i))]
+        above = [covs[j] for j in iter_bits(face.up_mask(i) & ~(1 << i))]
         if len(above) != 2:
             raise ConsistencyFailure(
                 f"1-cell covector {x} has {len(above)} topes above it")
-        a, b = above
-        edges.append(DirectedEdge(SalvettiCell(x, a, 1), a, b))
-        edges.append(DirectedEdge(SalvettiCell(x, b, 1), b, a))
-    return OrientedSkeleton(tuple(tope_list), tuple(edges))
+        walls.append((x, *above))
+    return tuple(walls)
 
 
 # -- nerve comparison ---------------------------------------------------------
@@ -211,8 +200,9 @@ def retraction_check(m: OrientedMatroid, t: SignVector) -> bool:
         raise NotATope(f"{t} is not a tope")
     poset = build_salvetti_poset(m)
     face = m.face_poset()
-    embed = [poset.index.get(SalvettiCell(x, compose(x, t), m.rank - m.height(x)))
-             for x in face.elements]
+    rank, heights = face.height(), face.heights()
+    embed = [poset.index.get(SalvettiCell(x, compose(x, t), rank - heights[i]))
+             for i, x in enumerate(face.elements)]
     if None in embed:
         return False
     return all(poset.up_mask(embed[j]) >> embed[i] & 1 for i, j in face.covers())

@@ -488,10 +488,17 @@ def test_cli_names_the_all_minus_tope_of_two_elements(capsys):
     code, out, _ = run(capsys, "topes", "--fixture", "boolean:2",
                        "--poset", "--base=--")
     assert (code, out.splitlines()[0]) == (0, "base=--")
-    # an empty base is bad input, not the first tope
-    code, out, err = run(capsys, "topes", "--fixture", "boolean:2",
-                         "--poset", "--base=")
-    assert (code, out) == (2, "") and "NotATope" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("topes", "--fixture", "boolean:2", "--poset", "--base="),
+    ("paths", "--fixture", "boolean:2", "--from=", "--to", "++"),
+    ("paths", "--fixture", "boolean:2", "--from", "++", "--to="),
+])
+def test_cli_empty_tope_value_is_a_parse_error(capsys, argv):
+    # an empty tope is bad input, not the first tope and not a nameless non-tope
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "ParseError: bad sign string '': empty\n")
 
 
 def test_cli_isomorphic(capsys, tmp_path):

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -114,6 +115,29 @@ def test_topes_list_is_a_copy(om):
     assert m.topes() == before
     assert m.is_tope(before[0])
     assert not m.is_tope(m.zero)
+
+
+@pytest.mark.parametrize("spec", ALL_FIXTURES)
+def test_is_tope_only_on_maximal_covectors(spec, om):
+    m = om(spec)
+    face = m.face_poset()
+    t = m.topes()[0]
+    assert m.is_tope(t)
+    assert [m.is_tope(x) for x in face.elements] == \
+        [i in face.maximal_indices() for i in range(len(face))]
+    assert not m.is_tope(m.zero)
+    # every sign vector outside the set (none for a boolean arrangement)
+    outside = [x for x in map(SignVector.from_signs, product((1, 0, -1), repeat=m.n))
+               if x not in m.covectors]
+    assert not any(m.is_tope(x) for x in outside)
+    assert not m.is_tope(sv(str(t) + "+"))
+
+
+def test_rank_zero_set():
+    m = OrientedMatroid(2, {sv("00")})
+    assert m.verify().passes
+    assert (m.rank, m.height_profile(), m.topes()) == (0, (1,), [sv("00")])
+    assert m.is_tope(sv("00")) and not m.is_tope(sv("+0"))
 
 
 def test_v3_failure_witness():
@@ -247,6 +271,9 @@ def test_face_poset_equals_the_relation_scan(spec, om):
         [oracle.up_mask(i) for i in range(len(oracle))]
     assert poset.covers() == oracle.covers()
     assert poset.heights() == oracle.heights()
+    # graded with every maximal element, every tope, at height rank
+    assert poset.is_graded()
+    assert all(poset.heights()[i] == m.rank for i in poset.maximal_indices())
     # the cocircuits are the atoms over the zero covector
     assert m.cocircuits() == [oracle.elements[i] for i, h in enumerate(oracle.heights())
                               if h == 1]

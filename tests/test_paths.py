@@ -180,6 +180,7 @@ def test_skeleton_built_once_per_matroid(om, monkeypatch):
     assert len(calls) == 1
     assert tope_graph_distances(m)
     assert antipodal_extension_check(m, [(topes[0], topes[1])])
+    assert all(tope_poset(m, t).poset.elements == tuple(topes) for t in topes)
     assert len(calls) == 1
 
 

@@ -253,3 +253,72 @@ def test_no_unused_imports():
     assert _unused_imports(ast.parse(
         "from __future__ import annotations\nimport os.path\n"
         "from .a import b, c as d\nd(os.sep)\n")) == [("b", 3)]
+
+
+def _unstable_cache_keys(trees):
+    """module:line of every .derived(...) argument that is not a bare name
+    bound to a module-level def, in its own module or imported from one."""
+    defs = {mod: {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            for mod, tree in trees.items()}
+    bad = []
+    for mod, tree in trees.items():
+        bound = set(defs[mod])
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                bound |= {alias.asname or alias.name for alias in node.names
+                          if alias.name in defs.get(node.module, ())}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "derived":
+                bad += [f"{mod}:{node.lineno}"
+                        for arg in node.args + [kw.value for kw in node.keywords]
+                        if not (isinstance(arg, ast.Name) and arg.id in bound)]
+    return bad
+
+
+def _cache_writes(tree):
+    """The enclosing scope of every write to a _derived attribute: a
+    binding, an item assignment or deletion, or a mutating dict method."""
+    out = []
+
+    def visit(node, scope):
+        target = None
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in \
+                {"clear", "pop", "popitem", "setdefault", "update"}:
+            target = node.func.value
+        if getattr(target, "attr", None) == "_derived":
+            out.append(".".join(scope))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return out
+
+
+def test_cache_keys_are_stable():
+    # OrientedMatroid.derived keys its cache by the builder itself, so a
+    # lambda or nested function would be a fresh key, and a silent
+    # recomputation, on every call; the cache is created in __init__ and
+    # written only by derived and by span_from_cocircuits, which seeds
+    # the axiom report it has proved
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert not _unstable_cache_keys(trees)
+    writes = {mod: _cache_writes(tree) for mod, tree in trees.items()}
+    assert {mod: found for mod, found in writes.items() if found} == \
+        {"matroid": ["OrientedMatroid.__init__", "OrientedMatroid.derived",
+                     "span_from_cocircuits"]}
+    snippet = {"a": ast.parse("from .b import g\ndef f(m):\n    return m\n"
+                              "def use(m):\n    def h(m):\n        return 2\n"
+                              "    return (m.derived(f), m.derived(g), m.derived(lambda m: 1),\n"
+                              "            m.derived(h), m.derived(build=f))\n"),
+               "b": ast.parse("def g(m):\n    return m\n")}
+    assert _unstable_cache_keys(snippet) == ["a:7", "a:8"]
+    assert _cache_writes(ast.parse(
+        "def f(m):\n    m._derived[f] = 1\n    m._derived.pop(f)\n    del m._derived[f]\n"
+        "    m._derived.update({})\n    m._derived = {}\n    return m._derived.get(f)\n"))\
+        == ["f"] * 5

@@ -5,14 +5,15 @@ import pytest
 
 from cw_complexes import cw_octagon_chords, cw_polygon, emit_cw
 from oracles import build_poset, max_cliques
+from test_paths import NON_SIMPLE
 
 from omsal import fileio, salvetti
 from omsal.errors import EnumerationLimitExceeded, NotATope
 from omsal.homology import IntegerChainComplex
 from omsal.fixtures import ALL_FIXTURES
-from omsal.matroid import OrientedMatroid
+from omsal.matroid import OrientedMatroid, RationalArrangement, from_arrangement
 from omsal.osalg import flats_from_covectors, os_betti
-from omsal.paths import minimal_positive_paths
+from omsal.paths import minimal_positive_paths, skeleton_adjacency
 from omsal.posets import FinitePoset, iter_bits
 from omsal.salvetti import (
     SalvettiCell,
@@ -84,17 +85,29 @@ def test_boundary_of_an_edge_is_two_vertices(om):
     assert SalvettiCell(tope, tope, 0) in cells
 
 
-@pytest.mark.parametrize("spec", ["boolean:2", "generic:3:2", "generic:4:3"])
+@pytest.mark.parametrize("spec", ALL_FIXTURES + tuple(NON_SIMPLE))
 def test_oriented_skeleton_pairs_up(spec, om):
-    m = om(spec)
-    sk = oriented_one_skeleton(m)
-    n_subtopes = sum(1 for x in m.covectors
-                     if m.height(x) == m.rank - 1)
-    assert len(sk.edges) == 2 * n_subtopes
-    seen = {(e.source, e.target) for e in sk.edges}
-    assert all((t, s) in seen for s, t in seen)
-    for e in sk.edges:
-        assert compose(e.cell.covector, e.source) == e.source
+    # one wall per covector of height rank - 1, with exactly the topes
+    # above it in index order; on simple input two directed edges each
+    m = (from_arrangement(RationalArrangement(2, NON_SIMPLE[spec]))
+         if spec in NON_SIMPLE else om(spec))
+    face = m.face_poset()
+    walls = oriented_one_skeleton(m)
+    subtopes = [i for i, h in enumerate(face.heights()) if h == m.rank - 1]
+    assert [face.index[x] for x, _, _ in walls] == subtopes
+    topes = set(m.topes())
+    for x, a, b in walls:
+        above = [y for y in face.elements if y in topes and conforms(x, y)]
+        assert [a, b] == above
+    if spec in NON_SIMPLE:
+        return
+    adj = skeleton_adjacency(m)
+    edges = [e for steps in adj.values() for _, _, e in steps]
+    assert len(edges) == 2 * len(walls)
+    assert {(e.cell.covector, e.source, e.target) for e in edges} == \
+        {w for x, a, b in walls for w in ((x, a, b), (x, b, a))}
+    for e in edges:
+        assert e.cell.tope == e.source and e.cell.dim == 1
         assert compose(e.cell.covector, e.target) == e.target
 
 
@@ -184,8 +197,8 @@ def test_checks_fail_with_one_relation_removed(spec, monkeypatch, om):
     t = m.topes()[0]
     for i, j in (face.covers()[0], face.covers()[-1]):
         x, y = face.elements[i], face.elements[j]
-        lower = poset.index[SalvettiCell(y, compose(y, t), m.rank - m.height(y))]
-        upper = poset.index[SalvettiCell(x, compose(x, t), m.rank - m.height(x))]
+        lower = poset.index[SalvettiCell(y, compose(y, t), m.rank - face.height_of(y))]
+        upper = poset.index[SalvettiCell(x, compose(x, t), m.rank - face.height_of(x))]
         assert (lower, upper) in poset.covers()
         damaged = FinitePoset.from_covers(
             poset.elements, [c for c in poset.covers() if c != (lower, upper)])
@@ -241,7 +254,7 @@ def test_poset_from_covers_equals_cell_relation(spec, om):
     # oracle: every cell [X, T] with X <= T, in canonical order, and
     # cell_leq tested on every ordered pair of them
     m = om(spec)
-    cells = sorted((SalvettiCell(x, t, m.rank - m.height(x))
+    cells = sorted((SalvettiCell(x, t, m.rank - m.face_poset().height_of(x))
                     for x in m.covectors for t in m.topes() if conforms(x, t)),
                    key=lambda c: (c.dim, str(c.covector), str(c.tope)))
     oracle = build_poset(cells, cell_leq)
