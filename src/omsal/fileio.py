@@ -8,12 +8,15 @@ skipped everywhere.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 from pathlib import Path
 
-from .errors import AxiomFailure, ConsistencyFailure, ParseError
+from .errors import (AxiomFailure, ConsistencyFailure, EnumerationLimitExceeded,
+                     ParseError)
+from .limits import SALVETTI_CAP_ENV, check_cap, enumeration_cap
 from .matroid import (Chirotope, OrientedMatroid, RationalArrangement,
                       cocircuits_from_chirotope, from_arrangement,
                       span_from_cocircuits)
@@ -43,6 +46,11 @@ def _read_lines(source):
     return name, out
 
 
+# an integer, a plain decimal or p/q; Fraction alone would also take
+# exponents, and expand 1e400000000 digit by digit
+_RATIONAL = r"[+-]?([0-9]+/[0-9]+|[0-9]*\.?[0-9]+)"
+
+
 def parse_arrangement(source) -> RationalArrangement:
     """Read `rank <l>` followed by one row of l exact rationals per normal."""
     name, lines = _read_lines(source)
@@ -60,6 +68,10 @@ def parse_arrangement(source) -> RationalArrangement:
         if len(toks) != l:
             raise ParseError(
                 f"{name}:{lineno}: expected {l} entries, got {len(toks)}")
+        for t in toks:
+            if not re.fullmatch(_RATIONAL, t):
+                raise ParseError(f"{name}:{lineno}: {t!r} is not an integer, "
+                                 "a decimal or p/q")
         try:
             rows.append(tuple(Fraction(t) for t in toks))
         except (ValueError, ZeroDivisionError) as exc:
@@ -129,12 +141,22 @@ def parse_chirotope(source) -> Chirotope:
     if not 1 <= r <= n:
         raise ParseError(f"{name}:{lineno}: need 1 <= r <= n in {head!r}")
     chars = "".join(line for _, line in lines[1:])
-    # counted before the subsets are listed: a short file may name
-    # far more subsets than memory holds
-    if len(chars) != comb(n, r):
-        raise ParseError(
-            f"{name}: {comb(n, r)} sign characters required for r={r} "
-            f"n={n}, got {len(chars)}")
+    # C(n, r) one factor at a time, before any subset is listed and only
+    # up to sys.maxsize, past the length of any string
+    need = 1
+    for i in range(min(r, n - r)):
+        need = need * (n - i) // (i + 1)
+        if need > sys.maxsize:
+            break
+    if need != len(chars):
+        shown = need if need <= sys.maxsize else f"more than {sys.maxsize}"
+        raise ParseError(f"{name}: {shown} sign characters required for "
+                         f"r={r} n={n}, got {len(chars)}")
+    # each subset is listed with its r elements, and r near n makes a
+    # short file name n subsets: r is held to the cap on spanning
+    cap = enumeration_cap()
+    if r > cap:
+        raise EnumerationLimitExceeded(f"r={r} exceeds {SALVETTI_CAP_ENV}={cap}")
     subsets = colex_subsets(n, r)
     values = {}
     for sub, ch in zip(subsets, chars):
@@ -269,5 +291,6 @@ def load_oriented_matroid(path) -> OrientedMatroid:
         return from_arrangement(parse_arrangement(path))
     if suffix == ".chi":
         chi = parse_chirotope(path)
+        check_cap(chi.n)  # before the cocircuits, as from_arrangement does
         return span_from_cocircuits(cocircuits_from_chirotope(chi))
     raise ParseError(f"{path}: unknown input format {suffix!r}")

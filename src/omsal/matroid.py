@@ -153,23 +153,12 @@ def verify_axioms(candidate) -> AxiomReport:
     zero = SignVector.zero(n)
     v0 = AxiomCheck("V0", zero in pool, None if zero in pool else (zero,))
 
-    v1 = AxiomCheck("V1", True)
-    for x in vecs:
-        if -x not in pool:
-            v1 = AxiomCheck("V1", False, (x,))
-            break
+    x = next((x for x in vecs if -x not in pool), None)
+    v1 = AxiomCheck("V1", x is None, None if x is None else (x,))
 
-    v2 = AxiomCheck("V2", True)
-    for i, x in enumerate(vecs):
-        if not v2.passed:
-            break
-        for y in vecs[i:]:
-            if compose(x, y) not in pool:
-                v2 = AxiomCheck("V2", False, (x, y))
-                break
-            if compose(y, x) not in pool:
-                v2 = AxiomCheck("V2", False, (y, x))
-                break
+    pair = next(((a, b) for i, x in enumerate(vecs) for y in vecs[i:]
+                 for a, b in ((x, y), (y, x)) if compose(a, b) not in pool), None)
+    v2 = AxiomCheck("V2", pair is None, pair)
 
     v3 = _check_v3(vecs)
     return AxiomReport(v0, v1, v2, v3)

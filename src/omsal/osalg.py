@@ -1,9 +1,10 @@
 """Underlying matroid, broken circuits, nbc counts, and the rank comparison.
 
-The flats are the zero sets of the covectors; everything else (rank,
-closure, circuits, nbc sets) is derived from the flat lattice.  The
-Orlik-Solomon algebra is represented only through its nbc counts, which
-are compared degree by degree against Salvetti homology.
+The flats are the zero sets of the covectors (BLSWZ, Oriented Matroids);
+they are ranked once per matroid, and rank, circuits and nbc sets are
+read from that table.  The Orlik-Solomon algebra is represented only
+through its nbc counts, which are compared degree by degree against
+Salvetti homology.
 """
 
 from __future__ import annotations
@@ -11,88 +12,63 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ComparisonFailure, NotSimple
+from .errors import AxiomFailure, ComparisonFailure, NotSimple
 from .homology import IntegerChainComplex
 from .matroid import OrientedMatroid
-from .posets import FinitePoset, iter_bits
+from .posets import iter_bits
 from .salvetti import salvetti_complex
 
 
+def _flat_ranks(m) -> dict[int, int]:
+    # {zero mask: rank} of the flats of m.  They form a lattice graded
+    # by rank, so in order of size a flat's rank is one more than the
+    # highest rank of a flat before it that it contains, or 0 for none
+    report = m.verify()
+    if not report.passes:
+        raise AxiomFailure(report)
+    ranks = {}
+    for z in sorted({x.zero_mask for x in m.covectors}, key=int.bit_count):
+        ranks[z] = 1 + max((r for f, r in ranks.items() if not f & ~z), default=-1)
+    return ranks
+
+
 class UnderlyingMatroid:
-    """A matroid given by its lattice of flats (subsets of {1..n})."""
+    """The matroid on {1..n} whose flats are the covector zero sets;
+    built by flats_from_covectors."""
 
-    def __init__(self, n, flats):
-        self.n = int(n)
-        self.flats = frozenset(frozenset(f) for f in flats)
-        ground = frozenset(range(1, self.n + 1))
-        if ground not in self.flats:
-            raise ValueError("ground set is not a flat")
-        for f in self.flats:
-            if not f <= ground:
-                raise ValueError(f"flat {set(f)} is not inside the ground set")
-        for a in self.flats:
-            for b in self.flats:
-                if a & b not in self.flats:
-                    raise ValueError(f"flats not intersection-closed: {set(a)} & {set(b)}")
-        self._poset = None
-        self._rank_cache = {}
+    def __init__(self, n, ranks):
+        self.n = n
+        self._ranks = ranks
 
-    def lattice(self) -> FinitePoset:
-        """The flats under inclusion, closed from the pairs F < cl(F + e).
-
-        Every cover F < G is one of them: for e in G - F the closure of
-        F + e lies in G.  That holds for any intersection-closed family
-        of subsets of the ground set that contains it, which __init__
-        enforces.
-        """
-        if self._poset is None:
-            elems = sorted(self.flats, key=lambda f: (len(f), sorted(f)))
-            index = {f: i for i, f in enumerate(elems)}
-            covers = ((i, index[self.closure(f | {e})])
-                      for i, f in enumerate(elems)
-                      for e in range(1, self.n + 1) if e not in f)
-            self._poset = FinitePoset.from_covers(elems, covers)
-        return self._poset
-
-    def closure(self, s) -> frozenset:
-        s = frozenset(s)
-        out = None
-        for f in self.flats:
-            if s <= f:
-                out = f if out is None else out & f
-        if out is None:
-            raise ValueError(f"{set(s)} is not contained in the ground set")
-        return out
+    @property
+    def flats(self) -> frozenset:
+        return frozenset(frozenset(e + 1 for e in iter_bits(z)) for z in self._ranks)
 
     def rank(self, s=None) -> int:
-        if s is None:
-            s = frozenset(range(1, self.n + 1))
-        key = frozenset(s)
-        if key not in self._rank_cache:
-            self._rank_cache[key] = self.lattice().height_of(self.closure(key))
-        return self._rank_cache[key]
-
-    def is_independent(self, s) -> bool:
-        return self.rank(s) == len(frozenset(s))
+        """The least rank of a flat containing s (default: the ground set)."""
+        mask = (1 << self.n) - 1 if s is None else sum(1 << (e - 1) for e in set(s))
+        return min(r for z, r in self._ranks.items() if not mask & ~z)
 
 
 def flats_from_covectors(m: OrientedMatroid) -> UnderlyingMatroid:
-    """The matroid whose flats are the covector zero sets."""
-    return UnderlyingMatroid(m.n, {x.zero_set() for x in m.covectors})
+    """The matroid whose flats are the covector zero sets.
+
+    Raises AxiomFailure, with the report, when the set does not verify.
+    """
+    return UnderlyingMatroid(m.n, m.derived(_flat_ranks))
 
 
 def circuits(u: UnderlyingMatroid) -> list[frozenset]:
-    """Inclusion-minimal dependent sets, smallest first."""
+    """Inclusion-minimal dependent sets, smallest first, then in
+    lexicographic order.  None is larger than rank + 1: every larger
+    set holds a dependent set of that size."""
     found = []
-    ground = range(1, u.n + 1)
-    for size in range(1, u.n + 1):
-        for s in combinations(ground, size):
+    for size in range(1, u.rank() + 2):
+        for s in combinations(range(1, u.n + 1), size):
             fs = frozenset(s)
-            if any(c <= fs for c in found):
-                continue
-            if u.rank(fs) < size:
+            if not any(c <= fs for c in found) and u.rank(fs) < size:
                 found.append(fs)
-    return sorted(found, key=lambda c: (len(c), sorted(c)))
+    return found
 
 
 @dataclass(frozen=True)
@@ -113,30 +89,19 @@ def nbc_sets(u: UnderlyingMatroid, order=None) -> NbcTable:
     once however many circuits break to it; the default order is
     1 < 2 < ... < n.
     """
-    if order is None:
-        order = tuple(range(1, u.n + 1))
-    order = tuple(order)
+    order = tuple(range(1, u.n + 1)) if order is None else tuple(order)
     if sorted(order) != list(range(1, u.n + 1)):
         raise ValueError(f"{order} is not a permutation of 1..{u.n}")
     pos = {e: i for i, e in enumerate(order)}
     circs = circuits(u)
     broken = {c - {min(c, key=pos.get)} for c in circs}
-    rank = u.rank()
-    layers = [[] for _ in range(rank + 1)]
-    for size in range(rank + 1):
-        for s in combinations(range(1, u.n + 1), size):
-            fs = frozenset(s)
-            if not u.is_independent(fs):
-                continue
-            if any(b <= fs for b in broken):
-                continue
-            layers[size].append(fs)
-    return NbcTable(
-        order,
-        tuple(circs),
-        tuple(sorted(broken, key=lambda b: (len(b), sorted(b)))),
-        tuple(tuple(sorted(layer, key=sorted)) for layer in layers),
-    )
+    # no independence test: a dependent set holds a circuit C, and so
+    # the broken circuit C - min C
+    layers = tuple(tuple(s for s in map(frozenset, combinations(range(1, u.n + 1), size))
+                         if not any(b <= s for b in broken))
+                   for size in range(u.rank() + 1))
+    return NbcTable(order, tuple(circs),
+                    tuple(sorted(broken, key=lambda b: (len(b), sorted(b)))), layers)
 
 
 def os_betti(u: UnderlyingMatroid, order=None) -> tuple[int, ...]:
@@ -166,10 +131,9 @@ def gr_comparison(m: OrientedMatroid) -> GrComparison:
     or torsion appears; also insists the nbc counts alternate to zero.
     The comparison holds only without loops, so a loop raises NotSimple.
     """
-    support = 0
-    for x in m.covectors:
-        support |= x.support_mask
-    loops = [str(e + 1) for e in iter_bits(((1 << m.n) - 1) & ~support)]
+    # the loops are the elements of the rank-0 flat
+    ranks = m.derived(_flat_ranks)
+    loops = [str(e + 1) for e in iter_bits(min(ranks, key=ranks.get))]
     if loops:
         raise NotSimple(f"element {loops[0]} is a loop" if len(loops) == 1 else
                         f"elements {', '.join(loops)} are loops")

@@ -3,8 +3,8 @@
 Up-sets and down-sets are bitmasks over element indices, so subset tests
 and transitive reduction are single integer operations even for posets
 with a few hundred elements.  Every poset of the package is closed from
-a cover relation (face, Salvetti and tope posets, flat lattices and .cw
-files) or is the dual of one.  The generating pairs are kept as masks
+a cover relation (face, Salvetti and tope posets and .cw files) or is
+the dual of one.  The generating pairs are kept as masks
 both ways, above and below each element, and one closure closes each
 list, so neither the down-masks nor the dual are derived again; only
 cycles need a check.  The pairs above an element are its only cover
@@ -103,9 +103,6 @@ class FinitePoset:
 
     def __len__(self):
         return len(self.elements)
-
-    def __contains__(self, x):
-        return x in self.index
 
     def leq(self, x, y) -> bool:
         return bool(self._up[self.index[x]] & (1 << self.index[y]))

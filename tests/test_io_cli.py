@@ -6,17 +6,18 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cw_complexes import cw_octagon_chords, emit_cw
 from oracles import dense_boundary_matrix, order_complex, write_dense_matrix_text
 
 from omsal import fileio, fixtures, matroid
 from omsal.cli import main
-from omsal.errors import AxiomFailure, ConsistencyFailure, ParseError
+from omsal.errors import AxiomFailure, ConsistencyFailure, OMError, ParseError
 from omsal.fixtures import fixture_arrangement, parse_fixture_spec
 from omsal.homology import IntegerChainComplex
 from omsal.matroid import are_isomorphic, from_arrangement
@@ -635,6 +636,28 @@ def test_cli_short_chirotope_with_huge_header_is_bad_input(tmp_path):
                           "required for r=20 n=40, got 1\n"
 
 
+@pytest.mark.parametrize("name, text, err", [
+    ("exp.arr", "rank 2\n1 0\n0 1e400000000\n",
+     "ParseError: {}:3: '1e400000000' is not an integer, a decimal or p/q"),
+    ("huge.chi", "chirotope r=50000000 n=100000000\n+\n",
+     f"ParseError: {{}}: more than {sys.maxsize} sign characters required "
+     "for r=50000000 n=100000000, got 1"),
+    ("free.chi", "chirotope r=20000 n=20000\n+\n",
+     "EnumerationLimitExceeded: r=20000 exceeds OM_SALVETTI_MAX_N=12"),
+], ids=["exponent", "binomial", "rank"])
+def test_cli_input_too_large_to_expand_is_bad_input(tmp_path, name, text, err):
+    # nothing may be multiplied out or listed: the exponent has 400
+    # million digits and the binomial about 30 million, and the last
+    # file's one basis would give 20,000 hyperplanes of 20,000 signs
+    path = tmp_path / name
+    path.write_text(text)
+    proc = subprocess.run([sys.executable, "-m", "omsal", "verify", "--in",
+                           str(path)], capture_output=True, text=True,
+                          cwd=str(Path(__file__).parent.parent), timeout=5)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == err.format(path) + "\n"
+
+
 def test_cli_gen_reemits_a_thirteen_element_chirotope(capsys, tmp_path):
     # parsing a chirotope applies no cap on n; spanning it does
     f = tmp_path / "n13.chi"
@@ -844,3 +867,73 @@ def test_cli_mh_check_cw_fuzz_exits_cleanly(tmp_path):
     check()
     # the texts reach every exit code, not only the parser's refusals
     assert set(codes) == {0, 1, 2}
+
+
+# header values past the small ones: ones whose binomials have thousands
+# of digits, ones past any binomial that could be multiplied out, and junk
+HEADER_NOISE = ("0", "-1", "x", "20000", "40000", "50000000", "100000000",
+                "1" + "0" * 30)
+ARR_ENTRIES = ("1", "-2", "3", "1/2", "-3/4", "0.5", ".25", "+1", "0")
+ARR_NOISE = ("2/0", "1.", "1_0", "nan", "0x1", "9" * 5000, "1e400000000",
+             "1e-400000000", "1e3")
+
+
+def header(draw, *values):
+    """The header values as strings; in one text of three, some of them
+    are noise."""
+    out = [str(v) for v in values]
+    if draw(st.integers(0, 2)) == 0:
+        for i in draw(st.lists(st.integers(0, len(out) - 1), min_size=1, unique=True)):
+            out[i] = draw(st.sampled_from(HEADER_NOISE))
+    return out
+
+
+@st.composite
+def arr_texts(draw):
+    """.arr texts: a rank line, then up to six rows of one width whose
+    entries are integers, decimals and p/q, the last one now and then
+    an exponent or junk."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.sampled_from(ARR_ENTRIES), min_size=width,
+                                  max_size=width), max_size=6))
+    noise = draw(st.lists(st.sampled_from(ARR_NOISE), max_size=1))
+    if rows and noise:
+        rows[-1][-1] = noise[0]
+    rank, = header(draw, width)
+    return f"rank {rank}\n" + "".join(" ".join(row) + "\n" for row in rows)
+
+
+@st.composite
+def chi_texts(draw):
+    """.chi texts: a header with r <= 4 and n <= 6, then one sign per
+    r-subset, or in one text of three any short run of signs."""
+    r, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    count = comb(n, r) if draw(st.integers(0, 2)) else draw(st.integers(0, 25))
+    signs = draw(st.text(alphabet="+-0", min_size=count, max_size=count))
+    r, n = header(draw, r, n)
+    return f"chirotope r={r} n={n}\n{signs}\n"
+
+
+def test_loaders_fuzz_load_or_raise_om_errors(tmp_path):
+    outcomes = Counter()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.one_of(arr_texts().map(lambda t: ("x.arr", t)),
+                     chi_texts().map(lambda t: ("x.chi", t))))
+    # C(40000, 20000) has about 12,000 digits, too many for str()
+    @example(("x.chi", "chirotope r=20000 n=40000\n+\n"))
+    def check(named):
+        name, text = named
+        path = tmp_path / name
+        path.write_text(text)
+        try:
+            fileio.load_oriented_matroid(path)
+        except OMError:
+            outcomes[name, False] += 1
+        else:
+            outcomes[name, True] += 1
+
+    check()
+    # the texts of both formats reach both outcomes
+    assert set(outcomes) == {(name, ok) for name in ("x.arr", "x.chi")
+                             for ok in (False, True)}

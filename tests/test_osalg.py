@@ -1,14 +1,17 @@
-"""Flat lattices, broken circuits, nbc counts, homology comparison."""
+"""Flats and ranks, broken circuits, nbc counts, homology comparison."""
+
+from itertools import combinations
 
 import pytest
 
-from oracles import build_poset, is_simple, whitney_numbers
+from oracles import is_simple, whitney_numbers
 
-from omsal.errors import NotSimple
-from omsal.fixtures import ALL_FIXTURES
-from omsal.matroid import OrientedMatroid
+from omsal import osalg
+from omsal.errors import AxiomFailure, NotSimple
+from omsal.fixtures import (ALL_FIXTURES, fixture_arrangement, generate_fixture,
+                            nonpappus_chirotope)
+from omsal.matroid import Chirotope, OrientedMatroid
 from omsal.osalg import (
-    UnderlyingMatroid,
     circuits,
     flats_from_covectors,
     gr_comparison,
@@ -36,7 +39,8 @@ NONPAPPUS_LINES = [
 
 
 def u23():
-    return UnderlyingMatroid(3, [(), (1,), (2,), (3,), (1, 2, 3)])
+    # three lines through the origin: flats {}, {1}, {2}, {3}, {1, 2, 3}
+    return flats_from_covectors(generate_fixture("generic:3:2"))
 
 
 @pytest.mark.parametrize("spec", ALL_FIXTURES)
@@ -50,17 +54,43 @@ def test_os_betti_matches_whitney_oracle(spec, om):
     assert os_betti(u) == whitney_numbers(u.flats)
 
 
-@pytest.mark.parametrize("spec", ALL_FIXTURES + ("boolean:5",))
-def test_flat_lattice_equals_the_relation_scan(spec, om):
-    # closed from the pairs F < cl(F + e), against inclusion on every pair
+@pytest.mark.parametrize("spec", ALL_FIXTURES + ("generic:6:3", "generic:6:4",
+                                                 "braid:4", "boolean:5"))
+def test_rank_is_the_largest_basis_meet(spec, om):
+    # the rank of S is the most elements of S in one basis, read off the
+    # chirotope's nonzero bases: no flats and no covectors involved
+    chi = nonpappus_chirotope() if spec == "nonpappus" else \
+        Chirotope.from_normals(fixture_arrangement(spec))
+    bases = [frozenset(b) for b, sign in chi.values.items() if sign]
     u = flats_from_covectors(om(spec))
-    lattice = u.lattice()
-    oracle = build_poset(sorted(u.flats, key=lambda f: (len(f), sorted(f))),
-                         lambda a, b: a <= b)
-    assert lattice.elements == oracle.elements
-    assert [lattice.up_mask(i) for i in range(len(lattice))] == \
-        [oracle.up_mask(i) for i in range(len(oracle))]
-    assert lattice.covers() == oracle.covers()
+    assert u.n == chi.n and u.rank() == chi.r
+    for size in range(u.n + 1):
+        for s in combinations(range(1, u.n + 1), size):
+            assert u.rank(s) == max(len(b.intersection(s)) for b in bases), s
+
+
+def test_flat_ranks_are_built_once_per_matroid(om, monkeypatch):
+    ranks, calls = osalg._flat_ranks, []
+
+    def counted(m):
+        calls.append(m)
+        return ranks(m)
+
+    monkeypatch.setattr(osalg, "_flat_ranks", counted)
+    m = om("generic:4:3")
+    m = OrientedMatroid(m.n, m.covectors)
+    for _ in range(3):
+        nbc_sets(flats_from_covectors(m))
+    gr_comparison(m)
+    assert calls == [m]
+
+
+def test_flats_need_a_set_that_verifies():
+    # +0 without its negative breaks V1
+    m = OrientedMatroid(2, {SignVector.from_string(s) for s in ("00", "+0")})
+    with pytest.raises(AxiomFailure) as exc:
+        flats_from_covectors(m)
+    assert exc.value.report == m.verify()
 
 
 def test_boolean_flats_are_all_subsets(om):
@@ -84,28 +114,19 @@ def test_nonpappus_flat_lattice(om):
     assert triples == NONPAPPUS_LINES
     # the closure forced by the classical theorem is exactly the one missing
     assert frozenset({5, 6, 9}) not in u.flats
-    assert u.closure({5, 6}) == frozenset({5, 6})
-
-
-def test_matroid_validation():
-    with pytest.raises(ValueError, match="ground set"):
-        UnderlyingMatroid(3, [(), (1,), (2,)])
-    with pytest.raises(ValueError, match="intersection-closed"):
-        UnderlyingMatroid(3, [(1, 2), (2, 3), (1, 2, 3)])
-    with pytest.raises(ValueError, match="not inside the ground set"):
-        UnderlyingMatroid(2, [(), (99,), (1, 2)])
+    # so 9 is not in the closure of {5, 6}
+    assert u.rank({5, 6, 9}) == 3
 
 
 def test_closure_and_rank():
     u = u23()
-    assert u.closure({1}) == frozenset({1})
-    assert u.closure({1, 2}) == frozenset({1, 2, 3})
     assert u.rank() == 2
+    assert u.rank(()) == 0
     assert u.rank({1}) == 1
-    assert u.is_independent({1, 3})
-    assert not u.is_independent({1, 2, 3})
+    assert u.rank({1, 2}) == u.rank({1, 2, 3}) == 2
+    assert u.rank({1, 3}) == 2  # independent
     with pytest.raises(ValueError):
-        u.closure({4})
+        u.rank({4})
 
 
 def test_circuits_uniform():

@@ -3,7 +3,8 @@ floats, the module layering, no stale names in the package exports, no
 public name that only the tests read, one bit iterator, posets built
 only from their covers, one place that asks an MH question, one
 breadth-first search, one Smith elimination, one canonical sort, chains
-listed only for the matrix dump, and no unused imports."""
+listed only for the matrix dump, no unused imports, and the nbc and
+homology routes of gr-compare kept apart."""
 
 import ast
 import sys
@@ -322,3 +323,40 @@ def test_cache_keys_are_stable():
         "def f(m):\n    m._derived[f] = 1\n    m._derived.pop(f)\n    del m._derived[f]\n"
         "    m._derived.update({})\n    m._derived = {}\n    return m._derived.get(f)\n"))\
         == ["f"] * 5
+
+
+HOMOLOGY_ROUTE = {"face_poset", "salvetti_complex", "IntegerChainComplex", "FinitePoset"}
+
+
+def _homology_route_reads(tree):
+    """(enclosing scope, name) of every read of a name on the homology
+    route, bare or as an attribute, outside module-level imports."""
+    out = []
+
+    def visit(node, scope):
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        if name in HOMOLOGY_ROUTE:
+            out.append((".".join(scope), name))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return out
+
+
+def test_gr_compare_routes_stay_apart():
+    # gr-compare checks nbc counts against Salvetti homology, so the nbc
+    # route reads nothing of the face poset or the complex; only the
+    # comparison itself reads both
+    reads = _homology_route_reads(ast.parse((SRC / "osalg.py").read_text()))
+    assert {scope for scope, _ in reads} == {"gr_comparison"}
+    assert _homology_route_reads(ast.parse(
+        "from .salvetti import salvetti_complex\n"
+        "def gr_comparison(m):\n    return salvetti_complex(m)\n"
+        "def _flat_ranks(m):\n    return m.face_poset().heights()\n"
+        "class U:\n    def rank(self, p: FinitePoset):\n        return p\n")) == \
+        [("gr_comparison", "salvetti_complex"), ("_flat_ranks", "face_poset"),
+         ("U.rank", "FinitePoset")]
