@@ -126,6 +126,11 @@ _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
 
 def parse_chirotope(source) -> Chirotope:
     """Read `chirotope r=<r> n=<n>` plus one sign char per colex r-subset."""
+    return _chirotope(*_read_chirotope(source))
+
+
+def _read_chirotope(source):
+    """(r, n, sign characters) of a .chi text, checked up to listing its subsets."""
     name, lines = _read_lines(source)
     lineno, head = lines[0]
     toks = head.split()
@@ -157,13 +162,14 @@ def parse_chirotope(source) -> Chirotope:
     cap = enumeration_cap()
     if r > cap:
         raise EnumerationLimitExceeded(f"r={r} exceeds {SALVETTI_CAP_ENV}={cap}")
-    subsets = colex_subsets(n, r)
-    values = {}
-    for sub, ch in zip(subsets, chars):
-        if ch not in _CHAR_SIGN:
-            raise ParseError(f"{name}: bad sign character {ch!r}")
-        values[sub] = _CHAR_SIGN[ch]
-    return Chirotope(r, n, values)
+    bad = re.search("[^-+0]", chars)
+    if bad:
+        raise ParseError(f"{name}: bad sign character {bad[0]!r}")
+    return r, n, chars
+
+
+def _chirotope(r, n, chars) -> Chirotope:
+    return Chirotope(r, n, dict(zip(colex_subsets(n, r), map(_CHAR_SIGN.get, chars))))
 
 
 def emit_chirotope(c: Chirotope) -> str:
@@ -290,7 +296,7 @@ def load_oriented_matroid(path) -> OrientedMatroid:
     if suffix == ".arr":
         return from_arrangement(parse_arrangement(path))
     if suffix == ".chi":
-        chi = parse_chirotope(path)
-        check_cap(chi.n)  # before the cocircuits, as from_arrangement does
-        return span_from_cocircuits(cocircuits_from_chirotope(chi))
+        r, n, chars = _read_chirotope(path)
+        check_cap(n)  # before any subset is listed; gen re-emits past the cap
+        return span_from_cocircuits(cocircuits_from_chirotope(_chirotope(r, n, chars)))
     raise ParseError(f"{path}: unknown input format {suffix!r}")

@@ -16,7 +16,8 @@ it is also the oracle the certificate is tested against.
 The face poset of a certified set is closed from cocircuit covers:
 every covector Y >= X is X o C1 o ... o Ck for cocircuits Ci <= Y
 (BLSWZ, Oriented Matroids, 3.7), so every cover of X is some X o C != X
-and the closure of those pairs is the conformal order.
+and the closure of those pairs is the conformal order.  Compositions here
+are (plus, minus) mask pairs; only a covector the span keeps is a SignVector.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .limits import check_cap
 from .posets import FinitePoset, iter_bits
-from .signs import SignVector, compose, separation_mask
+from .signs import SignVector, separation_mask
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -148,16 +149,18 @@ def verify_axioms(candidate) -> AxiomReport:
     for x in vecs:
         if x.n != n:
             raise LengthMismatch(f"mixed lengths {n} and {x.n}")
-    pool = set(vecs)
+    pool = {(x.plus, x.minus) for x in vecs}
 
-    zero = SignVector.zero(n)
-    v0 = AxiomCheck("V0", zero in pool, None if zero in pool else (zero,))
+    has_zero = (0, 0) in pool
+    v0 = AxiomCheck("V0", has_zero, None if has_zero else (SignVector.zero(n),))
 
-    x = next((x for x in vecs if -x not in pool), None)
+    x = next((x for x in vecs if (x.minus, x.plus) not in pool), None)
     v1 = AxiomCheck("V1", x is None, None if x is None else (x,))
 
     pair = next(((a, b) for i, x in enumerate(vecs) for y in vecs[i:]
-                 for a, b in ((x, y), (y, x)) if compose(a, b) not in pool), None)
+                 for a, b in ((x, y), (y, x))
+                 if (a.plus | b.plus & ~a.minus, a.minus | b.minus & ~a.plus)
+                 not in pool), None)
     v2 = AxiomCheck("V2", pair is None, pair)
 
     v3 = _check_v3(vecs)
@@ -166,29 +169,29 @@ def verify_axioms(candidate) -> AxiomReport:
 
 def _check_v3(vecs) -> AxiomCheck:
     # The condition on Z depends on the pair only through S(X,Y) and the
-    # off-S restriction of X o Y (= Y o X there), so results are cached
-    # on that key and each unordered pair is tested once.
+    # off-S restriction of X o Y (X | Y there), so results are cached on
+    # that key and each unordered pair is tested once.
+    pairs = [(x.plus, x.minus) for x in vecs]
     cache: dict[tuple, int] = {}
-    for i, x in enumerate(vecs):
-        for y in vecs[i + 1:]:
-            s = separation_mask(x, y)
+    for i, (xp, xm) in enumerate(pairs):
+        for j, (yp, ym) in enumerate(pairs[i + 1:], i + 1):
+            s = xp & ym | xm & yp
             if not s:
                 continue
-            w = compose(x, y)
-            key = (w.plus & ~s, w.minus & ~s, s)
-            found = cache.get(key)
+            p, q = (xp | yp) & ~s, (xm | ym) & ~s
+            found = cache.get((p, q, s))
             if found is None:
                 found = 0
-                for z in vecs:
-                    if (z.plus & ~s) == key[0] and (z.minus & ~s) == key[1]:
-                        found |= s & z.zero_mask
+                for zp, zm in pairs:
+                    if zp & ~s == p and zm & ~s == q:
+                        found |= s & ~(zp | zm)
                         if found == s:
                             break
-                cache[key] = found
+                cache[p, q, s] = found
             missing = s & ~found
             if missing:
                 e = next(iter_bits(missing)) + 1
-                return AxiomCheck("V3", False, (x, y, e))
+                return AxiomCheck("V3", False, (vecs[i], vecs[j], e))
     return AxiomCheck("V3", True)
 
 
@@ -266,12 +269,13 @@ def _cocircuit_axioms_hold(cc) -> bool:
 def _spans_exactly(cc, m) -> bool:
     # every composition lies in m and there are as many as m's covectors;
     # stopping at the first stray one keeps a bad input from expanding
+    pool = {(x.plus, x.minus) for x in m.covectors}
     count = 0
-    for z in _compositions(cc, m.n):
-        if z not in m.covectors:
+    for z in _compositions(cc):
+        if z not in pool:
             return False
         count += 1
-    return count == len(m.covectors)
+    return count == len(pool)
 
 
 def _face_poset(m):
@@ -281,10 +285,11 @@ def _face_poset(m):
     if not report.passes:
         raise AxiomFailure(report)
     covs = m.sorted_covectors()
-    index = {x: i for i, x in enumerate(covs)}
-    cc = m.derived(_minimal_support_vectors)
-    covers = ((i, index[compose(x, c)]) for i, x in enumerate(covs)
-              for c in cc if c.support_mask & ~x.support_mask)
+    index = {(x.plus, x.minus): i for i, x in enumerate(covs)}
+    cc = [(c.plus, c.minus) for c in m.derived(_minimal_support_vectors)]
+    covers = ((i, index[xp | cp & ~xm, xm | cm & ~xp])
+              for i, (xp, xm) in enumerate(index)
+              for cp, cm in cc if (cp | cm) & ~(xp | xm))
     return FinitePoset.from_covers(covs, covers)
 
 
@@ -364,16 +369,18 @@ class OrientedMatroid:
 # -- constructions -----------------------------------------------------------
 
 
-def _compositions(cc, n):
-    """Yield **0** and every composition of vectors in cc, each once."""
+def _compositions(cc):
+    """Yield the (plus, minus) masks of **0** and of every composition of
+    vectors in cc, each once; X o C is (X+ | C+ & ~X-, X- | C- & ~X+)."""
     # composition is associative with identity 0, so composing one more
     # vector on the right, breadth first, reaches every composite
-    covs = [SignVector.zero(n)]
+    cc = [(c.plus, c.minus) for c in cc]
+    covs = [(0, 0)]
     seen = set(covs)
-    for x in covs:
-        yield x
-        for c in cc:
-            z = compose(x, c)
+    for xp, xm in covs:
+        yield xp, xm
+        for cp, cm in cc:
+            z = (xp | cp & ~xm, xm | cm & ~xp)
             if z not in seen:
                 seen.add(z)
                 covs.append(z)
@@ -389,7 +396,7 @@ def span_from_cocircuits(cc) -> OrientedMatroid:
     for x in cc:
         if x.n != n:
             raise LengthMismatch(f"mixed lengths {n} and {x.n}")
-    m = OrientedMatroid(n, _compositions(cc, n))
+    m = OrientedMatroid(n, (SignVector(n, p, q) for p, q in _compositions(cc)))
     minimal = m.derived(_minimal_support_vectors)
     if set(minimal) == cc:
         # m is the span of cc, so when cc is exactly its set of minimal

@@ -53,16 +53,17 @@ def _salvetti_complex(m: OrientedMatroid):
     above = [list(iter_bits(face.up_mask(i) & topes)) for i in range(len(covs))]
     # covectors and topes are indexed in sign-string order, so visiting
     # the covectors by height, stably, emits the cells in canonical
-    # (dimension, covector, tope) order
+    # (dimension, covector, tope) order; a cell is keyed by its covector
+    # and its tope's plus mask, so [Y, Y o T] by (Y, Y+ | T+ & ~Y-)
     cells, index = [], {}
     for i in sorted(range(len(covs)), key=lambda i: -heights[i]):
         for t in above[i]:
-            index[i, t] = len(cells)
+            index[i, covs[t].plus] = len(cells)
             cells.append(SalvettiCell(covs[i], covs[t], rank - heights[i]))
     # [X, T] covers its facets [Y, Y o T], Y covering X; the face poset
     # is graded, so these pairs are exactly the covers of cell_leq.
-    covers = sorted((index[j, face.index[compose(covs[j], covs[t])]], index[i, t])
-                    for i, j in face.covers() for t in above[i])
+    covers = sorted((index[j, covs[j].plus | covs[t].plus & ~covs[j].minus],
+                     index[i, covs[t].plus]) for i, j in face.covers() for t in above[i])
     return cells, covers
 
 

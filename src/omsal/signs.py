@@ -3,6 +3,8 @@
 A sign vector on ground set {1, ..., n} is stored as a pair of bitmasks
 (plus, minus); bit e-1 corresponds to element e.  All hot-path operations
 (composition, separation, conformality) are O(1) integer arithmetic.
+`compose` returns a SignVector, for callers that keep X o Y; matroid and
+salvetti compose bare (plus, minus) pairs where X o Y is only looked up.
 """
 
 from __future__ import annotations

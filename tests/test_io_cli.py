@@ -17,13 +17,15 @@ from oracles import dense_boundary_matrix, order_complex, write_dense_matrix_tex
 
 from omsal import fileio, fixtures, matroid
 from omsal.cli import main
-from omsal.errors import AxiomFailure, ConsistencyFailure, OMError, ParseError
+from omsal.errors import (AxiomFailure, ConsistencyFailure,
+                          EnumerationLimitExceeded, OMError, ParseError)
 from omsal.fixtures import fixture_arrangement, parse_fixture_spec
 from omsal.homology import IntegerChainComplex
-from omsal.matroid import are_isomorphic, from_arrangement
+from omsal.matroid import are_isomorphic, from_arrangement, verify_axioms
 from omsal.mh import cw_from_covers, mh_check
 from omsal.posets import FinitePoset
 from omsal.salvetti import SalvettiCell, f_vector_and_euler, salvetti_complex
+from omsal.signs import SignVector
 
 
 # -- .arr ------------------------------------------------------------------
@@ -658,6 +660,25 @@ def test_cli_input_too_large_to_expand_is_bad_input(tmp_path, name, text, err):
     assert proc.stderr == err.format(path) + "\n"
 
 
+def test_chirotope_over_the_cap_is_refused_from_its_header(capsys, tmp_path,
+                                                           monkeypatch):
+    # the file names 499,500 subsets; listing them cost 142 MB before the
+    # loader could read n, so n is checked from the header before any is
+    path = tmp_path / "wide.chi"
+    path.write_text("chirotope r=2 n=1000\n" + "+" * comb(1000, 2) + "\n")
+    monkeypatch.delenv("OM_SALVETTI_MAX_N", raising=False)
+
+    def refuse(*args):
+        raise AssertionError("subsets listed for a chirotope over the cap")
+
+    monkeypatch.setattr(fileio, "colex_subsets", refuse)
+    err = "n=1000 exceeds OM_SALVETTI_MAX_N=12"
+    with pytest.raises(EnumerationLimitExceeded, match=f"^{err}$"):
+        fileio.load_oriented_matroid(path)
+    assert run(capsys, "verify", "--in", str(path)) == \
+        (2, "", f"EnumerationLimitExceeded: {err}\n")
+
+
 def test_cli_gen_reemits_a_thirteen_element_chirotope(capsys, tmp_path):
     # parsing a chirotope applies no cap on n; spanning it does
     f = tmp_path / "n13.chi"
@@ -914,11 +935,55 @@ def chi_texts(draw):
     return f"chirotope r={r} n={n}\n{signs}\n"
 
 
+COV_FIXTURES = ("boolean:1", "boolean:2", "boolean:3", "generic:3:2",
+                "braid:3", "generic:4:3")
+COV_JUNK = ("x", " ", "1", "*", "+-")
+
+
+@st.composite
+def cov_texts(draw):
+    """.cov texts: a small fixture's covector set with one vector
+    dropped, negated or added, or none of these, in any order; in one
+    text of four a line has a junk character or a length of its own."""
+    m = fixtures.generate_fixture(draw(st.sampled_from(COV_FIXTURES)))
+    lines = [str(x) for x in m.sorted_covectors()]
+    k = draw(st.integers(0, len(lines) - 1))
+    change = draw(st.sampled_from(("keep", "drop", "negate", "add")))
+    if change == "drop":
+        del lines[k]
+    elif change == "negate":
+        lines[k] = lines[k].translate(str.maketrans("+-", "-+"))
+    elif change == "add":
+        lines.append(draw(st.text(alphabet="+-0", min_size=m.n, max_size=m.n)))
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i]) - 1))
+        lines[i] = lines[i][:j] + draw(st.sampled_from(COV_JUNK)) + lines[i][j + 1:]
+    return "".join(line + "\n" for line in draw(st.permutations(lines)))
+
+
+def _load_agrees_with_the_oracle(text, m):
+    """A loaded .cov text of at most 60 vectors is exactly a set that
+    passes verify_axioms, and a refused one is exactly not."""
+    try:
+        vecs = {SignVector.from_string(line.strip()) for line in text.splitlines()
+                if line.strip()}
+    except ValueError:
+        return m is None
+    if len({x.n for x in vecs}) != 1:
+        return m is None
+    if len(vecs) > 60:
+        return True
+    return (m is not None) == verify_axioms(vecs).passes and \
+        (m is None or m.covectors == vecs)
+
+
 def test_loaders_fuzz_load_or_raise_om_errors(tmp_path):
     outcomes = Counter()
 
-    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
-    @given(st.one_of(arr_texts().map(lambda t: ("x.arr", t)),
+    @settings(derandomize=True, max_examples=250, deadline=None, database=None)
+    @given(st.one_of(cov_texts().map(lambda t: ("x.cov", t)),
+                     arr_texts().map(lambda t: ("x.arr", t)),
                      chi_texts().map(lambda t: ("x.chi", t))))
     # C(40000, 20000) has about 12,000 digits, too many for str()
     @example(("x.chi", "chirotope r=20000 n=40000\n+\n"))
@@ -927,13 +992,15 @@ def test_loaders_fuzz_load_or_raise_om_errors(tmp_path):
         path = tmp_path / name
         path.write_text(text)
         try:
-            fileio.load_oriented_matroid(path)
+            m = fileio.load_oriented_matroid(path)
         except OMError:
-            outcomes[name, False] += 1
-        else:
-            outcomes[name, True] += 1
+            m = None
+        outcomes[name, m is not None] += 1
+        if name == "x.cov":
+            # the mask-pair certificate against the axiom oracle
+            assert _load_agrees_with_the_oracle(text, m), text
 
     check()
-    # the texts of both formats reach both outcomes
-    assert set(outcomes) == {(name, ok) for name in ("x.arr", "x.chi")
+    # the texts of every format reach both outcomes
+    assert set(outcomes) == {(name, ok) for name in ("x.arr", "x.chi", "x.cov")
                              for ok in (False, True)}

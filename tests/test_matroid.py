@@ -378,7 +378,7 @@ def test_span_of_minimal_supports_keeps_the_certifier_report(monkeypatch):
         sub = rng.choice(sorted(values))
         values[sub] = rng.choice([s for s in (-1, 0, 1) if s != values[sub]])
         cc = cocircuits_from_chirotope(Chirotope(3, n, values))
-        full = OrientedMatroid(n, matroid._compositions(cc, n))
+        full = OrientedMatroid(n, (SignVector(n, *z) for z in matroid._compositions(cc)))
         try:
             report = span_from_cocircuits(cc).verify()
         except AxiomFailure as exc:
@@ -389,7 +389,8 @@ def test_span_of_minimal_supports_keeps_the_certifier_report(monkeypatch):
 
 
 def _chirotope_span(chi):
-    return set(matroid._compositions(cocircuits_from_chirotope(chi), chi.n))
+    return {SignVector(chi.n, *z)
+            for z in matroid._compositions(cocircuits_from_chirotope(chi))}
 
 
 def _certifier_corpus():

@@ -1,16 +1,18 @@
 """Salvetti cell poset: f-vectors, nerve comparison, theorem checks,
 cellular homology, 2-cells bounded by minimal positive paths."""
 
+import sys
+
 import pytest
 
 from cw_complexes import cw_octagon_chords, cw_polygon, emit_cw
 from oracles import build_poset, max_cliques
 from test_paths import NON_SIMPLE
 
-from omsal import fileio, salvetti
+from omsal import fileio, salvetti, signs
 from omsal.errors import EnumerationLimitExceeded, NotATope
 from omsal.homology import IntegerChainComplex
-from omsal.fixtures import ALL_FIXTURES
+from omsal.fixtures import ALL_FIXTURES, fixture_arrangement, parse_fixture_spec
 from omsal.matroid import OrientedMatroid, RationalArrangement, from_arrangement
 from omsal.osalg import flats_from_covectors, os_betti
 from omsal.paths import minimal_positive_paths, skeleton_adjacency
@@ -287,6 +289,41 @@ def test_cells_are_read_off_the_face_poset(spec, om, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert (cells, covers) == salvetti_complex(om(spec))
+
+
+@pytest.mark.parametrize("fmt", ["arr", "cov"])
+def test_compositions_are_mask_pairs(fmt, om, tmp_path, monkeypatch):
+    # the span, the certificate, the face poset and the Salvetti facets
+    # compose (plus, minus) masks: loading generic:6:4 and building both
+    # make at most one SignVector per covector and the 40 cocircuits
+    # (.arr), or the 345 parsed lines and none in the certificate
+    # (.cov), and call no compose
+    base = om("generic:6:4")
+    path = tmp_path / f"g64.{fmt}"
+    path.write_text(fileio.emit_arrangement(fixture_arrangement(
+        parse_fixture_spec("generic:6:4"))) if fmt == "arr" else fileio.emit_covectors(base))
+    made, composed = [], []
+    real_init, real_compose = SignVector.__post_init__, signs.compose
+
+    def counted_init(x):
+        made.append(x)
+        real_init(x)
+
+    def counted_compose(x, y):
+        composed.append((x, y))
+        return real_compose(x, y)
+
+    monkeypatch.setattr(SignVector, "__post_init__", counted_init)
+    for module in [mod for name, mod in sys.modules.items() if name.split(".")[0] == "omsal"]:
+        for attr in [a for a, v in vars(module).items() if v is real_compose]:
+            monkeypatch.setattr(module, attr, counted_compose)
+    m = fileio.load_oriented_matroid(path)
+    m.face_poset()
+    cells, covers = salvetti_complex(m)
+    monkeypatch.undo()
+    assert composed == []
+    assert 0 < len(made) <= len(base.covectors) + (len(base.cocircuits()) if fmt == "arr" else 0)
+    assert (cells, covers) == salvetti_complex(base)
 
 
 def _transitive_reduction(poset):
