@@ -4,11 +4,10 @@ Every subcommand loads one subject (a --fixture spec or an --in file),
 runs its computation, and prints a deterministic plain-text report;
 --json swaps in a machine-readable payload on a single line.  Exit
 status: 0 when everything passed, 1 when a mathematical check failed,
-2 when the input was unusable.
+2 when the input was unusable, 141 when the reader closed stdout.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -34,6 +33,7 @@ from .signs import SignVector
 
 CHECK_FAILED = 1
 BAD_INPUT = 2
+PIPE_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a pipe closed early
 
 # a "check failure" means the mathematics disagreed with itself; every
 # other OMError (and filesystem trouble) is the caller's input
@@ -42,10 +42,10 @@ _CHECK_ERRORS = (AxiomFailure, ComparisonFailure, ConsistencyFailure,
 
 
 def _strs(obj):
-    """Recursively stringify witness tuples for the JSON payload."""
+    """Recursively stringify witness tuples, not records, for the JSON payload."""
     if isinstance(obj, (frozenset, set)):
         return [_strs(x) for x in sorted(obj, key=str)]
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):
         return [_strs(x) for x in obj]
     if obj is None or isinstance(obj, (bool, int)):
         return obj
@@ -278,7 +278,7 @@ def _cmd_gen(args):
         elif args.format == "chi":
             if not src.endswith(".chi"):
                 raise UnknownFixture(f"{src}: no chirotope form to emit")
-            text = fileio.emit_chirotope(fileio.parse_chirotope(src))
+            text = fileio.reemit_chirotope(src)
         else:
             text = fileio.emit_covectors(fileio.load_oriented_matroid(src))
     else:
@@ -380,13 +380,18 @@ def _build_parser():
     return top
 
 
+def _print_json(obj):
+    import json  # only --json output needs it
+    print(json.dumps(obj, sort_keys=True))
+
+
 def _fail_axioms(args, exc):
     rep = exc.report
     if args.json:
-        print(json.dumps({"command": args.command,
-                          "checks": {c.name: c.passed for c in rep.checks},
-                          "witness": _strs(rep.first_failure.witness),
-                          "result": "fail"}, sort_keys=True))
+        _print_json({"command": args.command,
+                     "checks": {c.name: c.passed for c in rep.checks},
+                     "witness": _strs(rep.first_failure.witness),
+                     "result": "fail"})
     else:
         for c in rep.checks:
             print(str(c))
@@ -397,8 +402,7 @@ def _fail_axioms(args, exc):
 def _fail(args, exc, code):
     kind = "check-failure" if code == CHECK_FAILED else "input-error"
     if args.json:
-        print(json.dumps({"command": args.command, "error": str(exc),
-                          "kind": kind}, sort_keys=True))
+        _print_json({"command": args.command, "error": str(exc), "kind": kind})
     else:
         stream = sys.stdout if code == CHECK_FAILED else sys.stderr
         print(f"{type(exc).__name__}: {exc}", file=stream)
@@ -411,6 +415,17 @@ def main(argv=None) -> int:
             stream.reconfigure(encoding="utf-8")
     args = _build_parser().parse_args(argv)
     try:
+        code = _answer(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the flush at exit goes to devnull (signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_CLOSED
+    return code
+
+
+def _answer(args):
+    try:
         code, lines, payload = args.func(args)
     except AxiomFailure as exc:
         return _fail_axioms(args, exc)
@@ -420,7 +435,7 @@ def main(argv=None) -> int:
         return _fail(args, exc, BAD_INPUT)
     if args.json:
         payload["command"] = args.command
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         for ln in lines:
             print(ln)

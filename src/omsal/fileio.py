@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from .errors import (AxiomFailure, ConsistencyFailure, EnumerationLimitExceeded,
-                     ParseError)
+from .errors import (AxiomFailure, ConsistencyFailure, DegenerateChirotope,
+                     EnumerationLimitExceeded, ParseError)
 from .limits import SALVETTI_CAP_ENV, check_cap, enumeration_cap
 from .matroid import (Chirotope, OrientedMatroid, RationalArrangement,
                       cocircuits_from_chirotope, from_arrangement,
@@ -126,7 +126,9 @@ _SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
 
 def parse_chirotope(source) -> Chirotope:
     """Read `chirotope r=<r> n=<n>` plus one sign char per colex r-subset."""
-    return _chirotope(*_read_chirotope(source))
+    r, n, chars = _read_chirotope(source)
+    check_cap(n)  # before any subset is listed
+    return Chirotope(r, n, dict(zip(colex_subsets(n, r), map(_CHAR_SIGN.get, chars))))
 
 
 def _read_chirotope(source):
@@ -168,8 +170,12 @@ def _read_chirotope(source):
     return r, n, chars
 
 
-def _chirotope(r, n, chars) -> Chirotope:
-    return Chirotope(r, n, dict(zip(colex_subsets(n, r), map(_CHAR_SIGN.get, chars))))
+def reemit_chirotope(source) -> str:
+    """emit_chirotope(parse_chirotope(source)) with no subset listed, so no n cap."""
+    r, n, chars = _read_chirotope(source)
+    if not chars.strip("0"):
+        raise DegenerateChirotope("chirotope identically zero")
+    return f"chirotope r={r} n={n}\n{chars}\n"
 
 
 def emit_chirotope(c: Chirotope) -> str:
@@ -296,7 +302,5 @@ def load_oriented_matroid(path) -> OrientedMatroid:
     if suffix == ".arr":
         return from_arrangement(parse_arrangement(path))
     if suffix == ".chi":
-        r, n, chars = _read_chirotope(path)
-        check_cap(n)  # before any subset is listed; gen re-emits past the cap
-        return span_from_cocircuits(cocircuits_from_chirotope(_chirotope(r, n, chars)))
+        return span_from_cocircuits(cocircuits_from_chirotope(parse_chirotope(path)))
     raise ParseError(f"{path}: unknown input format {suffix!r}")

@@ -8,9 +8,9 @@ a single basis-sign flip).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import UnknownFixture
 from .limits import check_cap
@@ -19,8 +19,7 @@ from .matroid import (Chirotope, OrientedMatroid, RationalArrangement,
                       span_from_cocircuits)
 
 
-@dataclass(frozen=True)
-class FixtureSpec:
+class FixtureSpec(NamedTuple):
     name: str
     kind: str
     args: tuple = ()

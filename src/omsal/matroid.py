@@ -22,9 +22,9 @@ are (plus, minus) mask pairs; only a covector the span keeps is a SignVector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     AxiomFailure,
@@ -92,8 +92,7 @@ class RationalArrangement:
 # -- axiom verification ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     name: str
     passed: bool
     witness: tuple = None
@@ -105,8 +104,7 @@ class AxiomCheck:
         return f"{self.name} FAIL ({wit})"
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     v0: AxiomCheck
     v1: AxiomCheck
     v2: AxiomCheck

@@ -30,7 +30,6 @@ the maps.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -207,8 +206,7 @@ class MHCheck(NamedTuple):
     witness: tuple | None
 
 
-@dataclass(frozen=True)
-class MHReport:
+class MHReport(NamedTuple):
     qmh: MHCheck
     lmh: MHCheck
     mh: MHCheck

@@ -9,8 +9,8 @@ Salvetti homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import AxiomFailure, ComparisonFailure, NotSimple
 from .homology import IntegerChainComplex
@@ -71,8 +71,7 @@ def circuits(u: UnderlyingMatroid) -> list[frozenset]:
     return found
 
 
-@dataclass(frozen=True)
-class NbcTable:
+class NbcTable(NamedTuple):
     order: tuple
     circuits: tuple
     broken_circuits: tuple
@@ -109,8 +108,7 @@ def os_betti(u: UnderlyingMatroid, order=None) -> tuple[int, ...]:
     return nbc_sets(u, order).counts()
 
 
-@dataclass(frozen=True)
-class GrComparison:
+class GrComparison(NamedTuple):
     os: tuple
     homology_betti: tuple
     torsion: tuple

@@ -9,7 +9,7 @@ target and steps only across one of them, clearing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConsistencyFailure, EquivalenceViolation, NotATope, NotSimple
 from .matroid import OrientedMatroid
@@ -64,8 +64,7 @@ def skeleton_adjacency(m: OrientedMatroid):
     return m.derived(_adjacency)
 
 
-@dataclass(frozen=True)
-class PositivePath:
+class PositivePath(NamedTuple):
     """A walk from the tope start along directed edges; () stays at start."""
 
     start: SignVector
@@ -162,8 +161,7 @@ def antipodal_extension_check(m: OrientedMatroid, pairs=None) -> bool:
 # -- tope posets ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TopePoset:
+class TopePoset(NamedTuple):
     base: SignVector
     poset: FinitePoset
 
@@ -215,8 +213,7 @@ def is_simplicial(m: OrientedMatroid):
     return True, None
 
 
-@dataclass(frozen=True)
-class LatticeEquivalenceReport:
+class LatticeEquivalenceReport(NamedTuple):
     simplicial: bool
     simplicial_witness: SignVector
     all_lattices: bool

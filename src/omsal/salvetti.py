@@ -17,7 +17,7 @@ that poset, and the theorem-level count/retraction checks live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConsistencyFailure, NotATope
 from .limits import check_cap
@@ -26,8 +26,7 @@ from .posets import FinitePoset, iter_bits
 from .signs import SignVector, compose, conforms
 
 
-@dataclass(frozen=True)
-class SalvettiCell:
+class SalvettiCell(NamedTuple):
     covector: SignVector
     tope: SignVector
     dim: int
@@ -116,8 +115,7 @@ def f_vector_and_euler(cells):
 # -- oriented 1-skeleton ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirectedEdge:
+class DirectedEdge(NamedTuple):
     cell: SalvettiCell
     source: SignVector
     target: SignVector

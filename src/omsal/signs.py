@@ -9,7 +9,7 @@ salvetti compose bare (plus, minus) pairs where X o Y is only looked up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LengthMismatch
 from .posets import iter_bits
@@ -18,18 +18,23 @@ _CHARS = {1: "+", 0: "0", -1: "-"}
 _SIGNS = {"+": 1, "0": 0, "-": -1}
 
 
-@dataclass(frozen=True, slots=True)
-class SignVector:
+class _Masks(NamedTuple):
+    """SignVector's fields; a NamedTuple body may not define __new__."""
     n: int
     plus: int
     minus: int
 
-    def __post_init__(self):
-        full = (1 << self.n) - 1
-        if self.plus & self.minus:
+
+class SignVector(_Masks):
+    __slots__ = ()
+
+    def __new__(cls, n, plus, minus):
+        full = (1 << n) - 1
+        if plus & minus:
             raise ValueError("an element cannot be both + and -")
-        if (self.plus | self.minus) & ~full:
+        if (plus | minus) & ~full:
             raise ValueError("mask bits outside the ground set")
+        return tuple.__new__(cls, (n, plus, minus))
 
     @classmethod
     def from_string(cls, s: str) -> "SignVector":

@@ -17,7 +17,7 @@ from oracles import dense_boundary_matrix, order_complex, write_dense_matrix_tex
 
 from omsal import fileio, fixtures, matroid
 from omsal.cli import main
-from omsal.errors import (AxiomFailure, ConsistencyFailure,
+from omsal.errors import (AxiomFailure, ConsistencyFailure, DegenerateChirotope,
                           EnumerationLimitExceeded, OMError, ParseError)
 from omsal.fixtures import fixture_arrangement, parse_fixture_spec
 from omsal.homology import IntegerChainComplex
@@ -685,6 +685,82 @@ def test_cli_gen_reemits_a_thirteen_element_chirotope(capsys, tmp_path):
     f.write_text("chirotope r=2 n=13\n" + "+" * 78 + "\n")
     code, out, _ = run(capsys, "gen", "--in", str(f), "--format", "chi")
     assert (code, out) == (0, f.read_text())
+
+
+def _wide_chirotope(tmp_path):
+    # 499,500 sign characters: a 0.5 MB file, far over the cap on n
+    path = tmp_path / "wide.chi"
+    path.write_text("chirotope r=2 n=1000\n" + "+" * comb(1000, 2) + "\n")
+    return path
+
+
+def test_cli_gen_reemits_a_chirotope_without_listing_subsets(capsys, tmp_path,
+                                                             monkeypatch):
+    # the text is the checked header and signs; listing every colex
+    # subset twice took 3 s and 149 MB on the wide file
+    inputs = {}
+    for spec in ("nonpappus", "generic:5:3"):
+        _, text, _ = run(capsys, "gen", "--fixture", spec, "--format", "chi")
+        inputs[spec] = text
+    inputs["wrapped"] = "chirotope r=2 n=3\n+\n+-\n"
+    paths = []
+    for name, text in inputs.items():
+        paths.append(tmp_path / f"{name.replace(':', '_')}.chi")
+        paths[-1].write_text(text)
+    listed = [fileio.emit_chirotope(fileio.parse_chirotope(p)) for p in paths]
+    zero = tmp_path / "zero.chi"
+    zero.write_text("chirotope r=1 n=2\n00\n")
+    with pytest.raises(DegenerateChirotope, match="^chirotope identically zero$"):
+        fileio.parse_chirotope(zero)
+    wide = _wide_chirotope(tmp_path)
+    monkeypatch.delenv("OM_SALVETTI_MAX_N", raising=False)
+
+    def refuse(*args):
+        raise AssertionError("subsets listed to re-emit a chirotope")
+
+    monkeypatch.setattr(fileio, "colex_subsets", refuse)
+    for path, text in zip(paths, listed):
+        assert run(capsys, "gen", "--in", str(path), "--format", "chi") == (0, text, "")
+    assert run(capsys, "gen", "--in", str(zero), "--format", "chi") == \
+        (2, "", "DegenerateChirotope: chirotope identically zero\n")
+    assert run(capsys, "gen", "--in", str(wide), "--format", "chi") == \
+        (0, wide.read_text(), "")
+    # spanning the same file is still refused from its header
+    assert run(capsys, "verify", "--in", str(wide)) == \
+        (2, "", "EnumerationLimitExceeded: n=1000 exceeds OM_SALVETTI_MAX_N=12\n")
+
+
+def test_cli_closed_stdout_exits_quietly(tmp_path):
+    # the reader takes 40 bytes of a 0.5 MB line and closes the pipe: no
+    # traceback, no "Exception ignored" line, and not exit 1 (a check failed)
+    proc = subprocess.Popen([sys.executable, "-m", "omsal", "gen", "--in",
+                             str(_wide_chirotope(tmp_path)), "--format", "chi"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            cwd=str(Path(__file__).parent.parent))
+    head = proc.stdout.read(40)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert head == b"chirotope r=2 n=1000\n" + b"+" * 19
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_cli_import_loads_no_dataclasses_or_json():
+    # records are named tuples, and json is imported only for --json
+    # output: a fresh `import omsal.cli` adds none of these modules
+    code = ("import sys; before = set(sys.modules); import omsal.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json'} "
+            "& (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=str(Path(__file__).parent.parent))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_cli_json_witness_shows_sign_vectors_as_text(capsys, tmp_path):
+    # a SignVector is a tuple too; the payload shows its sign string
+    bad = tmp_path / "v2.cov"
+    bad.write_text("000\n+00\n-00\n0+0\n0-0\n")
+    code, out, _ = run(capsys, "verify", "--json", "--in", str(bad))
+    assert code == 1 and json.loads(out)["witness"] == ["+00", "0+0"]
 
 
 @pytest.mark.parametrize("text", ["0 ++ ++\n0 -- --\n", "1 0+ ++\n0 ++ ++\n"],

@@ -303,17 +303,17 @@ def test_compositions_are_mask_pairs(fmt, om, tmp_path, monkeypatch):
     path.write_text(fileio.emit_arrangement(fixture_arrangement(
         parse_fixture_spec("generic:6:4"))) if fmt == "arr" else fileio.emit_covectors(base))
     made, composed = [], []
-    real_init, real_compose = SignVector.__post_init__, signs.compose
+    real_new, real_compose = SignVector.__new__, signs.compose
 
-    def counted_init(x):
-        made.append(x)
-        real_init(x)
+    def counted_new(cls, *args):
+        made.append(args)
+        return real_new(cls, *args)
 
     def counted_compose(x, y):
         composed.append((x, y))
         return real_compose(x, y)
 
-    monkeypatch.setattr(SignVector, "__post_init__", counted_init)
+    monkeypatch.setattr(SignVector, "__new__", counted_new)
     for module in [mod for name, mod in sys.modules.items() if name.split(".")[0] == "omsal"]:
         for attr in [a for a, v in vars(module).items() if v is real_compose]:
             monkeypatch.setattr(module, attr, counted_compose)

@@ -39,6 +39,16 @@ def test_bad_characters_rejected():
             SignVector.from_string(bad)
 
 
+def test_masks_are_validated():
+    # the + and - masks are disjoint and inside the ground set {1..n}
+    with pytest.raises(ValueError, match=r"^an element cannot be both \+ and -$"):
+        SignVector(3, 0b011, 0b010)
+    for plus, minus in ((0b1000, 0), (0, 0b100000), (-1, 0)):
+        with pytest.raises(ValueError, match="^mask bits outside the ground set$"):
+            SignVector(3, plus, minus)
+    assert SignVector(3, 0b001, 0b110) == SignVector.from_string("+--")
+
+
 def test_zero_vector():
     z = SignVector.zero(4)
     assert z.is_zero()
