@@ -6,18 +6,19 @@ through their chirotope, whose basis signs give the cocircuits
 realizable and non-realizable examples take one route); and the
 isomorphism interrogation.  All arithmetic is exact.
 
-A covector set is certified on its cocircuits: when its nonzero
-vectors of minimal support satisfy the cocircuit axioms C0-C3 and
-their compositions are exactly the set, the set is the covector set of
-an oriented matroid and passes V0-V3.  Otherwise `verify_axioms` runs
-on the whole set and its report, witnesses included, is the answer;
-it is also the oracle the certificate is tested against.
-
-The face poset of a certified set is closed from cocircuit covers:
-every covector Y >= X is X o C1 o ... o Ck for cocircuits Ci <= Y
-(BLSWZ, Oriented Matroids, 3.7), so every cover of X is some X o C != X
-and the closure of those pairs is the conformal order.  Compositions here
-are (plus, minus) mask pairs; only a covector the span keeps is a SignVector.
+A covector set is certified by its face poset.  Every covector Y >= X
+is X o C1 o ... o Ck for cocircuits Ci <= Y (BLSWZ, Oriented Matroids,
+3.7), so every cover of X is some X o C != X and the closure of those
+pairs is the conformal order.  Let the cocircuits be the nonzero
+vectors of minimal support: when they satisfy the cocircuit axioms
+C0-C3, every X o C lies in the set and 0 is the closure's only minimal
+element, every covector walks down to 0 and so is a composition of
+cocircuits, and the set is the covector set of an oriented matroid,
+passing V0-V3.  The closure is then kept as the face poset.  Otherwise
+`verify_axioms` runs on the whole set and its report, witnesses
+included, is the answer; it is also the oracle the certificate is
+tested against.  Compositions here are (plus, minus) mask pairs; only a
+covector the span keeps is a SignVector.
 """
 
 from __future__ import annotations
@@ -209,13 +210,13 @@ _ALL_PASS = AxiomReport(*(AxiomCheck(name, True) for name in ("V0", "V1", "V2", 
 def _axiom_report(m):
     # The nonzero covectors of minimal support are the cocircuits when m
     # is an oriented matroid.  If they satisfy the cocircuit axioms C0-C3
-    # and their compositions are exactly m's covectors, m is the covector
-    # set of the oriented matroid they define (BLSWZ, Oriented Matroids,
-    # 3.2 and 3.7), so V0-V3 hold.  Otherwise verify_axioms finds the
-    # witnesses.  The span goes first because it stops at the first
-    # stray vector, where elimination would scan every pair.
+    # and m's face poset closes from their covers, m is the covector set
+    # of the oriented matroid they define (BLSWZ, Oriented Matroids, 3.2
+    # and 3.7), so V0-V3 hold.  Otherwise verify_axioms finds the
+    # witnesses.  The closure goes first because it stops at the first
+    # stray X o C, where elimination would scan every pair.
     cc = m.derived(_minimal_support_vectors)
-    if cc and _spans_exactly(cc, m) and _cocircuit_axioms_hold(cc):
+    if cc and m.derived(_face_poset) and _cocircuit_axioms_hold(cc):
         return _ALL_PASS
     return verify_axioms(m.covectors)
 
@@ -264,31 +265,24 @@ def _cocircuit_axioms_hold(cc) -> bool:
     return True
 
 
-def _spans_exactly(cc, m) -> bool:
-    # every composition lies in m and there are as many as m's covectors;
-    # stopping at the first stray one keeps a bad input from expanding
-    pool = {(x.plus, x.minus) for x in m.covectors}
-    count = 0
-    for z in _compositions(cc):
-        if z not in pool:
-            return False
-        count += 1
-    return count == len(pool)
-
-
 def _face_poset(m):
-    # the covers X < X o C of the module docstring; off an oriented
-    # matroid X o C need not be a covector, so the set must verify first
-    report = m.verify()
-    if not report.passes:
-        raise AxiomFailure(report)
+    # the covers X < X o C of the module docstring, or None when they do
+    # not close to a face poset with bottom 0: some X o C is not in m,
+    # or some nonzero covector is not a composition of cocircuits
     covs = m.sorted_covectors()
     index = {(x.plus, x.minus): i for i, x in enumerate(covs)}
     cc = [(c.plus, c.minus) for c in m.derived(_minimal_support_vectors)]
     covers = ((i, index[xp | cp & ~xm, xm | cm & ~xp])
               for i, (xp, xm) in enumerate(index)
               for cp, cm in cc if (cp | cm) & ~(xp | xm))
-    return FinitePoset.from_covers(covs, covers)
+    try:
+        poset = FinitePoset.from_covers(covs, covers)
+    except KeyError:
+        # from_covers draws the pairs lazily, so a stray X o C surfaces here
+        return None
+    if poset.minimal_indices() != [index.get((0, 0))]:
+        return None
+    return poset
 
 
 def _topes(m):
@@ -337,6 +331,9 @@ class OrientedMatroid:
 
         Raises AxiomFailure, with the report, when the set does not verify.
         """
+        report = self.verify()
+        if not report.passes:
+            raise AxiomFailure(report)
         return self.derived(_face_poset)
 
     @property
@@ -395,13 +392,6 @@ def span_from_cocircuits(cc) -> OrientedMatroid:
         if x.n != n:
             raise LengthMismatch(f"mixed lengths {n} and {x.n}")
     m = OrientedMatroid(n, (SignVector(n, p, q) for p, q in _compositions(cc)))
-    minimal = m.derived(_minimal_support_vectors)
-    if set(minimal) == cc:
-        # m is the span of cc, so when cc is exactly its set of minimal
-        # supports the certificate's span test holds by construction
-        # and only the cocircuit axioms are left to check
-        m._derived[_axiom_report] = (_ALL_PASS if _cocircuit_axioms_hold(minimal)
-                                     else verify_axioms(m.covectors))
     report = m.verify()
     if not report.passes:
         raise AxiomFailure(report)

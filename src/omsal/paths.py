@@ -15,7 +15,7 @@ from .errors import ConsistencyFailure, EquivalenceViolation, NotATope, NotSimpl
 from .matroid import OrientedMatroid
 from .posets import FinitePoset, is_lattice, iter_bits
 from .salvetti import DirectedEdge, SalvettiCell, oriented_one_skeleton
-from .signs import SignVector, compose, conforms, separation_mask
+from .signs import SignVector, separation_mask
 
 
 def _require_tope(m: OrientedMatroid, t: SignVector):
@@ -189,20 +189,17 @@ def tope_poset(m: OrientedMatroid, t: SignVector) -> TopePoset:
 
 
 def _interval_is_boolean(m: OrientedMatroid, t: SignVector) -> bool:
-    rank = m.rank
-    atoms = [c for c in m.cocircuits() if conforms(c, t)]
-    if len(atoms) != rank:
-        return False
-    interval = {x for x in m.covectors if conforms(x, t)}
-    if len(interval) != 1 << rank:
-        return False
-    # a composition of atoms has t's signs on its support, so conformity
-    # is support inclusion; when the 2^rank atom sets give 2^rank distinct
-    # vectors, supp(A) <= supp(B) means A | B and B give one vector, so A <= B
-    comps = [SignVector.zero(m.n)]
-    for atom in atoms:
-        comps += [compose(x, atom) for x in comps]
-    return set(comps) == interval
+    # [0, t] is read off t's down-mask.  It is atomic (BLSWZ 3.7), so
+    # the 2^rank sets of its rank atoms reach all of it by composition,
+    # and when it has 2^rank elements no two sets give one vector.  A
+    # composition of atoms has t's signs on its support, so conformity
+    # is support inclusion, and supp(A) <= supp(B) means A | B and B give
+    # one vector, so A <= B: the interval is the Boolean lattice
+    face = m.face_poset()
+    heights = face.heights()
+    below = face.down_mask(face.index[t])
+    return below.bit_count() == 1 << m.rank and \
+        sum(heights[j] == 1 for j in iter_bits(below)) == m.rank
 
 
 def is_simplicial(m: OrientedMatroid):

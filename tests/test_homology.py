@@ -206,6 +206,17 @@ def test_homology_group_str():
     assert str(HomologyGroup(2, (2, 4))) == "Z^2 + Z/2 + Z/4"
 
 
+@pytest.mark.parametrize("pivots, torsion", [((2, 3), (6,)), ((4, 6), (2, 12)),
+                                              ((2, 4), (2, 4))])
+def test_torsion_factors_divide_each_other(pivots, torsion):
+    # dims (2, 2) with a diagonal boundary: H_0 is its cokernel, whose
+    # invariant factors come from the gcd/lcm step when one pivot does
+    # not divide the next, and H_1 is its kernel, 0
+    a, b = pivots
+    chain = IntegerChainComplex((2, 2), [{}, {0: {0: a}, 1: {1: b}}])
+    assert chain.homology() == [HomologyGroup(0, torsion), HomologyGroup(0)]
+
+
 def test_empty_and_point():
     assert homology(SimplicialComplex([], [])) == []
     assert betti_numbers(SimplicialComplex([1], [(1,)])) == (1,)

@@ -547,6 +547,30 @@ def test_cli_gen_formats(capsys, om, tmp_path):
     assert code == 2 and "UnknownFixture" in err
 
 
+@pytest.mark.parametrize("spec", ["boolean:3", "generic:4:3", "braid:4", "boolean:5"])
+def test_cli_gen_cov_from_an_arrangement_file(capsys, tmp_path, spec):
+    f = tmp_path / "x.arr"
+    code, text, _ = run(capsys, "gen", "--fixture", spec, "--format", "arr")
+    f.write_text(text)
+    expected = run(capsys, "gen", "--fixture", spec, "--format", "cov")
+    assert code == expected[0] == 0
+    assert run(capsys, "gen", "--in", str(f), "--format", "cov") == expected
+
+
+def test_cli_gen_refusals(capsys, tmp_path):
+    f = tmp_path / "x.cov"
+    f.write_text(fileio.emit_covectors(fixtures.generate_fixture("boolean:2")))
+    assert run(capsys, "gen", "--in", str(f), "--format", "arr") == \
+        (2, "", f"UnknownFixture: {f}: no arrangement form to emit\n")
+    assert run(capsys, "gen", "--format", "cov") == \
+        (2, "", "ParseError: need --fixture <spec> or --in <path>\n")
+
+
+def test_cli_paths_bad_sign_character(capsys):
+    assert run(capsys, "paths", "--fixture", "boolean:2", "--from=+x", "--to=++") == \
+        (2, "", "ParseError: bad sign string '+x': bad sign character 'x'\n")
+
+
 def test_cli_json_payloads(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--json", "--fixture", "boolean:2")
     data = json.loads(out)
@@ -866,8 +890,7 @@ def test_cli_non_integer_cap_is_bad_input(capsys, monkeypatch):
 def test_cli_verify_loads_and_verifies_once(capsys, tmp_path, monkeypatch):
     # a valid input is certified on its cocircuits and never reaches
     # verify_axioms; a failing one reaches it once, for the witnesses.
-    # The chirotope's cocircuits are the minimal supports of their span
-    # in both inputs, so the span is built once and never re-spanned.
+    # Each input is spanned once, by its loader, and never re-spanned.
     arr = tmp_path / "x.arr"
     arr.write_text(fileio.emit_arrangement(
         fixture_arrangement(parse_fixture_spec("generic:3:2"))))
@@ -884,18 +907,46 @@ def test_cli_verify_loads_and_verifies_once(capsys, tmp_path, monkeypatch):
     real_verify = matroid.verify_axioms
     monkeypatch.setattr(matroid, "_cocircuit_axioms_hold",
                         counted(checks, matroid._cocircuit_axioms_hold))
-    monkeypatch.setattr(matroid, "_spans_exactly", counted(spans, matroid._spans_exactly))
+    monkeypatch.setattr(matroid, "_compositions", counted(spans, matroid._compositions))
     monkeypatch.setattr(matroid, "verify_axioms", counted(calls, real_verify))
     code, out, err = run(capsys, "verify", "--in", str(arr))
     assert code == 0 and out.endswith("result: pass\n")
-    assert (len(checks), len(spans), len(calls)) == (1, 0, 0)
+    assert (len(checks), len(spans), len(calls)) == (1, 1, 0)
 
     checks.clear()
+    spans.clear()
     code, out, err = run(capsys, "verify", "--in", str(chi))
     assert code == 1
     assert out == "V0 pass\nV1 pass\nV2 pass\nV3 FAIL (++++, ++-+, 3)\nresult: FAIL\n"
-    assert (len(checks), len(spans), len(calls)) == (1, 0, 1)
+    assert (len(checks), len(spans), len(calls)) == (1, 1, 1)
     assert "\n".join(str(c) for c in real_verify(*calls[0]).checks) in out
+
+
+def test_one_composition_pass_per_load(tmp_path, monkeypatch):
+    # the face poset is the certificate: a .cov load composes each X o C
+    # once, in the closure, and spans nothing; an .arr load spans once and
+    # closes once; neither reaches verify_axioms
+    spec = parse_fixture_spec("generic:5:3")
+    cov, arr = tmp_path / "x.cov", tmp_path / "x.arr"
+    cov.write_text(fileio.emit_covectors(fixtures.generate_fixture(spec)))
+    arr.write_text(fileio.emit_arrangement(fixture_arrangement(spec)))
+    counts = Counter()
+
+    def counted(name):
+        real = getattr(matroid, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(matroid, name, wrapper)
+
+    for name in ("_compositions", "_face_poset", "verify_axioms"):
+        counted(name)
+    for path, spans in ((cov, 0), (arr, 1)):
+        counts.clear()
+        m = fileio.load_oriented_matroid(str(path))
+        m.face_poset()
+        assert counts == Counter(_compositions=spans, _face_poset=1), path.suffix
 
 
 def test_cli_argparse_failures():
@@ -964,6 +1015,65 @@ def test_cli_mh_check_cw_fuzz_exits_cleanly(tmp_path):
     check()
     # the texts reach every exit code, not only the parser's refusals
     assert set(codes) == {0, 1, 2}
+
+
+# the cells and covers of two small Salvetti complexes
+POSET_BASES = [salvetti_complex(fixtures.generate_fixture(spec))
+               for spec in ("boolean:1", "boolean:2")]
+
+
+@st.composite
+def poset_texts(draw):
+    """Short .poset texts: the cells of a small Salvetti complex and all
+    or some of its covers, mostly with one noise line among the cells (a
+    bad or negative dimension, a tope the covector does not conform to, a
+    repeated cell) or the covers (a vertex under a top cell, skipping a
+    dimension, or any index pair, some out of range); now and then the
+    last line comes first, a cover before the cells."""
+    cells, covers = draw(st.sampled_from(POSET_BASES))
+    if draw(st.integers(0, 3)) == 0:
+        covers = draw(st.lists(st.sampled_from(covers), unique=True))
+    lines = [f"{c.dim} {c.covector} {c.tope}" for c in cells]
+    lines += [f"{i} {j}" for i, j in covers]
+    dims = [c.dim for c in cells]
+    c = draw(st.sampled_from(cells))
+    index = st.integers(0, len(cells) + 1)
+    cell_noise = [f"{d} {c.covector} {c.tope}" for d in ("x", "-1", c.dim + 1, c.dim)]
+    cell_noise.append(f"{c.dim} {c.covector} {-c.tope}")
+    cover_noise = [f"{draw(index)} {draw(index)}", f"{dims.index(0)} {dims.index(max(dims))}"]
+    if draw(st.integers(0, 3)):
+        line = draw(st.sampled_from(cell_noise + cover_noise))
+        at = (0, len(cells)) if line in cell_noise else (len(cells), len(lines))
+        lines.insert(draw(st.integers(*at)), line)
+    if covers and draw(st.integers(0, 7)) == 0:
+        lines.insert(0, lines.pop())
+    return "".join(line + "\n" for line in lines)
+
+
+def test_cli_poset_fuzz_exits_cleanly(tmp_path):
+    path = tmp_path / "x.poset"
+    codes = Counter()
+
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              database=None)
+    @given(poset_texts(), st.sampled_from(["salvetti", "homology"]), st.booleans())
+    def check(text, command, as_json):
+        path.write_text(text)
+        argv = [command, "--in", str(path)] + ["--json"] * as_json
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if as_json:
+            assert json.loads(out.getvalue())["command"] == command
+        elif code == 2:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        codes[code] += 1
+
+    check()
+    # the texts reach a pass as well as the parser's refusals
+    assert {0, 2} <= set(codes)
 
 
 # header values past the small ones: ones whose binomials have thousands

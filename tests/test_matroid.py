@@ -554,6 +554,20 @@ def test_search_decides_non_isomorphic_pairs(om):
     assert are_isomorphic(m1, m2) == (False, None)
 
 
+def test_cocircuit_support_sizes_decide_before_the_search(monkeypatch):
+    # equal n, covector count and height profile (1, 4, 4), but cocircuit
+    # supports of sizes (1, 1, 3, 3) against (2, 2, 2, 2)
+    m1 = OrientedMatroid(4, map(sv, "0000 0+00 0-00 +0-- -0++ ++-- +--- -+++ --++".split()))
+    m2 = OrientedMatroid(4, map(sv, "0000 00++ 00-- +-00 -+00 +-++ +--- -+++ -+--".split()))
+    assert m1.height_profile() == m2.height_profile() == (1, 4, 4)
+
+    def refuse(m):
+        raise AssertionError("the search was reached")
+
+    monkeypatch.setattr(matroid, "_element_invariants", refuse)
+    assert are_isomorphic(m1, m2) == (False, None)
+
+
 def test_isomorphism_budget(om):
     m = om("nonpappus")
     with pytest.raises(SearchBudgetExceeded):

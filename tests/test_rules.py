@@ -190,14 +190,13 @@ def test_one_bfs():
 def test_one_canonical_sort():
     # a matroid's vectors are put in sign-string order once, by
     # _sorted_covectors, and its cocircuits, topes and Salvetti cells
-    # inherit that order; verify_axioms takes arbitrary input and _strs
-    # sorts witness sets
+    # inherit that order; verify_axioms takes arbitrary input
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     found = {name: sorted(scope for call in ("sorted", "sort")
                           for scope in _enclosing_scopes_of_calls(tree, call, key="str"))
              for name, tree in trees.items()}
     assert {name: scopes for name, scopes in found.items() if scopes} == \
-        {"cli.py": ["_strs"], "matroid.py": ["_sorted_covectors", "verify_axioms"]}
+        {"matroid.py": ["_sorted_covectors", "verify_axioms"]}
     snippet = ast.parse("def f(v):\n    return sorted(v, key=str), sorted(v, key=len), sorted(v)\n"
                         "class C:\n    def g(self, v):\n        v.sort(key=str)\n")
     assert _enclosing_scopes_of_calls(snippet, "sorted", key="str") == ["f"]
@@ -305,14 +304,12 @@ def test_cache_keys_are_stable():
     # OrientedMatroid.derived keys its cache by the builder itself, so a
     # lambda or nested function would be a fresh key, and a silent
     # recomputation, on every call; the cache is created in __init__ and
-    # written only by derived and by span_from_cocircuits, which seeds
-    # the axiom report it has proved
+    # written only by derived
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert not _unstable_cache_keys(trees)
     writes = {mod: _cache_writes(tree) for mod, tree in trees.items()}
     assert {mod: found for mod, found in writes.items() if found} == \
-        {"matroid": ["OrientedMatroid.__init__", "OrientedMatroid.derived",
-                     "span_from_cocircuits"]}
+        {"matroid": ["OrientedMatroid.__init__", "OrientedMatroid.derived"]}
     snippet = {"a": ast.parse("from .b import g\ndef f(m):\n    return m\n"
                               "def use(m):\n    def h(m):\n        return 2\n"
                               "    return (m.derived(f), m.derived(g), m.derived(lambda m: 1),\n"
