@@ -222,8 +222,6 @@ def parse_salvetti_poset(source):
             cover_lines.append(lineno)
         else:
             raise ParseError(f"{name}:{lineno}: unrecognized line {line!r}")
-    if not cells:
-        raise ParseError(f"{name}: no cells")
     n = cells[0].covector.n
     seen = set()
     for c, lineno in zip(cells, cell_lines):

@@ -117,26 +117,11 @@ class CWPoset:
     def dim(self) -> int:
         return max(self.dims)
 
-    def dim_of(self, cell) -> int:
-        return self.dims[self.poset.index[cell]]
-
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * (self.dim() + 1)
         for d in self.dims:
             counts[d] += 1
         return tuple(counts)
-
-    def edge_endpoints(self, cell) -> tuple:
-        i = self.poset.index[cell]
-        labels = self.vertex_labels()
-        a, b = self._edge_ends[i]
-        return labels[a], labels[b]
-
-    def closed_cell(self, cell) -> list:
-        """All cells in the closure of cell, in poset element order."""
-        i = self.poset.index[cell]
-        return [self.poset.elements[j]
-                for j in iter_bits(self.poset.down_mask(i))]
 
 
 def cw_from_covers(cells, covers) -> CWPoset:

@@ -40,10 +40,6 @@ class UnderlyingMatroid:
         self.n = n
         self._ranks = ranks
 
-    @property
-    def flats(self) -> frozenset:
-        return frozenset(frozenset(e + 1 for e in iter_bits(z)) for z in self._ranks)
-
     def rank(self, s=None) -> int:
         """The least rank of a flat containing s (default: the ground set)."""
         mask = (1 << self.n) - 1 if s is None else sum(1 << (e - 1) for e in set(s))

@@ -30,15 +30,6 @@ def tope_distance(m: OrientedMatroid, t: SignVector, s: SignVector) -> int:
     return separation_mask(t, s).bit_count()
 
 
-def crossing_element(source: SignVector, target: SignVector) -> int:
-    """The unique element separating two adjacent topes (1-based)."""
-    diff = separation_mask(source, target)
-    if diff.bit_count() != 1:
-        raise ConsistencyFailure(
-            f"adjacent topes {source}, {target} differ on {diff.bit_count()} elements")
-    return diff.bit_length()
-
-
 def _adjacency(m: OrientedMatroid):
     adj: dict[SignVector, list] = {t: [] for t in m.topes()}
     for x, a, b in m.derived(oriented_one_skeleton):
@@ -71,10 +62,6 @@ class PositivePath(NamedTuple):
     edges: tuple
 
     @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    @property
     def source(self) -> SignVector:
         return self.start
 
@@ -86,9 +73,6 @@ class PositivePath(NamedTuple):
         out = [self.start]
         out.extend(e.target for e in self.edges)
         return out
-
-    def crossed(self) -> tuple[int, ...]:
-        return tuple(crossing_element(e.source, e.target) for e in self.edges)
 
     def __str__(self):
         return " -> ".join(str(t) for t in self.topes())
@@ -164,9 +148,6 @@ def antipodal_extension_check(m: OrientedMatroid, pairs=None) -> bool:
 class TopePoset(NamedTuple):
     base: SignVector
     poset: FinitePoset
-
-    def distance_of(self, s: SignVector) -> int:
-        return separation_mask(self.base, s).bit_count()
 
 
 def tope_poset(m: OrientedMatroid, t: SignVector) -> TopePoset:

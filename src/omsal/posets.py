@@ -104,9 +104,6 @@ class FinitePoset:
     def __len__(self):
         return len(self.elements)
 
-    def leq(self, x, y) -> bool:
-        return bool(self._up[self.index[x]] & (1 << self.index[y]))
-
     def up_mask(self, i: int) -> int:
         return self._up[i]
 
@@ -155,13 +152,6 @@ class FinitePoset:
 
     def height(self) -> int:
         return max(self.heights(), default=0)
-
-    def height_of(self, x) -> int:
-        return self.heights()[self.index[x]]
-
-    def is_graded(self) -> bool:
-        h = self.heights()
-        return all(h[j] == h[i] + 1 for i, j in self.covers())
 
     def dual(self) -> "FinitePoset":
         return FinitePoset(self.elements, self._down, self._up,

@@ -5,6 +5,7 @@ A sign vector on ground set {1, ..., n} is stored as a pair of bitmasks
 (composition, separation, conformality) are O(1) integer arithmetic.
 `compose` returns a SignVector, for callers that keep X o Y; matroid and
 salvetti compose bare (plus, minus) pairs where X o Y is only looked up.
+This module is a leaf: it imports nothing from the package but its errors.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import LengthMismatch
-from .posets import iter_bits
 
 _CHARS = {1: "+", 0: "0", -1: "-"}
 _SIGNS = {"+": 1, "0": 0, "-": -1}
@@ -74,12 +74,6 @@ class SignVector(_Masks):
     def zero_mask(self) -> int:
         return ((1 << self.n) - 1) & ~(self.plus | self.minus)
 
-    def support(self) -> frozenset[int]:
-        return _mask_to_set(self.support_mask)
-
-    def zero_set(self) -> frozenset[int]:
-        return _mask_to_set(self.zero_mask)
-
     def sign(self, e: int) -> int:
         """Sign at element e (1-based)."""
         bit = 1 << (e - 1)
@@ -89,9 +83,6 @@ class SignVector(_Masks):
             return -1
         return 0
 
-    def is_zero(self) -> bool:
-        return not (self.plus | self.minus)
-
     def __neg__(self) -> "SignVector":
         return SignVector(self.n, self.minus, self.plus)
 
@@ -100,10 +91,6 @@ class SignVector(_Masks):
 
     def __repr__(self) -> str:
         return f"SignVector({str(self)!r})"
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    return frozenset(e + 1 for e in iter_bits(mask))
 
 
 def _check_lengths(x: SignVector, y: SignVector):

@@ -34,10 +34,15 @@ smith_normal_form is not an oracle but a dense-list adapter over the
 package's sparse elimination, so tests can state invariant factors of
 small literal matrices.
 
-Three small references the package itself never reads close the file:
-separation_set spells a separation mask out as a set, tope_graph_distances
-takes tope distance by BFS over the tope graph, and skeleton_is_bipartite
-two-colours the 1-skeleton of a CW poset.
+Small references the package itself never reads close the file:
+element_set and separation_set spell masks out as sets of elements,
+crossing_element and crossed name the element each step of a positive
+path crosses (refusing a step across more or fewer than one), flats
+takes the zero sets of the covectors, is_graded compares heights across
+covers, closed_cell and edge_endpoints read a cell's closure off its
+down-mask, tope_graph_distances takes tope distance by BFS over the tope
+graph, and skeleton_is_bipartite two-colours the 1-skeleton of a CW
+poset.
 
 Nothing here imports from the package beyond the sign-vector primitives
 that closure composes, the per-cell MH primitive and the report types
@@ -45,21 +50,22 @@ the unshared check returns, the chain complex the simplicial reference
 feeds and the sparse elimination the dense adapter wraps, the oriented
 matroid class the simplicity test reads, the poset class the relation
 scan fills and its bit iterator, the tope adjacency and the separation
-mask the three small references read, and test parametrization done by
-the callers.
+mask the small references read, the consistency error a bad crossing
+raises, and test parametrization done by the callers.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
+from omsal.errors import ConsistencyFailure
 from omsal.homology import (HomologyGroup, IntegerChainComplex,
                             _normalize_factors, _sparse_eliminate)
 from omsal.matroid import OrientedMatroid
 from omsal.mh import CWPoset, MHCheck, MHReport, _omega_pair
 from omsal.paths import skeleton_adjacency
 from omsal.posets import FinitePoset, iter_bits
-from omsal.signs import SignVector, _mask_to_set, compose, separation_mask
+from omsal.signs import SignVector, compose, separation_mask
 
 
 def sign_pattern_feasible(normals, pattern):
@@ -704,10 +710,52 @@ def mh_check_unshared(q):
 # -- small references read only by the tests --------------------------------
 
 
+def element_set(mask: int) -> frozenset[int]:
+    """The elements (1-based) whose bits are set in a sign-vector mask."""
+    return frozenset(e + 1 for e in iter_bits(mask))
+
+
 def separation_set(x: SignVector, y: SignVector) -> frozenset[int]:
     """Elements where x and y carry strictly opposite signs."""
-    return _mask_to_set(separation_mask(x, y))
+    return element_set(separation_mask(x, y))
 
+
+def crossing_element(source: SignVector, target: SignVector) -> int:
+    """The unique element separating two adjacent topes (1-based)."""
+    diff = separation_mask(source, target)
+    if diff.bit_count() != 1:
+        raise ConsistencyFailure(
+            f"adjacent topes {source}, {target} differ on {diff.bit_count()} elements")
+    return diff.bit_length()
+
+
+def crossed(path) -> tuple[int, ...]:
+    """The element crossed by each step of a positive path, in order."""
+    topes = path.topes()
+    return tuple(crossing_element(a, b) for a, b in zip(topes, topes[1:]))
+
+
+def flats(m: OrientedMatroid) -> frozenset:
+    """The flats of m by definition: the zero sets of its covectors."""
+    return frozenset(element_set(x.zero_mask) for x in m.covectors)
+
+
+def is_graded(p: FinitePoset) -> bool:
+    """Every cover raises the longest-chain height by exactly one."""
+    h = p.heights()
+    return all(h[j] == h[i] + 1 for i, j in p.covers())
+
+
+def closed_cell(q: CWPoset, cell) -> list:
+    """All cells in the closure of cell, in poset element order."""
+    down = q.poset.down_mask(q.poset.index[cell])
+    return [q.poset.elements[j] for j in iter_bits(down)]
+
+
+def edge_endpoints(q: CWPoset, cell) -> tuple:
+    """The endpoints of a 1-cell: the vertices in its closure, in
+    poset element order."""
+    return tuple(x for x in closed_cell(q, cell) if q.dims[q.poset.index[x]] == 0)
 
 
 def tope_graph_distances(m: OrientedMatroid):

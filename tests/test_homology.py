@@ -313,7 +313,8 @@ def test_cw_covers_reject_other_bad_covers():
     grades = [0, 0, 0, 0, 1, 1, 1, 1, 2]
     covers = [(0, 4), (1, 4), (0, 5), (1, 5), (2, 6), (3, 6), (2, 7), (3, 7)]
     covers += [(e, 8) for e in range(4, 8)]
-    with pytest.raises(ConsistencyFailure, match="not connected"):
+    with pytest.raises(ConsistencyFailure, match="^the facets of cell 8 are not "
+                                                 "connected through their faces$"):
         IntegerChainComplex.from_cw_covers(grades, covers)
 
 

@@ -15,12 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 from cw_complexes import cw_octagon_chords, emit_cw
 from oracles import dense_boundary_matrix, order_complex, write_dense_matrix_text
 
-from omsal import fileio, fixtures, matroid
+from omsal import fileio, fixtures, matroid, osalg
 from omsal.cli import main
 from omsal.errors import (AxiomFailure, ConsistencyFailure, DegenerateChirotope,
                           EnumerationLimitExceeded, OMError, ParseError)
 from omsal.fixtures import fixture_arrangement, parse_fixture_spec
-from omsal.homology import IntegerChainComplex
+from omsal.homology import HomologyGroup, IntegerChainComplex
 from omsal.matroid import are_isomorphic, from_arrangement, verify_axioms
 from omsal.mh import cw_from_covers, mh_check
 from omsal.posets import FinitePoset
@@ -188,6 +188,12 @@ def test_salvetti_poset_parse_errors():
         fileio.parse_salvetti_poset("0 ++ ++\n0 +++ +++\n")
     with pytest.raises(ParseError, match=":5: .* is not a facet of"):
         fileio.parse_salvetti_poset("0 ++ ++\n0 -- --\n1 0+ ++\n0 2\n1 2\n")
+    # a cover line first: no cell is there for it to name
+    with pytest.raises(ParseError, match="^<input>:1: cell index out of range$"):
+        fileio.parse_salvetti_poset("0 1\n")
+    # two vertices but one top cell
+    with pytest.raises(ParseError, match="^<input>: f_0=2, f_top=1 but #topes=2$"):
+        fileio.parse_salvetti_poset("0 ++ ++\n0 -+ -+\n1 0+ ++\n0 2\n1 2\n")
 
 
 # -- .cw ------------------------------------------------------------------
@@ -431,6 +437,28 @@ def test_cli_gr_compare(capsys):
     assert out.splitlines()[-1] == "match"
 
 
+@pytest.mark.parametrize("os_ranks, betti, torsion, message", [
+    ((1, 4, 2), None, (), "degree 1: os rank 4 != homology rank 3"),
+    (None, (1, 3, 2), (2,), "torsion (2,) in degree 1"),
+    ((1, 3, 3), (1, 3, 3), (), "os ranks do not alternate to zero"),
+], ids=["rank", "torsion", "alternation"])
+def test_cli_gr_compare_failure_is_a_check_failure(capsys, monkeypatch, os_ranks,
+                                                   betti, torsion, message):
+    # the nbc counts or the groups are patched to disagree on generic:3:2
+    if os_ranks:
+        monkeypatch.setattr(osalg, "os_betti", lambda u, order=None: os_ranks)
+    if betti:
+        groups = [HomologyGroup(b, torsion if k == 1 else ())
+                  for k, b in enumerate(betti)]
+        monkeypatch.setattr(IntegerChainComplex, "homology", lambda self: groups)
+    argv = ("gr-compare", "--fixture", "generic:3:2")
+    assert run(capsys, *argv) == (1, f"ComparisonFailure: {message}\n", "")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"command": "gr-compare", "error": message,
+                               "kind": "check-failure"}
+
+
 def test_cli_mh_check(capsys):
     code, out, _ = run(capsys, "mh-check", "--fixture", "boolean:2")
     assert code == 0
@@ -611,6 +639,16 @@ def test_cli_input_errors(capsys):
     assert code == 2 and "EnumerationLimitExceeded" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("braid:1", "braid needs n >= 2, got 'braid:1'"),
+    ("boolean:x", "bad integer in fixture spec 'boolean:x'"),
+    ("generic:3:0", "parameters must be positive in 'generic:3:0'"),
+])
+def test_cli_fixture_spec_refusals(capsys, spec, message):
+    assert run(capsys, "verify", "--fixture", spec) == \
+        (2, "", f"UnknownFixture: {message}\n")
+
+
 def test_cli_file_fixture_kind_is_unknown(capsys):
     # files are read with --in; a fixture spec names a built-in subject
     code, out, err = run(capsys, "verify", "--fixture", "file:x.cov")
@@ -787,8 +825,9 @@ def test_cli_json_witness_shows_sign_vectors_as_text(capsys, tmp_path):
     assert code == 1 and json.loads(out)["witness"] == ["+00", "0+0"]
 
 
-@pytest.mark.parametrize("text", ["0 ++ ++\n0 -- --\n", "1 0+ ++\n0 ++ ++\n"],
-                         ids=["euler-2", "edge-without-faces"])
+@pytest.mark.parametrize("text", ["0 ++ ++\n0 -- --\n", "1 0+ ++\n0 ++ ++\n",
+                                  "0 ++ ++\n0 -+ -+\n1 0+ ++\n0 2\n1 2\n"],
+                         ids=["euler-2", "edge-without-faces", "one-top-cell"])
 def test_cli_malformed_poset_is_bad_input(tmp_path, text):
     bad = tmp_path / "bad.poset"
     bad.write_text(text)
@@ -956,6 +995,56 @@ def test_cli_argparse_failures():
     with pytest.raises(SystemExit) as exc:
         main(["paths", "--fixture", "boolean:2", "--from", "++"])
     assert exc.value.code == 2
+
+
+# fixture kinds and parameters: small ones, and junk, values past the
+# cap and int() spellings other than plain digits
+SPEC_KINDS = ("boolean", "generic", "braid", "nonpappus", "file", "wat", "")
+SPEC_PARAMS = ("1", "2", "3")
+SPEC_NOISE = ("0", "-1", "x", "", " 2", "+2", "0_1", "1.5", "13", "99")
+G32_TOPES = tuple(str(t) for t in fixtures.generate_fixture("generic:3:2").topes())
+
+
+@st.composite
+def argument_lists(draw):
+    """verify with a fixture spec of zero to three parameters, or paths
+    and topes --poset on generic:3:2 with topes of it or short sign texts
+    (some of them junk); values attach with = so that argparse hands
+    each one to the command, and one call in two asks for --json."""
+    command = draw(st.sampled_from(["verify", "paths", "topes"]))
+    if command == "verify":
+        param = st.one_of(st.sampled_from(SPEC_PARAMS), st.sampled_from(SPEC_NOISE))
+        parts = [draw(st.sampled_from(SPEC_KINDS))] + draw(st.lists(param, max_size=3))
+        argv = ["verify", "--fixture=" + ":".join(parts)]
+    else:
+        tope = st.one_of(st.sampled_from(G32_TOPES), st.text(alphabet="+-0x", max_size=4))
+        ends = ["--from=" + draw(tope), "--to=" + draw(tope)] if command == "paths" \
+            else ["--poset", "--base=" + draw(tope)]
+        argv = [command, "--fixture=generic:3:2"] + ends
+    return argv + ["--json"] * draw(st.booleans())
+
+
+def test_cli_argument_fuzz_exits_cleanly():
+    codes = Counter()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(argument_lists())
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if "--json" in argv:
+            assert json.loads(out.getvalue())["command"] == argv[0]
+        elif code == 2:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+        codes[argv[0], code] += 1
+
+    check()
+    # each command gets answers as well as refusals
+    assert set(codes) == {(command, code) for command in ("paths", "topes", "verify")
+                          for code in (0, 2)}
 
 
 # lines that break a .cw text: an unknown cell, a self-cover, a cover

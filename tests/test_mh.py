@@ -21,7 +21,7 @@ from omsal.paths import tope_distance
 
 import oracles
 from cw_complexes import cw_octagon_chords, cw_octagon_pair, cw_polygon
-from oracles import mh_check_unshared, skeleton_is_bipartite
+from oracles import closed_cell, edge_endpoints, mh_check_unshared, skeleton_is_bipartite
 
 
 def edge():
@@ -36,11 +36,11 @@ def test_polygon_structure():
     q = cw_polygon(5)
     assert q.f_vector() == (5, 5, 1)
     assert q.dim() == 2
-    assert q.dim_of("e3") == 1
-    assert q.edge_endpoints("e3") == ("v3", "v4")
-    assert q.edge_endpoints("e5") == ("v1", "v5")  # slot order, not cycle order
-    assert set(q.closed_cell("e2")) == {"v2", "v3", "e2"}
-    assert len(q.closed_cell("top")) == 11
+    assert q.dims[q.poset.index["e3"]] == 1
+    assert edge_endpoints(q, "e3") == ("v3", "v4")
+    assert edge_endpoints(q, "e5") == ("v1", "v5")  # element order, not cycle order
+    assert set(closed_cell(q, "e2")) == {"v2", "v3", "e2"}
+    assert len(closed_cell(q, "top")) == 11
     assert q.vertex_labels() == ("v1", "v2", "v3", "v4", "v5")
 
 
@@ -48,7 +48,7 @@ def test_octagon_fixture_shapes():
     assert cw_octagon_chords(False).f_vector() == (8, 12, 1)
     both = cw_octagon_chords(True)
     assert both.f_vector() == (8, 12, 2)
-    assert set(both.closed_cell("trap")) == \
+    assert set(closed_cell(both, "trap")) == \
         {"v1", "v2", "v3", "v4", "e12", "e23", "e34", "c14", "trap"}
 
 
@@ -270,7 +270,7 @@ def test_doubled_top_cells_share_one_local_table():
     a = mh._Analysis(q)
     for x in ("oct", "trap"):
         i = q.poset.index[x]
-        assert q.closed_cell(x + "'") == q.closed_cell(x)[:-1] + [x + "'"]
+        assert closed_cell(q, x + "'") == closed_cell(q, x)[:-1] + [x + "'"]
         copy, first = a.contexts[i + 1], a.contexts[i]
         assert copy.rows is first.rows and copy.metric is first.metric
 

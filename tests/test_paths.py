@@ -5,6 +5,8 @@ import pytest
 from oracles import (
     build_poset,
     count_geodesics,
+    crossed,
+    crossing_element,
     flip_graph_neighbors,
     geodesic_counts_from,
     separation_set,
@@ -13,12 +15,11 @@ from oracles import (
 )
 
 from omsal import paths
-from omsal.errors import ConsistencyFailure, NotATope, NotSimple
+from omsal.errors import ConsistencyFailure, EquivalenceViolation, NotATope, NotSimple
 from omsal.fixtures import ALL_FIXTURES
 from omsal.matroid import OrientedMatroid, RationalArrangement, from_arrangement
 from omsal.paths import (
     antipodal_extension_check,
-    crossing_element,
     is_simplicial,
     lattice_equivalence_check,
     minimal_positive_paths,
@@ -91,7 +92,7 @@ def test_nonpappus_antipodal_paths(om):
     assert len(paths) == 120
     d, ways = count_geodesics([str(s) for s in m.topes()], str(t), str(-t))
     assert (d, ways) == (9, 120)
-    assert all(sorted(p.crossed()) == list(range(1, 10)) for p in paths)
+    assert all(sorted(crossed(p)) == list(range(1, 10)) for p in paths)
 
 
 @pytest.mark.parametrize("spec", SMALL)
@@ -102,7 +103,7 @@ def test_paths_cross_each_separator_once(spec, om):
         for s in topes:
             sep = separation_set(t, s)
             paths = minimal_positive_paths(m, t, s)
-            crossings = [p.crossed() for p in paths]
+            crossings = [crossed(p) for p in paths]
             assert crossings == sorted(crossings)
             for c in crossings:
                 assert len(c) == len(sep)
@@ -114,12 +115,11 @@ def test_trivial_and_adjacent_paths(om):
     t = m.topes()[0]
     trivial = minimal_positive_paths(m, t, t)
     assert [p.edges for p in trivial] == [()]
-    assert trivial[0].length == 0
     assert trivial[0].source == trivial[0].target == t
     assert trivial[0].topes() == [t] and str(trivial[0]) == str(t)
     s = next(x for x in m.topes() if tope_distance(m, t, x) == 1)
     (only,) = minimal_positive_paths(m, t, s)
-    assert only.crossed() == tuple(separation_set(t, s))
+    assert crossed(only) == tuple(separation_set(t, s))
     assert only.source == t and only.target == s
     assert str(only) == f"{t} -> {s}"
 
@@ -259,7 +259,7 @@ def test_tope_poset_graded_by_distance(spec, om):
     for base in (m.topes()[0], m.topes()[-1]):
         tp = tope_poset(m, base)
         h = tp.poset.heights()
-        assert all(h[i] == tp.distance_of(t)
+        assert all(h[i] == tope_distance(m, tp.base, t)
                    for i, t in enumerate(tp.poset.elements))
         bottoms = [t for i, t in enumerate(tp.poset.elements) if h[i] == 0]
         tops = [t for i, t in enumerate(tp.poset.elements) if h[i] == max(h)]
@@ -311,3 +311,14 @@ def test_lattice_equivalence(spec, om):
         assert om(spec).is_tope(base)
         assert om(spec).is_tope(x) and om(spec).is_tope(y)
         assert which in ("join", "meet")
+
+
+@pytest.mark.parametrize("spec", ["boolean:2", "generic:4:3"])
+def test_lattice_equivalence_refuses_a_disagreement(spec, om, monkeypatch):
+    # is_simplicial lies: the tope posets contradict it
+    simp = SIMPLICIAL[spec]
+    monkeypatch.setattr(paths, "is_simplicial", lambda m: (not simp, None))
+    with pytest.raises(EquivalenceViolation,
+                       match=f"^simplicial={not simp} but "
+                             f"all-tope-posets-lattices={simp}$"):
+        lattice_equivalence_check(om(spec))

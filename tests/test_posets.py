@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import build_poset, homology, order_complex
+from oracles import build_poset, homology, is_graded, order_complex
 
 from omsal import posets
 from omsal.errors import NotAntisymmetric
@@ -33,10 +33,18 @@ def _up_masks(p):
     return [p.up_mask(i) for i in range(len(p))]
 
 
+def _leq(p, x, y):
+    return bool(p.up_mask(p.index[x]) >> p.index[y] & 1)
+
+
+def _height(p, x):
+    return p.heights()[p.index[x]]
+
+
 def test_divisor_poset_basics():
     p = divisor_poset(12)
     assert len(p) == 6
-    assert p.leq(2, 6) and p.leq(1, 12) and not p.leq(4, 6)
+    assert _leq(p, 2, 6) and _leq(p, 1, 12) and not _leq(p, 4, 6)
     assert [p.elements[i] for i in p.minimal_indices()] == [1]
     assert [p.elements[i] for i in p.maximal_indices()] == [12]
     assert sorted((p.elements[i], p.elements[j]) for i, j in p.covers()) == \
@@ -45,22 +53,22 @@ def test_divisor_poset_basics():
 
 def test_heights_and_grading():
     p = divisor_poset(12)
-    assert p.height_of(1) == 0
-    assert p.height_of(12) == 3
+    assert _height(p, 1) == 0
+    assert _height(p, 12) == 3
     assert p.height() == 3
-    assert p.is_graded()
+    assert is_graded(p)
 
     b3 = subset_poset(3)
-    assert b3.is_graded()
+    assert is_graded(b3)
     assert b3.height() == 3
-    assert all(b3.height_of(x) == len(x) for x in b3.elements)
+    assert all(_height(b3, x) == len(x) for x in b3.elements)
 
 
 def test_not_graded():
     # t covers both a1 (height 1) and b0 (height 0): covers jump levels
     p = FinitePoset.from_covers(["a0", "a1", "b0", "t"],
                                 [(0, 1), (0, 3), (1, 3), (2, 3)])
-    assert not p.is_graded()
+    assert not is_graded(p)
 
 
 def test_antisymmetry_violation():
@@ -128,10 +136,10 @@ def test_dual_swaps_relations():
     d = p.dual()
     for x in p.elements:
         for y in p.elements:
-            assert p.leq(x, y) == d.leq(y, x)
-    assert d.height_of(12) == 0 and d.height_of(1) == 3
+            assert _leq(p, x, y) == _leq(d, y, x)
+    assert _height(d, 12) == 0 and _height(d, 1) == 3
     dd = d.dual()
-    assert all(dd.leq(x, y) == p.leq(x, y)
+    assert all(_leq(dd, x, y) == _leq(p, x, y)
                for x in p.elements for y in p.elements)
 
 
@@ -247,6 +255,12 @@ def test_is_lattice_negative():
     assert not ok
     assert witness in {("a", "b", "join"), ("a", "b", "meet"),
                        ("x", "y", "join"), ("x", "y", "meet")}
+
+
+def test_is_lattice_names_a_missing_meet():
+    # a and b have the join top but no element below both
+    p = FinitePoset.from_covers(["a", "b", "top"], [(0, 2), (1, 2)])
+    assert is_lattice(p) == (False, ("a", "b", "meet"))
 
 
 def test_order_complex_of_chain_is_simplex():
