@@ -53,7 +53,9 @@ def _sparse_eliminate(rows):
     unit pivot from its shortest row (the lowest index on ties).  What
     the sweep leaves goes to _dense_diagonalize: the columns with no
     unit when visited, and units that fill-in makes in columns already
-    passed.
+    passed.  Explicit zero entries and empty rows are allowed: they are
+    never pivots, a row update drops the zeros it meets, and the dense
+    stage reads any left as 0.
     """
     cols: dict[int, set] = {}
     for i, r in rows.items():
@@ -81,7 +83,7 @@ def _sparse_eliminate(rows):
                     r2[j2] = nv
                     cols[j2].add(i2)
                 else:
-                    del r2[j2]
+                    r2.pop(j2, None)
                     cols[j2].discard(i2)
             if not r2:
                 del rows[i2]
@@ -140,17 +142,17 @@ class HomologyGroup(NamedTuple):
 class IntegerChainComplex:
     """Boundaries over Z; boundary k maps degree k to degree k-1.
 
-    Each boundary is given and stored sparsely as row dicts
-    {row: {col: value}} with exact int entries; dims fixes the shapes.
-    Vanishing of consecutive compositions is checked on construction.
+    Each boundary is a sparse row dict {row: {col: value}} whose entries
+    are nonzero ints and whose rows are nonempty; the rows are stored as
+    given, with no copy.  from_faces and from_cw_covers build them so;
+    an explicit zero or an empty row changes neither homology() nor a
+    dump.  dims fixes the shapes.  Vanishing of consecutive compositions
+    is checked on construction.
     """
 
     def __init__(self, dims, boundaries):
         self.dims = tuple(dims)
-        self.boundaries = []
-        for b in boundaries:
-            rows = {i: {j: int(v) for j, v in r.items() if v} for i, r in b.items()}
-            self.boundaries.append({i: r for i, r in rows.items() if r})
+        self.boundaries = list(boundaries)
         for k in range(1, len(self.boundaries)):
             if not _sparse_product_is_zero(self.boundaries[k - 1], self.boundaries[k]):
                 raise ConsistencyFailure(
@@ -284,9 +286,17 @@ def write_matrix_text(rows, path, shape):
     """Row-major plain text dump of a sparse integer matrix.
 
     rows maps row index -> {col: value} and shape is (rows, columns);
-    every entry is written, zeros included, one row per line.
+    every entry is written, zeros included, one row per line and one
+    line per write.  Entry (i, j) sits at offset 2j of the all-zero row,
+    so a nonzero row is that row with its entries spliced in, in column
+    order.  A row or column outside the shape raises ConsistencyFailure:
+    a row before the file is opened, a column when its row is reached.
     """
     m, n = shape
+    for i, r in rows.items():
+        if not 0 <= i < m:
+            raise ConsistencyFailure(
+                f"row {i} (columns {sorted(r)}) lies outside the shape ({m}, {n})")
     zero = " ".join(["0"] * n) + "\n"
     with open(path, "w") as fh:
         for i in range(m):
@@ -294,7 +304,16 @@ def write_matrix_text(rows, path, shape):
             if not r:
                 fh.write(zero)
                 continue
-            line = ["0"] * n
-            for j, v in r.items():
-                line[j] = str(v)
-            fh.write(" ".join(line) + "\n")
+            cols = sorted(r)
+            if cols[0] < 0 or cols[-1] >= n:
+                j = cols[0] if cols[0] < 0 else cols[-1]
+                raise ConsistencyFailure(
+                    f"column {j} of row {i} lies outside the shape ({m}, {n})")
+            parts = []
+            at = 0
+            for j in cols:
+                parts.append(zero[at:2 * j])
+                parts.append(str(r[j]))
+                at = 2 * j + 1
+            parts.append(zero[at:])
+            fh.write("".join(parts))

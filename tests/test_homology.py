@@ -318,12 +318,80 @@ def test_cw_covers_reject_other_bad_covers():
         IntegerChainComplex.from_cw_covers(grades, covers)
 
 
+# (shape, rows) pairs for the sparse writer: zero rows, multi-digit and
+# negative entries, both edge columns, adjacent columns, a full row, a
+# multi-digit negative last entry, one column, and empty shapes
+WRITER_CASES = [
+    ((3, 4), {0: {1: -12, 3: 1}, 2: {0: 7}}),
+    ((4, 0), {}),
+    ((2, 5), {0: {0: 3, 4: -2}, 1: {4: 1}}),
+    ((3, 6), {1: {1: 1, 2: -1, 3: 5}, 2: {4: 9, 5: 10}}),
+    ((2, 5), {0: {0: 1, 1: -2, 2: 30, 3: 4, 4: -5}}),
+    ((3, 5), {2: {4: -123}}),
+    ((3, 1), {0: {0: -7}, 2: {0: 12}}),
+    ((1, 1), {0: {0: 1}}),
+    ((0, 4), {}),
+    ((0, 0), {}),
+]
+
+
 def test_sparse_writer_matches_dense_writer(tmp_path):
-    # zero rows, multi-digit and negative entries, and empty shapes
-    chain = IntegerChainComplex((3, 4, 0), [{}, {0: {1: -12, 3: 1}, 2: {0: 7}}, {}])
-    for k, shape in ((1, (3, 4)), (2, (4, 0))):
-        sparse, dense = tmp_path / f"sparse_{k}", tmp_path / f"dense_{k}"
-        write_matrix_text(chain.boundaries[k], sparse, shape)
-        write_dense_matrix_text(dense_boundary_matrix(chain, k), dense)
-        assert sparse.read_bytes() == dense.read_bytes()
-    assert (tmp_path / "sparse_1").read_text() == "0 -12 0 1\n0 0 0 0\n7 0 0 0\n"
+    for case, (shape, rows) in enumerate(WRITER_CASES):
+        chain = IntegerChainComplex(shape, [{}, rows])
+        sparse, dense = tmp_path / f"sparse_{case}", tmp_path / f"dense_{case}"
+        write_matrix_text(chain.boundaries[1], sparse, shape)
+        write_dense_matrix_text(dense_boundary_matrix(chain, 1), dense)
+        assert sparse.read_bytes() == dense.read_bytes(), (shape, rows)
+    assert (tmp_path / "sparse_0").read_text() == "0 -12 0 1\n0 0 0 0\n7 0 0 0\n"
+    assert (tmp_path / "sparse_1").read_text() == "\n" * 4
+    assert (tmp_path / "sparse_5").read_text() == "0 0 0 0 0\n" * 2 + "0 0 0 0 -123\n"
+    assert (tmp_path / "sparse_8").read_text() == ""
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({0: {-1: 5}}, "column -1 of row 0 lies outside the shape (2, 3)"),
+    ({1: {0: 1, 3: 4}}, "column 3 of row 1 lies outside the shape (2, 3)"),
+    ({0: {-2: 1, 5: 1}}, "column -2 of row 0 lies outside the shape (2, 3)"),
+    ({2: {0: 1}}, "row 2 (columns [0]) lies outside the shape (2, 3)"),
+    ({0: {0: 1}, -1: {1: 1, 2: 1}},
+     "row -1 (columns [1, 2]) lies outside the shape (2, 3)"),
+])
+def test_writer_refuses_entries_outside_the_shape(tmp_path, rows, message):
+    path = tmp_path / "matrix.txt"
+    with pytest.raises(ConsistencyFailure) as info:
+        write_matrix_text(rows, path, (2, 3))
+    assert str(info.value) == message
+    # a bad row is refused before the file is opened
+    assert path.exists() == message.startswith("column")
+
+
+# a filled triangle (vertices 0-2; edges 01, 02, 12) and a lone vertex 3,
+# then a matrix whose first pivot row holds a zero in a column that the
+# row it clears lacks; each given clean and with explicit zeros and
+# empty rows
+HAND_BUILT = [
+    ((4, 3, 1),
+     [{}, {0: {0: -1, 1: -1}, 1: {0: 1, 2: -1}, 2: {1: 1, 2: 1}},
+      {0: {0: 1}, 1: {0: -1}, 2: {0: 1}}],
+     [{0: {}}, {0: {0: -1, 1: -1, 2: 0}, 1: {0: 1, 2: -1}, 2: {1: 1, 2: 1},
+                3: {}},
+      {0: {0: 1}, 1: {0: -1}, 2: {0: 1}}]),
+    ((2, 3),
+     [{}, {0: {0: 1}, 1: {0: 1, 2: 1}}],
+     [{}, {0: {0: 1, 1: 0}, 1: {0: 1, 2: 1}}]),
+]
+
+
+@pytest.mark.parametrize("dims, clean, dirty", HAND_BUILT)
+def test_explicit_zeros_and_empty_rows_change_no_result(tmp_path, dims, clean,
+                                                        dirty):
+    # the constructor stores rows as given, so zeros and empty rows that
+    # no builder emits must still give the clean form's groups and dump
+    a, b = IntegerChainComplex(dims, clean), IntegerChainComplex(dims, dirty)
+    assert b.boundaries == dirty
+    assert b.homology() == a.homology()
+    for k in range(1, len(dims)):
+        shape = (dims[k - 1], dims[k])
+        write_matrix_text(a.boundaries[k], tmp_path / "clean", shape)
+        write_matrix_text(b.boundaries[k], tmp_path / "dirty", shape)
+        assert (tmp_path / "dirty").read_bytes() == (tmp_path / "clean").read_bytes()

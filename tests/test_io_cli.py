@@ -350,6 +350,37 @@ def test_cli_homology_dump_matches_dense_writer(capsys, tmp_path, spec,
         assert (d / f"boundary_{k}.txt").read_bytes() == dense.read_bytes()
 
 
+def _assert_builder_contract(rows, shape):
+    # what IntegerChainComplex stores as given: nonzero int entries, no
+    # empty row, every index inside the shape
+    m, n = shape
+    for i, r in rows.items():
+        assert 0 <= i < m and r
+        for j, v in r.items():
+            assert 0 <= j < n and type(v) is int and v
+
+
+@pytest.mark.parametrize("spec", fixtures.ALL_FIXTURES)
+def test_boundary_builders_emit_nonzero_ints_and_no_empty_row(capsys,
+                                                              monkeypatch,
+                                                              tmp_path, spec):
+    cells, covers = salvetti_complex(fixtures.generate_fixture(spec))
+    cellular = IntegerChainComplex.from_cw_covers([c.dim for c in cells], covers)
+    for k in range(1, len(cellular.dims)):
+        _assert_builder_contract(cellular.boundaries[k],
+                                 cellular.dims[k - 1:k + 1])
+    # the dump's own from_faces boundaries, caught on their way to the
+    # writer (nonpappus would write 2.5 GB)
+    dumped = []
+    monkeypatch.setattr("omsal.cli.write_matrix_text",
+                        lambda rows, path, shape: dumped.append((rows, shape)))
+    code, _, _ = run(capsys, "homology", "--fixture", spec,
+                     "--dump-matrices", str(tmp_path))
+    assert code == 0 and dumped
+    for rows, shape in dumped:
+        _assert_builder_contract(rows, shape)
+
+
 NONPAPPUS_HOMOLOGY = "H_0: Z\nH_1: Z^9\nH_2: Z^28\nH_3: Z^20\nbetti=(1,9,28,20)\n"
 NONPAPPUS_GR = ("deg  os  H_k\n  0   1    1\n  1   9    9\n  2  28   28\n"
                 "  3  20   20\nmatch\n")

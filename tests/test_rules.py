@@ -154,6 +154,19 @@ def test_posets_built_only_from_covers():
         "r = FinitePoset(e, u, d, a, b)\n"), "FinitePoset") == [2, 3]
 
 
+def test_chain_complexes_built_only_by_their_builders():
+    # a complex in src/ comes from from_faces or from_cw_covers, which emit
+    # the nonzero int entries and nonempty rows the constructor stores as
+    # given
+    calls = {path.name: _calls_of(ast.parse(path.read_text()), "IntegerChainComplex")
+             for path in sorted(SRC.glob("*.py"))}
+    assert not {name: found for name, found in calls.items() if found}
+    assert _calls_of(ast.parse(
+        "c = IntegerChainComplex.from_faces(f)\n"
+        "d = homology.IntegerChainComplex(s, b)\n"
+        "e = IntegerChainComplex(s, b)\n"), "IntegerChainComplex") == [2, 3]
+
+
 def _enclosing_scopes_of_calls(tree, name, key=None):
     """The dotted class and function scope of every call to name, bare
     or as an attribute, in source order; with key, only the calls that
