@@ -27,8 +27,7 @@ from .matroid import Chirotope, are_isomorphic
 from .mh import dual_complex, mh_check, salvetti_cw
 from .osalg import flats_from_covectors, gr_comparison, nbc_sets
 from .paths import minimal_positive_paths, tope_distance, tope_poset
-from .posets import FinitePoset
-from .salvetti import f_vector_and_euler, salvetti_complex
+from .salvetti import build_salvetti_poset, f_vector_and_euler, salvetti_complex
 from .signs import SignVector
 
 CHECK_FAILED = 1
@@ -91,20 +90,9 @@ def _cmd_verify(args):
     return 0, lines, payload
 
 
-def _is_poset_file(args):
-    return bool(getattr(args, "infile", None)) and args.infile.endswith(".poset")
-
-
-def _load_salvetti(args):
-    """(cells, covers, identity string) from a .poset file or a subject."""
-    if _is_poset_file(args):
-        return *fileio.parse_salvetti_poset(args.infile), args.infile
-    m, ident = _load_subject(args)
-    return *salvetti_complex(m), ident
-
-
 def _cmd_salvetti(args):
-    cells, covers, ident = _load_salvetti(args)
+    m, ident = _load_subject(args)
+    cells, covers = salvetti_complex(m)
     fv, euler = f_vector_and_euler(cells)
     payload = {"subject": ident, "f_vector": list(fv), "euler": euler,
                "cells": sum(fv)}
@@ -122,18 +110,14 @@ def _cmd_salvetti(args):
 
 
 def _cmd_homology(args):
-    cells, covers, ident = _load_salvetti(args)
-    try:
-        groups = IntegerChainComplex.from_cw_covers(
-            [c.dim for c in cells], covers).homology()
-    except ConsistencyFailure as exc:
-        if _is_poset_file(args):
-            raise ParseError(f"{ident}: {exc}") from None
-        raise
+    m, ident = _load_subject(args)
+    cells, covers = salvetti_complex(m)
+    groups = IntegerChainComplex.from_cw_covers(
+        [c.dim for c in cells], covers).homology()
     if args.dump_matrices:
         # the dump stays on the order complex, whose k-faces are the
         # chains of k + 1 cells (perfbench pins its shapes)
-        poset = FinitePoset.from_covers(cells, covers)
+        poset = build_salvetti_poset(m)
         layers = [[] for _ in range(poset.height() + 1)]
         for c, _ in poset.iter_chains():
             layers[len(c) - 1].append(c)
@@ -309,7 +293,8 @@ def _build_parser():
     common.add_argument("--fixture", metavar="SPEC",
                         help="fixture spec, e.g. boolean:2 or generic:4:3")
     common.add_argument("--in", dest="infile", metavar="PATH",
-                        help="input file (.arr/.cov/.chi; see each command)")
+                        help="input file (.arr/.cov/.chi/.poset; see each "
+                             "command)")
 
     p = sub.add_parser("verify", parents=[common],
                        help="covector axioms V0-V3 with witnesses")
@@ -325,7 +310,7 @@ def _build_parser():
 
     p = sub.add_parser("homology", parents=[common],
                        help="integer homology of the Salvetti complex, on its "
-                            "cells (also --in .poset)")
+                            "cells")
     p.add_argument("--dump-matrices", metavar="DIR", dest="dump_matrices",
                    help="write the order complex's boundary matrices as "
                         "text into DIR")

@@ -21,8 +21,8 @@ from .matroid import (Chirotope, OrientedMatroid, RationalArrangement,
                       cocircuits_from_chirotope, from_arrangement,
                       span_from_cocircuits)
 from .mh import CWPoset, cw_from_covers
-from .salvetti import SalvettiCell, cell_leq, f_vector_and_euler
-from .signs import SignVector, conforms
+from .salvetti import SalvettiCell, salvetti_complex
+from .signs import SignVector
 
 
 def _read_lines(source):
@@ -183,15 +183,17 @@ def emit_chirotope(c: Chirotope) -> str:
     return f"chirotope r={c.r} n={c.n}\n{chars}\n"
 
 
-def parse_salvetti_poset(source):
-    """(cells, covers) from `<dim> <covector> <tope>` lines, then `<i> <j>`.
+def parse_salvetti_poset(source) -> OrientedMatroid:
+    """The oriented matroid whose Salvetti complex a `.poset` text lists.
 
-    Cover pairs are 0-based indices into the cell list, face first.  Each
-    cell's covector conforms to its tope and has dimension 0 exactly when
-    it equals the tope; each cover pair is a face relation raising the
-    dimension by one; each cell of dimension >= 1 covers at least two
-    cells; and the f-vector passes `f_vector_and_euler`.  The covers come
-    back sorted, a repeated pair once.
+    The text is `<dim> <covector> <tope>` cell lines, then `<i> <j>`
+    cover lines: 0-based indices into the cell list, face first.  The
+    covectors must pass the axioms, and the cells and cover pairs must
+    be exactly those of `salvetti_complex` of the oriented matroid they
+    span, in any cell order, a repeated pair read once.  A refusal names
+    the first failing axiom (without them there is no complex to
+    compare), else the line of the first stray cell or cover, else the
+    first missing cell or cover.
     """
     name, lines = _read_lines(source)
     cells, cell_lines = [], []
@@ -231,28 +233,30 @@ def parse_salvetti_poset(source):
         if c in seen:
             raise ParseError(f"{name}:{lineno}: duplicate cell {c}")
         seen.add(c)
-        if not conforms(c.covector, c.tope):
-            raise ParseError(
-                f"{name}:{lineno}: covector {c.covector} is not a face "
-                f"of the tope {c.tope}")
-        if c.dim < 0 or (c.dim == 0) != (c.covector == c.tope):
-            raise ParseError(f"{name}:{lineno}: cell {c} cannot have dimension {c.dim}")
-    faces = [set() for _ in cells]
+    m = OrientedMatroid(n, {c.covector for c in cells})
+    report = m.verify()
+    if not report.passes:
+        raise ParseError(f"{name}: covector axiom {report.first_failure}")
+    want, want_covers = salvetti_complex(m)
+    index = {c: i for i, c in enumerate(want)}
+    for c, lineno in zip(cells, cell_lines):
+        if c not in index:
+            raise ParseError(f"{name}:{lineno}: {c} of dimension {c.dim} "
+                             "is not a Salvetti cell")
+    pairs, got = set(want_covers), set()
     for (a, b), lineno in zip(covers, cover_lines):
-        if not cell_leq(cells[a], cells[b]) or cells[b].dim != cells[a].dim + 1:
-            raise ParseError(
-                f"{name}:{lineno}: {cells[a]} (dim {cells[a].dim}) is not a "
-                f"facet of {cells[b]} (dim {cells[b].dim})")
-        faces[b].add(a)
-    for c, below, lineno in zip(cells, faces, cell_lines):
-        if c.dim >= 1 and len(below) < 2:
-            raise ParseError(f"{name}:{lineno}: cell {c} of dimension {c.dim} "
-                             f"covers {len(below)} cells")
-    try:
-        f_vector_and_euler(cells)
-    except ConsistencyFailure as exc:
-        raise ParseError(f"{name}: {exc}") from None
-    return cells, sorted(set(covers))
+        pair = index[cells[a]], index[cells[b]]
+        if pair not in pairs:
+            raise ParseError(f"{name}:{lineno}: {cells[a]} is not a facet "
+                             f"of {cells[b]}")
+        got.add(pair)
+    if len(cells) < len(want):
+        c = next(c for c in want if c not in seen)
+        raise ParseError(f"{name}: missing cell {c} of dimension {c.dim}")
+    if len(got) < len(pairs):
+        a, b = next(p for p in want_covers if p not in got)
+        raise ParseError(f"{name}: missing cover {want[a]} < {want[b]}")
+    return m
 
 
 def emit_salvetti_poset(cells, covers) -> str:
@@ -293,10 +297,12 @@ def parse_cw(source) -> CWPoset:
 
 
 def load_oriented_matroid(path) -> OrientedMatroid:
-    """Dispatch on extension: .cov, .arr (expanded), .chi (expanded)."""
+    """Dispatch on extension: .cov, .poset, .arr (expanded), .chi (expanded)."""
     suffix = Path(path).suffix
     if suffix == ".cov":
         return parse_covectors(path)
+    if suffix == ".poset":
+        return parse_salvetti_poset(path)
     if suffix == ".arr":
         return from_arrangement(parse_arrangement(path))
     if suffix == ".chi":

@@ -107,8 +107,6 @@ _NONPAPPUS_NORMALS = (
     (1, 1, -3),
     (1, 43, -15),
 )
-_NONPAPPUS_TRIPLES = ((1, 3, 5), (1, 4, 7), (1, 6, 8), (2, 3, 8),
-                      (2, 4, 6), (2, 5, 7), (3, 4, 9), (5, 6, 9), (7, 8, 9))
 _NONPAPPUS_ZERO_BASIS = (5, 6, 9)
 
 _cache: dict[str, OrientedMatroid] = {}

@@ -151,7 +151,7 @@ def test_salvetti_poset_round_trip(capsys, tmp_path, om):
     for name, body in (("g32.poset", lines), ("g32rep.poset", repeated)):
         f = tmp_path / name
         f.write_text("".join(body))
-        back = fileio.parse_salvetti_poset(str(f))
+        back = salvetti_complex(fileio.parse_salvetti_poset(str(f)))
         assert back == (cells, covers)
         assert f_vector_and_euler(back[0]) == ((6, 12, 6), 0)
         assert run(capsys, "salvetti", "--in", str(f), "--emit") == (0, text, "")
@@ -170,30 +170,53 @@ def test_salvetti_poset_parse_errors():
         fileio.parse_salvetti_poset("x ++ ++\n")
     with pytest.raises(ParseError, match="expected two cell indices"):
         fileio.parse_salvetti_poset("0 ++ ++\n0 x\n")
-    with pytest.raises(ParseError,
-                       match="^<input>: Euler characteristic 2 != 0$"):
-        fileio.parse_salvetti_poset("0 ++ ++\n0 -- --\n")
-    with pytest.raises(ParseError, match=r":1: cell \[0\+,\+\+\] of dimension 1 "
-                                         "covers 0 cells"):
-        fileio.parse_salvetti_poset("1 0+ ++\n0 ++ ++\n")
-    with pytest.raises(ParseError, match=":1: covector \\+- is not a face"):
-        fileio.parse_salvetti_poset("0 +- --\n")
-    with pytest.raises(ParseError, match=":1: .* cannot have dimension 0"):
-        fileio.parse_salvetti_poset("0 0+ ++\n")
-    with pytest.raises(ParseError, match=":1: .* cannot have dimension 1"):
-        fileio.parse_salvetti_poset("1 ++ ++\n")
+    # none of these covector sets holds 0, so V0 fails before any
+    # complex is built
+    for text in ("0 ++ ++\n0 -- --\n", "1 0+ ++\n0 ++ ++\n", "0 +- --\n",
+                 "0 0+ ++\n", "1 ++ ++\n",
+                 "0 ++ ++\n0 -- --\n1 0+ ++\n0 2\n1 2\n",
+                 "0 ++ ++\n0 -+ -+\n1 0+ ++\n0 2\n1 2\n"):
+        with pytest.raises(ParseError,
+                           match=r"^<input>: covector axiom V0 FAIL \(00\)$"):
+            fileio.parse_salvetti_poset(text)
     with pytest.raises(ParseError, match=":2: duplicate cell"):
         fileio.parse_salvetti_poset("0 ++ ++\n0 ++ ++\n")
     with pytest.raises(ParseError, match=":2: sign vectors of length 3"):
         fileio.parse_salvetti_poset("0 ++ ++\n0 +++ +++\n")
-    with pytest.raises(ParseError, match=":5: .* is not a facet of"):
-        fileio.parse_salvetti_poset("0 ++ ++\n0 -- --\n1 0+ ++\n0 2\n1 2\n")
     # a cover line first: no cell is there for it to name
     with pytest.raises(ParseError, match="^<input>:1: cell index out of range$"):
         fileio.parse_salvetti_poset("0 1\n")
-    # two vertices but one top cell
-    with pytest.raises(ParseError, match="^<input>: f_0=2, f_top=1 but #topes=2$"):
-        fileio.parse_salvetti_poset("0 ++ ++\n0 -+ -+\n1 0+ ++\n0 2\n1 2\n")
+    # on the circle of boolean:1, two vertices and two edges: the first
+    # failing axiom with its witness, else the line of the first stray
+    # cell or cover, else the first missing cell or cover
+    b1 = "0 + +\n0 - -\n1 0 +\n1 0 -\n0 2\n0 3\n1 2\n1 3\n"
+    for text, message in (
+            ("0 + +\n1 0 +\n0 1\n", r": covector axiom V1 FAIL \(\+\)"),
+            (b1.replace("1 0 +", "2 0 +"),
+             r":3: \[0,\+\] of dimension 2 is not a Salvetti cell"),
+            (b1.replace("0 - -", "0 - +"),
+             r":2: \[-,\+\] of dimension 0 is not a Salvetti cell"),
+            (b1 + "0 1\n", r":9: \[\+,\+\] is not a facet of \[-,-\]"),
+            (b1 + "2 0\n", r":9: \[0,\+\] is not a facet of \[\+,\+\]"),
+            ("0 + +\n0 - -\n1 0 +\n0 2\n1 2\n",
+             r": missing cell \[0,-\] of dimension 1"),
+            (b1.replace("1 3\n", ""), r": missing cover \[-,-\] < \[0,-\]")):
+        with pytest.raises(ParseError, match=f"^<input>{message}$"):
+            fileio.parse_salvetti_poset(text)
+
+
+def test_salvetti_poset_in_any_cell_order(om):
+    m = om("generic:3:2")
+    cells, covers = salvetti_complex(m)
+    # top cells first, the covers remapped and reversed, five of them twice
+    order = sorted(range(len(cells)), key=lambda i: (-cells[i].dim, str(cells[i])))
+    at = {i: k for k, i in enumerate(order)}
+    lines = [f"{cells[i].dim} {cells[i].covector} {cells[i].tope}" for i in order]
+    pairs = [f"{at[i]} {at[j]}" for i, j in reversed(covers)]
+    text = "\n".join(lines + pairs + pairs[:5]) + "\n"
+    back = fileio.parse_salvetti_poset(text)
+    assert back.covectors == m.covectors
+    assert salvetti_complex(back) == (cells, covers)
 
 
 # -- .cw ------------------------------------------------------------------
@@ -441,19 +464,42 @@ def test_cli_homology_of_an_emitted_poset(capsys, tmp_path):
 
 
 def test_cli_homology_of_a_non_cw_poset_is_bad_input(capsys, tmp_path):
-    # boolean:2 without the cover of cell 12 on its facet 4: the poset
-    # still parses, but vertex 0 now lies in one facet of cell 12
+    # boolean:2 without the cover of cell 12 on its facet 4: the cells
+    # are all there, so the file names the cover it lacks
     code, text, _ = run(capsys, "salvetti", "--fixture", "boolean:2", "--emit")
     assert "\n4 12\n" in text
     bad = tmp_path / "bad.poset"
     bad.write_text(text.replace("\n4 12\n", "\n"))
-    assert run(capsys, "salvetti", "--in", str(bad))[0] == 0
-    proc = subprocess.run([sys.executable, "-m", "omsal", "homology", "--in",
-                           str(bad)], capture_output=True, text=True,
-                          cwd=str(Path(__file__).parent.parent))
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == (f"ParseError: {bad}: face 0 lies in 1 facets "
-                           "of cell 12\n")
+    for command in ("salvetti", "homology"):
+        proc = subprocess.run([sys.executable, "-m", "omsal", command, "--in",
+                               str(bad)], capture_output=True, text=True,
+                              cwd=str(Path(__file__).parent.parent))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (f"ParseError: {bad}: missing cover "
+                               "[+0,++] < [00,++]\n")
+
+
+POSET_G43_COMMANDS = (("verify",), ("os-betti",), ("gr-compare",), ("mh-check",),
+                      ("topes",), ("gen", "--format", "cov"))
+
+
+@pytest.mark.parametrize("command", POSET_G43_COMMANDS)
+def test_every_command_reads_a_poset_as_its_matroid(capsys, tmp_path, command):
+    m = fixtures.generate_fixture("generic:4:3")
+    poset, cov = tmp_path / "g43.poset", tmp_path / "g43.cov"
+    poset.write_text(fileio.emit_salvetti_poset(*salvetti_complex(m)))
+    cov.write_text(fileio.emit_covectors(m))
+    code, out, err = run(capsys, *command, "--in", str(poset))
+    assert (code, err) == (0, "")
+    assert out and out == run(capsys, *command, "--in", str(cov))[1]
+
+
+def test_cli_homology_of_the_point_poset(capsys, tmp_path):
+    # the complex of rank 0: one element, a loop, and one cell
+    f = tmp_path / "point.poset"
+    f.write_text("0 0 0\n")
+    assert run(capsys, "homology", "--in", str(f)) == (0, "H_0: Z\nbetti=(1)\n", "")
+    assert run(capsys, "salvetti", "--in", str(f)) == (0, "f=(1) χ=1\n", "")
 
 
 def test_cli_os_betti(capsys):
@@ -1176,7 +1222,9 @@ def test_cli_poset_fuzz_exits_cleanly(tmp_path):
 
     @settings(derandomize=True, max_examples=100, deadline=None,
               database=None)
-    @given(poset_texts(), st.sampled_from(["salvetti", "homology"]), st.booleans())
+    @given(poset_texts(),
+           st.sampled_from(["salvetti", "homology", "verify", "gr-compare"]),
+           st.booleans())
     def check(text, command, as_json):
         path.write_text(text)
         argv = [command, "--in", str(path)] + ["--json"] * as_json

@@ -18,8 +18,7 @@ from omsal.errors import (
     SearchBudgetExceeded,
     ZeroNormal,
 )
-from omsal.fixtures import (_NONPAPPUS_NORMALS, _NONPAPPUS_TRIPLES,
-                            _NONPAPPUS_ZERO_BASIS, ALL_FIXTURES,
+from omsal.fixtures import (_NONPAPPUS_NORMALS, _NONPAPPUS_ZERO_BASIS, ALL_FIXTURES,
                             boolean_arrangement, fixture_arrangement,
                             generate_fixture, generic_arrangement,
                             nonpappus_chirotope)
@@ -574,6 +573,11 @@ def test_isomorphism_budget(om):
     m = om("nonpappus")
     with pytest.raises(SearchBudgetExceeded):
         are_isomorphic(m, m)
+
+
+# the nine concurrent triples of the nonpappus lines
+_NONPAPPUS_TRIPLES = ((1, 3, 5), (1, 4, 7), (1, 6, 8), (2, 3, 8),
+                      (2, 4, 6), (2, 5, 7), (3, 4, 9), (5, 6, 9), (7, 8, 9))
 
 
 def test_nonpappus_chirotope_is_one_sign_off_its_realization():

@@ -55,27 +55,35 @@ def test_every_export_resolves():
 
 
 def _unread_public_names(trees, exported):
-    """module:name of every public module-level function or class that is
-    neither exported nor read (as a name or an attribute) in any module,
-    and module:Class.name of every public method, property or classmethod
-    of a module-level class that no module reads, exported or not."""
+    """module:name of every public module-level function or class, and of
+    every non-dunder name a module-level assignment binds, that is
+    neither exported nor read (as a name or an attribute, in Load
+    context) in any module, and module:Class.name of every public
+    method, property or classmethod of a module-level class that no
+    module reads, exported or not."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     unread = [f"{mod}:{node.name}" for mod, tree in trees.items()
               for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")
               and node.name not in exported and node.name not in read]
+    unread += [f"{mod}:{target.id}" for mod, tree in trees.items()
+               for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign)
+                              else [node.target])
+               if isinstance(target, ast.Name) and not target.id.startswith("__")
+               and target.id not in exported and target.id not in read]
     unread += [f"{mod}:{node.name}.{member.name}" for mod, tree in trees.items()
                for node in tree.body if isinstance(node, ast.ClassDef)
                for member in node.body if isinstance(member, ast.FunctionDef)
                and not member.name.startswith("_") and member.name not in read]
-    return sorted(unread)
+    return sorted(set(unread))
 
 
 def test_no_public_name_only_tests_read():
@@ -83,14 +91,18 @@ def test_no_public_name_only_tests_read():
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert not _unread_public_names(trees, set(omsal.__all__))
-    # an export covers a module-level name but none of a class's members
+    # an export covers a module-level name but none of a class's members;
+    # an assigned name counts, private or not, unless it is a dunder, and
+    # binding it again is no read
     assert _unread_public_names(
         {"a": ast.parse("def f():\n    return g().used()\ndef g():\n    pass\n"
                         "class C:\n    pass\ndef h():\n    pass\n"
                         "class D:\n    def used(self):\n        pass\n"
                         "    def unused(self):\n        pass\n"
-                        "    def _own(self):\n        pass\n")},
-        {"h", "D"}) == ["a:C", "a:D.unused", "a:f"]
+                        "    def _own(self):\n        pass\n"
+                        "_T = (1, 2)\nU: int = 3\nV = W = 4\n__all__ = []\n"
+                        "_READ = 5\nX = _READ\nX = 6\n")},
+        {"h", "D", "U"}) == ["a:C", "a:D.unused", "a:V", "a:W", "a:X", "a:_T", "a:f"]
 
 
 def test_module_layering():
@@ -244,6 +256,20 @@ def test_one_elimination():
         "class C:\n    def homology(self, r):\n        return _sparse_eliminate(r)\n"
         "def coreduce(r):\n    return homology._sparse_eliminate(r)\n"),
         "_sparse_eliminate") == ["C.homology", "coreduce"]
+
+
+def test_poset_files_read_only_as_subjects():
+    # a .poset is loaded as the oriented matroid it lists, by the one
+    # suffix dispatch, so no command reads it as a loose cell poset
+    calls = {path.name: _enclosing_scopes_of_calls(ast.parse(path.read_text()),
+                                                   "parse_salvetti_poset")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == \
+        {"fileio.py": ["load_oriented_matroid"]}
+    assert _enclosing_scopes_of_calls(ast.parse(
+        "def load_oriented_matroid(p):\n    return parse_salvetti_poset(p)\n"
+        "def _cmd_salvetti(a):\n    return fileio.parse_salvetti_poset(a.infile)\n"),
+        "parse_salvetti_poset") == ["load_oriented_matroid", "_cmd_salvetti"]
 
 
 def test_chains_listed_only_for_the_matrix_dump():

@@ -343,7 +343,7 @@ def test_kept_covers_equal_the_transitive_reduction(spec, om):
 
 def test_kept_covers_of_parsed_and_cw_posets(om):
     text = fileio.emit_salvetti_poset(*salvetti_complex(om("generic:4:3")))
-    cells, covers = fileio.parse_salvetti_poset(text)
+    cells, covers = salvetti_complex(fileio.parse_salvetti_poset(text))
     parsed = FinitePoset.from_covers(cells, covers)
     assert parsed.covers() == _transitive_reduction(parsed) == covers
     for q in (cw_polygon(6), cw_octagon_chords(False), cw_octagon_chords(True)):
