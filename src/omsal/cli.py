@@ -23,6 +23,7 @@ from .errors import (
     UnknownFixture,
 )
 from .homology import IntegerChainComplex, write_matrix_text
+from .limits import check_dump_size
 from .matroid import Chirotope, are_isomorphic
 from .mh import dual_complex, mh_check, salvetti_cw
 from .osalg import flats_from_covectors, gr_comparison, nbc_sets
@@ -111,6 +112,10 @@ def _cmd_salvetti(args):
 
 def _cmd_homology(args):
     m, ident = _load_subject(args)
+    if args.dump_matrices:
+        # a dump over the cap is refused before any chain is listed or
+        # any file is opened
+        check_dump_size(build_salvetti_poset(m).chain_counts())
     cells, covers = salvetti_complex(m)
     groups = IntegerChainComplex.from_cw_covers(
         [c.dim for c in cells], covers).homology()

@@ -19,6 +19,12 @@ never couple different (vertex, target-cell) pairs, hence a consistent
 choice exists iff the candidate sets for each pair have a common member;
 the checker intersects them and reports the first empty intersection.
 
+Each metric answers the farthest question one cell vertex set at a
+time, for every vertex at once: the distances to the set's vertices are
+reduced column by column (min, max, sum and the first farthest vertex),
+and a sum identity stands in for the additivity test.  Nearest sets are
+built only where a check reads them, which the early verdict never does.
+
 MH is QMH plus isometry: once QMH passes and every closed cell is
 isometric to the 1-skeleton, each local answer is the global one, so
 LMH and MH pass and mh_check stops there.  On the dual and Salvetti
@@ -225,29 +231,52 @@ def _one_skeleton(q: CWPoset, ctx: int):
 class _Analysis:
     """Distance rows and answers shared by the three checks.
 
-    A metric is a pair (rows, answers): rows[s][t] is the hop count from
-    vertex slot s to t, -1 when t is not reached, and answers is a
-    per-vertex memo {kslots: (lo, hi)} that answer(), the one caller of
-    _omega_pair, fills.  glob is the 1-skeleton's metric.  _omega_pair
-    reads only distances among the vertex and the cell's vertices, so a
-    closed cell whose rows equal the global ones on its vertices takes
-    glob as its metric: equal distances give equal answers.
+    A metric is a pair (rows, answers).  rows[s][t] is the hop count
+    from vertex slot s to t, -1 when t is not reached; a breadth-first
+    search of an undirected graph is symmetric, so rows[u][v] is also
+    d(v, u).  answers is a memo {kslots: column}, one column per
+    distinct cell vertex set, filled by answer(), the one caller of
+    _omega_column: entry v of a column is the forced farthest slot seen
+    from vertex slot v, or None.  The first farthest vertex is accepted
+    by a sum identity (see _omega_column), and a singleton answers
+    itself for every vertex.  Nearest sets are not kept: nearest()
+    builds one only when the local walk, a lower witness, the final
+    comparison of mh_check or omega_tables reads it.
+
+    glob is the 1-skeleton's metric.  An answer reads only distances
+    among the vertex and the cell's vertices, so a closed cell whose
+    rows equal the global ones on its vertices takes glob as its
+    metric: equal distances give equal answers.
     """
 
     def __init__(self, q: CWPoset):
         self.q = q
         self.dist = [_bfs(q._adj, s) for s in range(len(q._adj))]
-        self.glob = (self.dist, [{} for _ in self.dist])
+        self.glob = (self.dist, {})
 
-    def answer(self, metric, v, k):
-        """(lo, hi) for vertex slot v and cell k under metric, asked once."""
+    def answer(self, metric, k):
+        """The farthest column of cell k under metric, computed once per
+        vertex set: entry v is hi for vertex slot v, or None."""
         rows, answers = metric
         kslots = self.q._cell_vslots[k]
-        memo = answers[v]
-        pair = memo.get(kslots)
-        if pair is None:
-            pair = memo[kslots] = _omega_pair(v, kslots, rows)
-        return pair
+        column = answers.get(kslots)
+        if column is None:
+            column = answers[kslots] = _omega_column(kslots, rows)
+        return column
+
+    def nearest(self, metric, v, k):
+        """The frozenset of distance minimizers of cell k seen from vertex
+        slot v under metric: empty when a vertex of the cell is not
+        reached, and the vertex itself for a singleton."""
+        rows = metric[0]
+        kslots = self.q._cell_vslots[k]
+        if len(kslots) == 1:
+            return frozenset(kslots)
+        dv = [rows[u][v] for u in kslots]
+        mn = min(dv)
+        if mn < 0:
+            return frozenset()
+        return frozenset(u for u, d in zip(kslots, dv) if d == mn)
 
     @cached_property
     def contexts(self) -> list:
@@ -275,44 +304,59 @@ class _Analysis:
                 if all(rows[s][t] == dist[s][t] for s in vsl for t in vsl):
                     metric = self.glob
                 else:
-                    metric = (rows, [{} for _ in dist])
+                    metric = (rows, {})
                 c = kept[key] = _Context(rows, metric)
             out.append(c)
         return out
 
 
-def _omega_pair(vslot, kslots, rows):
-    """Nearest candidates and the forced farthest vertex of one cell.
+def _omega_column(kslots, rows):
+    """The forced farthest vertex of one cell, seen from every vertex slot.
 
-    Returns (lo, hi): lo is the frozenset of distance minimizers in
-    kslots seen from vslot, hi the unique additive farthest slot or None
-    when no vertex satisfies the additivity clause (including the case
-    of a vertex of kslots not reached from vslot).
+    kslots are the cell's vertex slots, and rows[u][v] = d(v, u) for u in
+    kslots.  Entry v of the returned list is the unique additive farthest
+    slot of kslots seen from v, or None when no vertex satisfies the
+    additivity clause (including the case of a vertex of kslots not
+    reached from v).  A singleton answers itself for every vertex.
+
+    With every vertex of kslots reached, the triangle inequality gives
+    d(v, w) <= d(v, u) + d(u, w) for each u.  Summed over kslots, for the
+    first farthest w of v: sum_v + sum_w == len(kslots) * d(v, w) holds
+    exactly when w is additive.  An additive vertex is the unique
+    farthest one, as d(u, w) > 0 for u != w, so no other needs a test.
     """
     if len(kslots) == 1:
-        return frozenset(kslots), kslots[0]
-    dv = [rows[vslot][u] for u in kslots]
-    mn = min(dv)
-    if mn < 0:
-        return frozenset(), None
-    mx = max(dv)
-    lo = frozenset(u for u, d in zip(kslots, dv) if d == mn)
-    # all of kslots is reached from vslot, so each reaches the others
-    for w, dw in zip(kslots, dv):
-        if dw == mx and all(dw == du + rows[u][w] for u, du in zip(kslots, dv)):
-            return lo, w
-    return lo, None
+        return [kslots[0]] * len(rows[kslots[0]])
+    cols = list(zip(*[rows[u] for u in kslots]))
+    sums = list(map(sum, cols))
+    far = list(map(max, cols))
+    firsts = map(kslots.__getitem__, map(tuple.index, cols, far))
+    size = len(kslots)
+    return [w if mn >= 0 and s + sums[w] == size * d else None
+            for w, mn, d, s in zip(firsts, map(min, cols), far, sums)]
 
 
 def _global_tables(a: _Analysis) -> MHCheck:
     """QMH: every (vertex, cell) has a farthest vertex under the
-    whole-complex metric; the answers stay in a.glob's memo."""
+    whole-complex metric; the columns stay in a.glob's memo.
+
+    Each distinct vertex set is answered once, at its first cell, so the
+    smallest failing (vertex, cell) pair is the least (first None slot,
+    first cell) over the failing columns.
+    """
     q = a.q
-    for v in range(len(a.dist)):
-        for ci in range(len(q.poset.elements)):
-            if a.answer(a.glob, v, ci)[1] is None:
-                return MHCheck(False, (q.vertex_labels()[v], q.poset.elements[ci], 3))
-    return MHCheck(True, None)
+    first = {}
+    for ci, kslots in enumerate(q._cell_vslots):
+        first.setdefault(kslots, ci)
+    failed = []
+    for ci in first.values():
+        column = a.answer(a.glob, ci)
+        if None in column:
+            failed.append((column.index(None), ci))
+    if not failed:
+        return MHCheck(True, None)
+    v, ci = min(failed)
+    return MHCheck(False, (q.vertex_labels()[v], q.poset.elements[ci], 3))
 
 
 def _local_tables(a: _Analysis):
@@ -325,9 +369,10 @@ def _local_tables(a: _Analysis):
 
     The answers under a context depend only on its rows, the vertex and
     the subcell's vertex slots, so they are read from the context's
-    metric: an isometric context reads the global answers.  Contexts
+    metric: an isometric context reads the global columns.  Contexts
     are walked in index order, each over every cell of its closure, so
-    the first failing context names the failure.
+    the first failing context names the failure.  A nearest set is
+    built only once the pair's farthest vertex has passed.
     """
     q = a.q
     labels = q.vertex_labels()
@@ -336,9 +381,10 @@ def _local_tables(a: _Analysis):
     hi_seen = {}
     for ctx, c in enumerate(a.contexts):
         subcells = list(iter_bits(q.poset.down_mask(ctx)))
+        columns = [a.answer(c.metric, k) for k in subcells]
         for v in q._cell_vslots[ctx]:
-            for k in subcells:
-                lo, hi = a.answer(c.metric, v, k)
+            for k, column in zip(subcells, columns):
+                hi = column[v]
                 if hi is None:
                     return (MHCheck(False,
                                     ("local", elements[ctx], labels[v],
@@ -353,6 +399,7 @@ def _local_tables(a: _Analysis):
                                (elements[seen[1]], labels[seen[0]]),
                                (elements[ctx], labels[hi]))
                     return MHCheck(False, witness), None, None
+                lo = a.nearest(c.metric, v, k)
                 cur = lo_inter.get(key, lo) & lo
                 if not cur:
                     witness = ("lower", labels[v], elements[k],
@@ -371,7 +418,7 @@ def _lower_constraints(a: _Analysis, v, k):
     for ctx, c in enumerate(a.contexts):
         if not (q.poset.down_mask(ctx) & kmask) or v not in q._cell_vslots[ctx]:
             continue
-        lo, _ = a.answer(c.metric, v, k)
+        lo = a.nearest(c.metric, v, k)
         out.append((q.poset.elements[ctx],
                     tuple(labels[s] for s in sorted(lo))))
     return tuple(out)
@@ -407,8 +454,9 @@ def mh_check(q: CWPoset) -> MHReport:
         return MHReport(qmh, lmh, MHCheck(False, witness))
 
     def disagrees(vk):
-        lo, hi = a.answer(a.glob, *vk)
-        return hi != loc_hi[vk][0] or not lo & loc_inter[vk]
+        v, k = vk
+        return (a.answer(a.glob, k)[v] != loc_hi[vk][0]
+                or not a.nearest(a.glob, v, k) & loc_inter[vk])
 
     failed = min(filter(disagrees, loc_hi), default=None)
     if failed is None:
@@ -419,14 +467,15 @@ def mh_check(q: CWPoset) -> MHReport:
     elements = q.poset.elements
     v, k = failed
     hi_local, ctx = loc_hi[failed]
-    glob_lo, glob_hi = a.answer(a.glob, v, k)
+    glob_hi = a.answer(a.glob, k)[v]
     if glob_hi != hi_local:
         witness = ("upper", labels[v], elements[k],
                    ("global", labels[glob_hi]),
                    (elements[ctx], labels[hi_local]))
     else:
         witness = ("lower", labels[v], elements[k],
-                   (("global", tuple(labels[s] for s in sorted(glob_lo))),)
+                   (("global", tuple(labels[s] for s in
+                                     sorted(a.nearest(a.glob, v, k)))),)
                    + _lower_constraints(a, v, k))
     return MHReport(qmh, lmh, MHCheck(False, witness))
 
@@ -435,19 +484,24 @@ def omega_tables(q: CWPoset) -> dict | None:
     """'lower' and 'upper' {(vertex, cell): vertex} maps, None if QMH fails.
 
     The smallest nearest and the forced farthest vertex of each cell
-    from each vertex, under the 1-skeleton metric.
+    from each vertex, under the 1-skeleton metric, found once per
+    distinct vertex set.
     """
     a = _Analysis(q)
     if not _global_tables(a).passed:
         return None
     labels = q.vertex_labels()
+    pairs = {}  # vertex set -> (lower, upper) label pair per vertex slot
+    for ci, kslots in enumerate(q._cell_vslots):
+        if kslots not in pairs:
+            column = a.answer(a.glob, ci)
+            pairs[kslots] = [(labels[min(a.nearest(a.glob, v, ci))],
+                              labels[hi]) for v, hi in enumerate(column)]
     lower = {}
     upper = {}
     for v, label in enumerate(labels):
-        for ci, cell in enumerate(q.poset.elements):
-            lo, hi = a.answer(a.glob, v, ci)
-            lower[label, cell] = labels[min(lo)]
-            upper[label, cell] = labels[hi]
+        for cell, kslots in zip(q.poset.elements, q._cell_vslots):
+            lower[label, cell], upper[label, cell] = pairs[kslots][v]
     return {"lower": lower, "upper": upper}
 
 

@@ -162,6 +162,18 @@ class FinitePoset:
 
     # -- chains -------------------------------------------------------------
 
+    def chain_counts(self):
+        """The number of chains with k + 1 elements, for each k, read off
+        the down-masks without listing a chain: those topped by x extend
+        the chains one element shorter topped by an element below x."""
+        below = [list(iter_bits(d ^ (1 << i))) for i, d in enumerate(self._down)]
+        counts = []
+        level = [1] * len(below)
+        while any(level):
+            counts.append(sum(level))
+            level = [sum(map(level.__getitem__, b)) for b in below]
+        return counts
+
     def iter_chains(self):
         """Yield (chain_indices, is_maximal) for every nonempty chain.
 

@@ -15,7 +15,7 @@ import io
 import sys
 from pathlib import Path
 
-from cw_complexes import cw_octagon_chords, emit_cw
+from cw_complexes import cw_octagon_chords, cw_polygon, emit_cw
 
 from omsal import fileio, fixtures
 from omsal.cli import main
@@ -26,6 +26,7 @@ from omsal.salvetti import salvetti_complex
 def prepare_inputs(work: Path):
     (work / "bad.cov").write_text("++\n--\n+-\n-+\n")
     (work / "oct.cw").write_text(emit_cw(cw_octagon_chords(False)))
+    (work / "pentagon.cw").write_text(emit_cw(cw_polygon(5)))
     (work / "g3.arr").write_text(
         fileio.emit_arrangement(fixtures.fixture_arrangement("generic:3:2")))
     (work / "b2.poset").write_text(
@@ -100,6 +101,7 @@ def commands(work: Path):
         ["mh-check", "--fixture", "nonpappus", "--complex", "dual"],
         ["mh-check", "--in", str(work / "oct.cw")],
         ["mh-check", "--json", "--in", str(work / "oct.cw")],
+        ["mh-check", "--in", str(work / "pentagon.cw")],
         ["mh-check", "--json", "--fixture", "boolean:3"],
     ]
     cmds += [["topes", "--fixture", s] for s in fx]

@@ -11,7 +11,8 @@ covector closure composes every vector with every other, both ways, and
 the cocircuits of an arrangement are the sign vectors of the kernel
 lines of its corank-1 normal subsets, found by Fraction RREF, the
 MH check takes the full route with no early verdict, asking every
-(context, vertex, subcell) question afresh under hop counts from a dict
+(context, vertex, subcell) question afresh, one pair at a time with an
+additivity test per vertex (_omega_pair), under hop counts from a dict
 BFS over each closed cell and over the whole 1-skeleton, and the matrix
 text dump writes a dense copy of each boundary entry by entry.
 
@@ -45,8 +46,8 @@ graph, and skeleton_is_bipartite two-colours the 1-skeleton of a CW
 poset.
 
 Nothing here imports from the package beyond the sign-vector primitives
-that closure composes, the per-cell MH primitive and the report types
-the unshared check returns, the chain complex the simplicial reference
+that closure composes, the CW poset and report types the unshared
+check reads and returns, the chain complex the simplicial reference
 feeds and the sparse elimination the dense adapter wraps, the oriented
 matroid class the simplicity test reads, the poset class the relation
 scan fills and its bit iterator, the tope adjacency and the separation
@@ -62,7 +63,7 @@ from omsal.errors import ConsistencyFailure
 from omsal.homology import (HomologyGroup, IntegerChainComplex,
                             _normalize_factors, _sparse_eliminate)
 from omsal.matroid import OrientedMatroid
-from omsal.mh import CWPoset, MHCheck, MHReport, _omega_pair
+from omsal.mh import CWPoset, MHCheck, MHReport
 from omsal.paths import skeleton_adjacency
 from omsal.posets import FinitePoset, iter_bits
 from omsal.signs import SignVector, compose, separation_mask
@@ -546,6 +547,29 @@ def kernel_line_cocircuits(arr):
         cocircuits.add(x)
         cocircuits.add(-x)
     return cocircuits
+
+
+def _omega_pair(vslot, kslots, rows):
+    """Nearest candidates and the forced farthest vertex of one cell.
+
+    Returns (lo, hi): lo is the frozenset of distance minimizers in
+    kslots seen from vslot, hi the unique additive farthest slot or None
+    when no vertex satisfies the additivity clause (including the case
+    of a vertex of kslots not reached from vslot).
+    """
+    if len(kslots) == 1:
+        return frozenset(kslots), kslots[0]
+    dv = [rows[vslot][u] for u in kslots]
+    mn = min(dv)
+    if mn < 0:
+        return frozenset(), None
+    mx = max(dv)
+    lo = frozenset(u for u, d in zip(kslots, dv) if d == mn)
+    # all of kslots is reached from vslot, so each reaches the others
+    for w, dw in zip(kslots, dv):
+        if dw == mx and all(dw == du + rows[u][w] for u, du in zip(kslots, dv)):
+            return lo, w
+    return lo, None
 
 
 def _dict_bfs_rows(adj, sources, nv):

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 from math import comb
 from pathlib import Path
@@ -21,10 +22,12 @@ from omsal.errors import (AxiomFailure, ConsistencyFailure, DegenerateChirotope,
                           EnumerationLimitExceeded, OMError, ParseError)
 from omsal.fixtures import fixture_arrangement, parse_fixture_spec
 from omsal.homology import HomologyGroup, IntegerChainComplex
+from omsal.limits import DUMP_BYTES_CAP, check_dump_size
 from omsal.matroid import are_isomorphic, from_arrangement, verify_axioms
 from omsal.mh import cw_from_covers, mh_check
 from omsal.posets import FinitePoset
-from omsal.salvetti import SalvettiCell, f_vector_and_euler, salvetti_complex
+from omsal.salvetti import (SalvettiCell, build_salvetti_poset, f_vector_and_euler,
+                            salvetti_complex)
 from omsal.signs import SignVector
 
 
@@ -393,15 +396,58 @@ def test_boundary_builders_emit_nonzero_ints_and_no_empty_row(capsys,
         _assert_builder_contract(cellular.boundaries[k],
                                  cellular.dims[k - 1:k + 1])
     # the dump's own from_faces boundaries, caught on their way to the
-    # writer (nonpappus would write 2.5 GB)
+    # writer
     dumped = []
     monkeypatch.setattr("omsal.cli.write_matrix_text",
                         lambda rows, path, shape: dumped.append((rows, shape)))
     code, _, _ = run(capsys, "homology", "--fixture", spec,
                      "--dump-matrices", str(tmp_path))
-    assert code == 0 and dumped
+    if spec == "nonpappus":
+        # its dump (2.5 GB) is refused, so the builder is called directly
+        # on the chains the dump lists
+        assert code == 2 and not dumped
+        poset = build_salvetti_poset(fixtures.generate_fixture(spec))
+        layers = [[] for _ in range(poset.height() + 1)]
+        for c, _ in poset.iter_chains():
+            layers[len(c) - 1].append(c)
+        chain = IntegerChainComplex.from_faces(layers)
+        dumped = [(chain.boundaries[k], chain.dims[k - 1:k + 1])
+                  for k in range(1, len(chain.dims))]
+    else:
+        assert code == 0
+    assert dumped
     for rows, shape in dumped:
         _assert_builder_contract(rows, shape)
+
+
+def test_cli_refuses_a_dump_over_the_cap_before_writing(capsys, tmp_path,
+                                                        monkeypatch):
+    def no_chains(self):
+        raise AssertionError("a chain was listed")
+
+    monkeypatch.setattr(FinitePoset, "iter_chains", no_chains)
+    d = tmp_path / "mats"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "homology", "--fixture", "nonpappus",
+                         "--dump-matrices", str(d))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("EnumerationLimitExceeded: the matrix dump would write at "
+                   "least 2545019168 bytes, over the cap of 268435456\n")
+    assert not d.exists()
+
+
+@pytest.mark.parametrize("spec, size", [("generic:4:3", 12_407_840),
+                                        ("generic:5:3", 73_570_592),
+                                        ("boolean:4", 682_229_760)])
+def test_dump_size_is_counted_from_the_down_masks(om, spec, size):
+    dims = build_salvetti_poset(om(spec)).chain_counts()
+    assert sum(2 * a * b for a, b in zip(dims, dims[1:])) == size
+    if size > DUMP_BYTES_CAP:
+        with pytest.raises(EnumerationLimitExceeded, match=str(size)):
+            check_dump_size(dims)
+    else:
+        check_dump_size(dims)
 
 
 NONPAPPUS_HOMOLOGY = "H_0: Z\nH_1: Z^9\nH_2: Z^28\nH_3: Z^20\nbetti=(1,9,28,20)\n"

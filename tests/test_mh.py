@@ -1,5 +1,7 @@
 """CW face posets and the three metrical-hemisphere checks."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from omsal.mh import (
     skeleton_distances,
 )
 from omsal.paths import tope_distance
+from omsal.posets import iter_bits
 
 import oracles
 from cw_complexes import cw_octagon_chords, cw_octagon_pair, cw_polygon
@@ -347,17 +350,72 @@ def test_shared_answers_equal_the_unshared_oracle(q):
     assert _outcome(q) == mh_check_unshared(q)
 
 
+# -- the column answers against the per-pair oracle -----------------------------
+
+
+def _column_mismatch(q, column_of):
+    """The first (metric, vertex slot, cell index) whose nearest set and
+    column entry differ from oracles._omega_pair, with column_of standing
+    in for mh._omega_column, or None.  The metrics are the global one and
+    that of every non-isometric closed cell; the oracle reads hop counts
+    from its own dict BFS."""
+    a = mh._Analysis(q)
+    metrics = [("global", a.glob, range(len(q._adj)), range(len(q)),
+                oracles.skeleton_hop_rows(q))]
+    metrics += [(q.poset.elements[ctx], c.metric, q._cell_vslots[ctx],
+                 list(iter_bits(q.poset.down_mask(ctx))),
+                 oracles.closure_hop_rows(q, ctx))
+                for ctx, c in enumerate(a.contexts) if c.metric is not a.glob]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mh, "_omega_column", column_of)
+        for name, metric, vslots, cells, rows in metrics:
+            for k in cells:
+                column = a.answer(metric, k)
+                for v in vslots:
+                    if (a.nearest(metric, v, k), column[v]) != \
+                            oracles._omega_pair(v, q._cell_vslots[k], rows):
+                        return name, v, k
+    return None
+
+
+@pytest.mark.parametrize("name", ORACLE_COMPLEXES)
+def test_column_answers_equal_the_per_pair_oracle(name, om):
+    assert _column_mismatch(complex_for(name, om), mh._omega_column) is None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(chorded_polygons())
+def test_column_answers_equal_the_per_pair_oracle_on_chorded_polygons(q):
+    assert _column_mismatch(q, mh._omega_column) is None
+
+
+def test_a_column_without_the_sum_test_is_caught():
+    # the mutant takes the first farthest vertex whenever all of the cell
+    # is reached; from v4 the pentagon's edge e1 has two farthest ends
+    source = inspect.getsource(mh._omega_column)
+    sum_test = "mn >= 0 and s + sums[w] == size * d"
+    assert source.count(sum_test) == 1
+    scope = dict(vars(mh))
+    exec(source.replace(sum_test, "mn >= 0"), scope)
+    q = cw_polygon(5)
+    assert _column_mismatch(q, scope["_omega_column"]) == \
+        ("global", 3, q.poset.index["e1"])
+    assert _column_mismatch(q, mh._omega_column) is None
+
+
 # -- the lower checks, under answers that no upper check can refuse ------------
 #
 # With real answers no complex of dimension two reaches a lower witness: a
 # vertex of a 2-cell is its own nearest vertex, and an edge's nearest end is
 # the one its farthest end is not, so a lower conflict always comes with an
 # upper one, which is reported first.  nearest_and_last reads the same
-# distances as _omega_pair, so a shared answer is still exact under it, but
-# it names the cell's last vertex as the farthest one: the upper checks all
-# pass and the nearest sets decide.
+# distances as the oracle's _omega_pair, and nearest_and_last_column the
+# same as mh._omega_column, so a shared answer is still exact under them,
+# but they name the cell's last vertex as the farthest one wherever the
+# nearest set is not empty: the upper checks all pass and the nearest sets
+# decide.
 
-_omega_pair = mh._omega_pair
+_omega_pair = oracles._omega_pair
 
 
 def nearest_and_last(vslot, kslots, rows):
@@ -365,10 +423,20 @@ def nearest_and_last(vslot, kslots, rows):
     return lo, (kslots[-1] if lo else None)
 
 
+def nearest_and_last_column(kslots, rows):
+    reached = map(min, zip(*[rows[u] for u in kslots]))
+    return [kslots[-1] if len(kslots) == 1 or d >= 0 else None
+            for d in reached]
+
+
+def _nearest_and_last_answers(mp):
+    mp.setattr(mh, "_omega_column", nearest_and_last_column)
+    mp.setattr(oracles, "_omega_pair", nearest_and_last)
+
+
 @pytest.fixture
 def nearest_and_last_answers(monkeypatch):
-    monkeypatch.setattr(mh, "_omega_pair", nearest_and_last)
-    monkeypatch.setattr(oracles, "_omega_pair", nearest_and_last)
+    _nearest_and_last_answers(monkeypatch)
 
 
 # the lmh route pits two contexts against each other, the mh route the
@@ -404,42 +472,48 @@ def test_lower_witnesses_equal_the_unshared_tables(nearest_and_last_answers,
 @given(chorded_polygons())
 def test_lower_checks_equal_the_unshared_oracle(q):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mh, "_omega_pair", nearest_and_last)
-        mp.setattr(oracles, "_omega_pair", nearest_and_last)
+        _nearest_and_last_answers(mp)
         assert _outcome(q) == mh_check_unshared(q)
 
 
 def test_omega_pair_calls_on_nonpappus(om, monkeypatch):
-    calls = []
+    columns = []
     stage_calls = {"_global_tables": [], "_local_tables": []}
-    real = mh._omega_pair
+    real = mh._omega_column
 
-    def counted(*args):
-        calls.append(args[0])
-        return real(*args)
+    def counted(kslots, rows):
+        columns.append(kslots)
+        return real(kslots, rows)
 
     def staged(name):
         stage = getattr(mh, name)
 
         def run(a):
-            before = len(calls)
+            before = len(columns)
             out = stage(a)
-            stage_calls[name].append(len(calls) - before)
+            stage_calls[name].append(len(columns) - before)
             return out
         return run
 
-    monkeypatch.setattr(mh, "_omega_pair", counted)
+    def no_nearest_set(self, metric, v, k):
+        raise AssertionError("the early verdict built a nearest set")
+
+    monkeypatch.setattr(mh, "_omega_column", counted)
+    monkeypatch.setattr(mh._Analysis, "nearest", no_nearest_set)
     for name in stage_calls:
         monkeypatch.setattr(mh, name, staged(name))
     m = om("nonpappus")
-    # 25,366 and 44,976 when local contexts asked afresh; 697,134 on the
-    # Salvetti complex when every context walked every subcell
+    # one column per distinct vertex set, for all 58 vertices at once:
+    # 11,310 per-pair answers before, 25,366 and 44,976 when local
+    # contexts asked afresh, 697,134 on the Salvetti complex when every
+    # context walked every subcell
     for q in (dual_complex(m), salvetti_cw(m)):
-        calls.clear()
+        columns.clear()
         assert mh_check(q).passed
-        assert len(calls) == 11_310
+        assert len(columns) == len(set(columns)) == 195
+        assert sum(len(k) == 1 for k in columns) == 58
     # both complexes take the early verdict: no local walk at all
-    assert stage_calls == {"_global_tables": [11_310, 11_310],
+    assert stage_calls == {"_global_tables": [195, 195],
                            "_local_tables": []}
 
 

@@ -1,5 +1,6 @@
 """Poset closure from covers, cycles, grading, duality, chains, lattices."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -234,6 +235,18 @@ def test_chains_of_b2():
     # nonempty chains of B_2: 4 singletons, 5 pairs, 2 triples
     assert len(chains) == 11
     assert sum(1 for _, mx in chains if mx) == 2
+
+
+@pytest.mark.parametrize("p", [subset_poset(2), subset_poset(4), divisor_poset(12),
+                               divisor_poset(60), subset_poset(3).dual(),
+                               FinitePoset.from_covers(["a"], []),
+                               FinitePoset.from_covers("abc", [(2, 0), (1, 0)])],
+                         ids=["B2", "B4", "div12", "div60", "B3-dual", "point",
+                              "falling-cover-indices"])
+def test_chain_counts_equal_the_listed_chains(p):
+    # counted from the down-masks, in any index order
+    listed = Counter(len(c) for c, _ in p.iter_chains())
+    assert p.chain_counts() == [listed[k] for k in range(1, len(listed) + 1)]
 
 
 def test_max_chain_count_divisors():

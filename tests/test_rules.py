@@ -201,16 +201,16 @@ def _enclosing_scopes_of_calls(tree, name, key=None):
 
 
 def test_one_place_asks_an_mh_question():
-    # every route to an (lo, hi) answer goes through the per-metric memo
+    # every route to a farthest column goes through the per-metric memo
     calls = {path.name: _enclosing_scopes_of_calls(ast.parse(path.read_text()),
-                                                   "_omega_pair")
+                                                   "_omega_column")
              for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in calls.items() if found} == \
         {"mh.py": ["_Analysis.answer"]}
     assert _enclosing_scopes_of_calls(ast.parse(
-        "class A:\n    def answer(self):\n        return _omega_pair(1)\n"
-        "def f(a):\n    return a.answer() or mh._omega_pair(2)\n"),
-        "_omega_pair") == ["A.answer", "f"]
+        "class A:\n    def answer(self):\n        return _omega_column(1)\n"
+        "def f(a):\n    return a.answer() or mh._omega_column(2)\n"),
+        "_omega_column") == ["A.answer", "f"]
 
 
 def test_one_bfs():
