@@ -111,30 +111,27 @@ def _cmd_salvetti(args):
 
 
 def _cmd_homology(args):
+    # argparse turns an attached value of exactly "--" into []
+    out_dir = "--" if args.dump_matrices == [] else args.dump_matrices
+    if out_dir == "":
+        raise ParseError("bad --dump-matrices directory '': empty")
     m, ident = _load_subject(args)
-    if args.dump_matrices:
-        # a dump over the cap is refused before any chain is listed or
-        # any file is opened
-        check_dump_size(build_salvetti_poset(m).chain_counts())
-    cells, covers = salvetti_complex(m)
-    groups = IntegerChainComplex.from_cw_covers(
-        [c.dim for c in cells], covers).homology()
-    if args.dump_matrices:
+    if out_dir is not None:
         # the dump stays on the order complex, whose k-faces are the
-        # chains of k + 1 cells (perfbench pins its shapes)
+        # chains of k + 1 cells (perfbench pins its shapes); one over the
+        # cap is refused before any chain is listed or any file is opened
         poset = build_salvetti_poset(m)
-        layers = [[] for _ in range(poset.height() + 1)]
-        for c, _ in poset.iter_chains():
-            layers[len(c) - 1].append(c)
-        for layer in layers:
-            layer.sort()
-        chain = IntegerChainComplex.from_faces(layers)
-        os.makedirs(args.dump_matrices, exist_ok=True)
+        check_dump_size(poset.chain_counts())
+        chain = IntegerChainComplex.from_faces(poset.chain_layers())
+        os.makedirs(out_dir, exist_ok=True)
         for k in range(1, len(chain.dims)):
             write_matrix_text(
                 chain.boundaries[k],
-                os.path.join(args.dump_matrices, f"boundary_{k}.txt"),
+                os.path.join(out_dir, f"boundary_{k}.txt"),
                 (chain.dims[k - 1], chain.dims[k]))
+    cells, covers = salvetti_complex(m)
+    groups = IntegerChainComplex.from_cw_covers(
+        [c.dim for c in cells], covers).homology()
     lines = [f"H_{k}: {g}" for k, g in enumerate(groups)]
     betti = [g.betti for g in groups]
     lines.append("betti=(" + ",".join(map(str, betti)) + ")")

@@ -8,8 +8,9 @@ gcd/lcm normalization.  Cellular boundaries of a regular CW complex are
 assembled from its cover pairs and grades alone: each incidence number
 is +-1 and, once one sign per cell is fixed, the diamond property of the
 cell's boundary forces the rest.  Simplicial boundaries are assembled
-from per-dimension lists of faces, given as increasing index tuples
-(the chains of a poset, for the matrix dump of the CLI).  Nothing is
+from per-dimension lists of faces, given as index tuples in one
+vertex order (the chains of a poset bottom up, for the matrix dump of
+the CLI).  Nothing is
 reduced beforehand, and the constructor checks that consecutive
 boundaries compose to zero.
 """
@@ -162,9 +163,11 @@ class IntegerChainComplex:
     def from_faces(cls, faces_by_dim):
         """Simplicial boundary matrices from per-dimension face lists.
 
-        faces_by_dim[k] lists the k-faces as increasing tuples of vertex
-        indices, in the order of the rows and columns; the facet that
-        drops the vertex at position p gets the sign (-1)^p.
+        faces_by_dim[k] lists the k-faces as tuples of vertex indices, in
+        the order of the rows and columns.  Every tuple lists its vertices
+        in one order shared by all faces (a chain bottom up, say), so
+        dropping a position gives a facet as faces_by_dim[k - 1] lists
+        it; the facet that drops position p gets the sign (-1)^p.
         """
         dims = tuple(len(layer) for layer in faces_by_dim)
         boundaries = [{}]

@@ -318,10 +318,6 @@ class OrientedMatroid:
     def sorted_covectors(self) -> tuple[SignVector, ...]:
         return self.derived(_sorted_covectors)
 
-    @property
-    def zero(self) -> SignVector:
-        return SignVector.zero(self.n)
-
     def verify(self) -> AxiomReport:
         """The axiom report, computed on the first call and kept."""
         return self.derived(_axiom_report)

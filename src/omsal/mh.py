@@ -120,15 +120,6 @@ class CWPoset:
     def vertex_labels(self) -> tuple:
         return tuple(self.poset.elements[i] for i in self._vertex_ids)
 
-    def dim(self) -> int:
-        return max(self.dims)
-
-    def f_vector(self) -> tuple[int, ...]:
-        counts = [0] * (self.dim() + 1)
-        for d in self.dims:
-            counts[d] += 1
-        return tuple(counts)
-
 
 def cw_from_covers(cells, covers) -> CWPoset:
     """Build a CWPoset from (label, dim) pairs and covering (face, cell) pairs.

@@ -61,14 +61,6 @@ class PositivePath(NamedTuple):
     start: SignVector
     edges: tuple
 
-    @property
-    def source(self) -> SignVector:
-        return self.start
-
-    @property
-    def target(self) -> SignVector:
-        return self.edges[-1].target if self.edges else self.start
-
     def topes(self):
         out = [self.start]
         out.extend(e.target for e in self.edges)

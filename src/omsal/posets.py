@@ -8,8 +8,9 @@ the dual of one.  The generating pairs are kept as masks
 both ways, above and below each element, and one closure closes each
 list, so neither the down-masks nor the dual are derived again; only
 cycles need a check.  The pairs above an element are its only cover
-candidates, and the pairs below it give its height.  This module is a
-leaf: it imports nothing from the package but its errors.
+candidates, and the pairs below it give its height.  Chains are counted
+from the down-masks and listed, layer by layer, from the up-masks.  This
+module is a leaf: it imports nothing from the package but its errors.
 """
 
 from __future__ import annotations
@@ -174,26 +175,19 @@ class FinitePoset:
             level = [sum(map(level.__getitem__, b)) for b in below]
         return counts
 
-    def iter_chains(self):
-        """Yield (chain_indices, is_maximal) for every nonempty chain.
-
-        A chain is any pairwise comparable subset; it is enumerated once,
-        as the increasing sequence of its element indices.  is_maximal is
-        True when no further element is comparable to the whole chain.
-        """
-        n = len(self.elements)
-        comp = [self.comparability_mask(i) for i in range(n)]
-        stack = []
-        for i in range(n - 1, -1, -1):
-            higher = ~((1 << (i + 1)) - 1)
-            stack.append(((i,), 1 << i, comp[i] & higher, comp[i]))
-        while stack:
-            chain, chain_mask, cand, cm = stack.pop()
-            yield chain, not (cm & ~chain_mask)
-            for j in iter_bits(cand):
-                higher = ~((1 << (j + 1)) - 1)
-                stack.append((chain + (j,), chain_mask | (1 << j),
-                              cand & comp[j] & higher, cm & comp[j]))
+    def chain_layers(self):
+        """Every nonempty chain as a tuple of indices, bottom up, in layers:
+        layer k holds the chains of k + 1 elements.  Each layer extends
+        every chain of the one before by each element strictly above its
+        top, so each chain comes out once and every layer is in
+        lexicographic order."""
+        above = [list(iter_bits(u ^ (1 << i))) for i, u in enumerate(self._up)]
+        layers = []
+        layer = [(i,) for i in range(len(above))]
+        while layer:
+            layers.append(layer)
+            layer = [c + (j,) for c in layer for j in above[c[-1]]]
+        return layers
 
 
 def is_lattice(poset: FinitePoset):

@@ -23,7 +23,10 @@ element from that one scan.
 
 The simplicial reference for Salvetti homology lives here too: a
 SimplicialComplex keeps its facets and closes them downward into faces,
-and order_complex takes the maximal chains of a poset as its facets.
+and order_complex takes the maximal chains of a poset as its facets:
+maximal_chains walks the paths of covers() from an element with no
+cover below to one with no cover above, and reads nothing from the
+package's chain counter or chain lister.
 Its homology is the check on the cellular route of the package, which
 assembles boundaries from covers; the two share only the Smith engine
 of IntegerChainComplex.  max_cliques, a Bron-Kerbosch enumeration over
@@ -40,7 +43,8 @@ element_set and separation_set spell masks out as sets of elements,
 crossing_element and crossed name the element each step of a positive
 path crosses (refusing a step across more or fewer than one), flats
 takes the zero sets of the covectors, is_graded compares heights across
-covers, closed_cell and edge_endpoints read a cell's closure off its
+covers, f_vector counts the cells of each dimension of a CW poset,
+closed_cell and edge_endpoints read a cell's closure off its
 down-mask, tope_graph_distances takes tope distance by BFS over the tope
 graph, and skeleton_is_bipartite two-colours the 1-skeleton of a CW
 poset.
@@ -374,11 +378,29 @@ def betti_numbers(complex_: SimplicialComplex) -> tuple[int, ...]:
     return tuple(g.betti for g in homology(complex_))
 
 
+def maximal_chains(poset) -> list[tuple[int, ...]]:
+    """Every maximal chain of a poset as its indices bottom up: the paths
+    along covers() from an element with no cover below it to one with
+    no cover above it."""
+    up: dict[int, list[int]] = {}
+    for i, j in poset.covers():
+        up.setdefault(i, []).append(j)
+    covered = {j for _, j in poset.covers()}
+    out = []
+    stack = [(i,) for i in range(len(poset)) if i not in covered]
+    while stack:
+        path = stack.pop()
+        if path[-1] in up:
+            stack.extend(path + (j,) for j in up[path[-1]])
+        else:
+            out.append(path)
+    return sorted(out)
+
+
 def order_complex(poset) -> SimplicialComplex:
     """The simplicial complex of chains of a poset, closed down from its
     maximal chains."""
-    facets = [[poset.elements[i] for i in chain]
-              for chain, mx in poset.iter_chains() if mx]
+    facets = [[poset.elements[i] for i in chain] for chain in maximal_chains(poset)]
     return SimplicialComplex(poset.elements, facets)
 
 
@@ -768,6 +790,11 @@ def is_graded(p: FinitePoset) -> bool:
     """Every cover raises the longest-chain height by exactly one."""
     h = p.heights()
     return all(h[j] == h[i] + 1 for i, j in p.covers())
+
+
+def f_vector(q: CWPoset) -> tuple[int, ...]:
+    """The number of cells of each dimension of a CW poset."""
+    return tuple(q.dims.count(d) for d in range(max(q.dims) + 1))
 
 
 def closed_cell(q: CWPoset, cell) -> list:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cw_complexes import cw_octagon_chords, emit_cw
-from oracles import dense_boundary_matrix, order_complex, write_dense_matrix_text
+from oracles import dense_boundary_matrix, f_vector, order_complex, write_dense_matrix_text
 
 from omsal import fileio, fixtures, matroid, osalg
 from omsal.cli import main
@@ -229,7 +229,7 @@ def test_cw_round_trip_preserves_witnesses():
     q = cw_octagon_chords(True)
     text = emit_cw(q)
     back = fileio.parse_cw(text)
-    assert back.f_vector() == q.f_vector()
+    assert f_vector(back) == f_vector(q)
     assert emit_cw(back) == text
     assert mh_check(back).lmh.witness == mh_check(q).lmh.witness
 
@@ -407,10 +407,7 @@ def test_boundary_builders_emit_nonzero_ints_and_no_empty_row(capsys,
         # on the chains the dump lists
         assert code == 2 and not dumped
         poset = build_salvetti_poset(fixtures.generate_fixture(spec))
-        layers = [[] for _ in range(poset.height() + 1)]
-        for c, _ in poset.iter_chains():
-            layers[len(c) - 1].append(c)
-        chain = IntegerChainComplex.from_faces(layers)
+        chain = IntegerChainComplex.from_faces(poset.chain_layers())
         dumped = [(chain.boundaries[k], chain.dims[k - 1:k + 1])
                   for k in range(1, len(chain.dims))]
     else:
@@ -425,7 +422,7 @@ def test_cli_refuses_a_dump_over_the_cap_before_writing(capsys, tmp_path,
     def no_chains(self):
         raise AssertionError("a chain was listed")
 
-    monkeypatch.setattr(FinitePoset, "iter_chains", no_chains)
+    monkeypatch.setattr(FinitePoset, "chain_layers", no_chains)
     d = tmp_path / "mats"
     start = time.perf_counter()
     code, out, err = run(capsys, "homology", "--fixture", "nonpappus",
@@ -653,6 +650,30 @@ def test_cli_empty_tope_value_is_a_parse_error(capsys, argv):
     # an empty tope is bad input, not the first tope and not a nameless non-tope
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "ParseError: bad sign string '': empty\n")
+
+
+def test_cli_empty_dump_directory_is_a_parse_error(capsys, monkeypatch, tmp_path):
+    # refused before the subject is loaded, so nothing is written
+    def no_subject(args):
+        raise AssertionError("the subject was loaded")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("omsal.cli._load_subject", no_subject)
+    code, out, err = run(capsys, "homology", "--fixture", "boolean:2",
+                         "--dump-matrices=")
+    assert (code, out, err) == \
+        (2, "", "ParseError: bad --dump-matrices directory '': empty\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_dumps_into_a_directory_named_dashes(capsys, monkeypatch, tmp_path):
+    # argparse hands the attached value "--" to the command as []
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "homology", "--fixture", "boolean:2",
+                     "--dump-matrices=--")
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "--").iterdir()) == \
+        ["boundary_1.txt", "boundary_2.txt"]
 
 
 def test_cli_isomorphic(capsys, tmp_path):

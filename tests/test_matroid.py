@@ -110,10 +110,10 @@ def test_topes_list_is_a_copy(om):
     got = m.topes()
     got.reverse()
     got.pop()
-    got.append(m.zero)
+    got.append(SignVector.zero(m.n))
     assert m.topes() == before
     assert m.is_tope(before[0])
-    assert not m.is_tope(m.zero)
+    assert not m.is_tope(SignVector.zero(m.n))
 
 
 @pytest.mark.parametrize("spec", ALL_FIXTURES)
@@ -124,7 +124,7 @@ def test_is_tope_only_on_maximal_covectors(spec, om):
     assert m.is_tope(t)
     assert [m.is_tope(x) for x in face.elements] == \
         [i in face.maximal_indices() for i in range(len(face))]
-    assert not m.is_tope(m.zero)
+    assert not m.is_tope(SignVector.zero(m.n))
     # every sign vector outside the set (none for a boolean arrangement)
     outside = [x for x in map(SignVector.from_signs, product((1, 0, -1), repeat=m.n))
                if x not in m.covectors]

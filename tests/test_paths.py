@@ -115,12 +115,12 @@ def test_trivial_and_adjacent_paths(om):
     t = m.topes()[0]
     trivial = minimal_positive_paths(m, t, t)
     assert [p.edges for p in trivial] == [()]
-    assert trivial[0].source == trivial[0].target == t
+    assert trivial[0].start == trivial[0].topes()[-1] == t
     assert trivial[0].topes() == [t] and str(trivial[0]) == str(t)
     s = next(x for x in m.topes() if tope_distance(m, t, x) == 1)
     (only,) = minimal_positive_paths(m, t, s)
     assert crossed(only) == tuple(separation_set(t, s))
-    assert only.source == t and only.target == s
+    assert only.start == t and only.topes()[-1] == s
     assert str(only) == f"{t} -> {s}"
 
 

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import build_poset, homology, is_graded, order_complex
+from oracles import build_poset, homology, is_graded, maximal_chains, order_complex
 
 from omsal import posets
 from omsal.errors import NotAntisymmetric
@@ -231,27 +231,50 @@ def test_from_covers_equals_the_relation_scan(case):
 
 def test_chains_of_b2():
     p = subset_poset(2)  # 4 elements: {}, {0}, {1}, {0,1}
-    chains = list(p.iter_chains())
-    # nonempty chains of B_2: 4 singletons, 5 pairs, 2 triples
-    assert len(chains) == 11
-    assert sum(1 for _, mx in chains if mx) == 2
+    # nonempty chains of B_2: 4 singletons, 5 pairs, 2 triples, and the
+    # triples are the two maximal chains
+    assert [len(layer) for layer in p.chain_layers()] == [4, 5, 2]
+    assert p.chain_layers()[-1] == maximal_chains(p) == [(0, 1, 3), (0, 2, 3)]
 
 
-@pytest.mark.parametrize("p", [subset_poset(2), subset_poset(4), divisor_poset(12),
-                               divisor_poset(60), subset_poset(3).dual(),
-                               FinitePoset.from_covers(["a"], []),
-                               FinitePoset.from_covers("abc", [(2, 0), (1, 0)])],
-                         ids=["B2", "B4", "div12", "div60", "B3-dual", "point",
-                              "falling-cover-indices"])
+CHAIN_POSETS = pytest.mark.parametrize(
+    "p", [subset_poset(2), subset_poset(4), divisor_poset(12), divisor_poset(60),
+          subset_poset(3).dual(), FinitePoset.from_covers(["a"], []),
+          FinitePoset.from_covers("abc", [(2, 0), (1, 0)])],
+    ids=["B2", "B4", "div12", "div60", "B3-dual", "point", "falling-cover-indices"])
+
+
+def _brute_chains(p):
+    """The index masks of every pairwise comparable nonempty subset."""
+    comp = [p.up_mask(i) | p.down_mask(i) for i in range(len(p))]
+    return [mask for mask in range(1, 1 << len(p))
+            if all(comp[i] & mask == mask for i in iter_bits(mask))]
+
+
+@CHAIN_POSETS
 def test_chain_counts_equal_the_listed_chains(p):
     # counted from the down-masks, in any index order
-    listed = Counter(len(c) for c, _ in p.iter_chains())
+    listed = Counter(mask.bit_count() for mask in _brute_chains(p))
     assert p.chain_counts() == [listed[k] for k in range(1, len(listed) + 1)]
 
 
+@CHAIN_POSETS
+def test_chain_layers_list_each_chain_once_bottom_up(p):
+    layers = p.chain_layers()
+    listed = [c for layer in layers for c in layer]
+    masks = [sum(1 << i for i in c) for c in listed]
+    assert all(mask.bit_count() == len(c) for mask, c in zip(masks, listed))
+    assert sorted(masks) == _brute_chains(p)
+    assert all(p.up_mask(a) >> b & 1 for c in listed for a, b in zip(c, c[1:]))
+    assert all(layer == sorted(layer) for layer in layers)
+    assert [len(layer) for layer in layers] == p.chain_counts()
+    assert all(len(c) == k + 1 for k, layer in enumerate(layers) for c in layer)
+
+
 def test_max_chain_count_divisors():
-    # 1-2-4-12, 1-2-6-12, 1-3-6-12
-    assert sum(1 for _, mx in divisor_poset(12).iter_chains() if mx) == 3
+    p = divisor_poset(12)
+    assert [tuple(p.elements[i] for i in c) for c in maximal_chains(p)] == \
+        [(1, 2, 4, 12), (1, 2, 6, 12), (1, 3, 6, 12)]
 
 
 def test_is_lattice_positive():

@@ -273,16 +273,21 @@ def test_poset_files_read_only_as_subjects():
 
 
 def test_chains_listed_only_for_the_matrix_dump():
-    # the exponential chain enumeration serves the order-complex dump only
-    calls = {path.name: _enclosing_scopes_of_calls(ast.parse(path.read_text()),
-                                                   "iter_chains")
-             for path in sorted(SRC.glob("*.py"))}
-    assert {name: found for name, found in calls.items() if found} == \
-        {"cli.py": ["_cmd_homology"]}
-    assert _enclosing_scopes_of_calls(ast.parse(
-        "def _cmd_homology(p):\n    return list(p.iter_chains())\n"
-        "def nerve_check(p):\n    return [c for c, mx in p.iter_chains() if mx]\n"),
-        "iter_chains") == ["_cmd_homology", "nerve_check"]
+    # the exponential chain enumeration, and the count that sizes it,
+    # serve the order-complex dump only
+    for name in ("chain_layers", "chain_counts"):
+        calls = {path.name: _enclosing_scopes_of_calls(ast.parse(path.read_text()),
+                                                       name)
+                 for path in sorted(SRC.glob("*.py"))}
+        assert {path: found for path, found in calls.items() if found} == \
+            {"cli.py": ["_cmd_homology"]}, name
+    snippet = ast.parse(
+        "def _cmd_homology(p):\n    return p.chain_layers()\n"
+        "def nerve_check(p):\n    return len(p.chain_layers()[-1])\n"
+        "class C:\n    def dump(self, p):\n        return p.chain_counts()\n")
+    assert _enclosing_scopes_of_calls(snippet, "chain_layers") == \
+        ["_cmd_homology", "nerve_check"]
+    assert _enclosing_scopes_of_calls(snippet, "chain_counts") == ["C.dump"]
 
 
 def _unused_imports(tree):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from cw_complexes import cw_octagon_chords, cw_polygon, emit_cw
-from oracles import build_poset, is_graded, max_cliques
+from oracles import build_poset, is_graded, max_cliques, maximal_chains
 from test_paths import NON_SIMPLE
 
 from omsal import fileio, salvetti, signs
@@ -159,7 +159,7 @@ def test_nerve_cliques_are_the_maximal_chains(spec, om):
                if j != i and (cell_leq(c, d) or cell_leq(d, c)))
            for i, c in enumerate(cells)]
     cliques = {frozenset(iter_bits(mask)) for mask in max_cliques(adj, n)}
-    chains = {frozenset(ch) for ch, mx in poset.iter_chains() if mx}
+    chains = {frozenset(ch) for ch in maximal_chains(poset)}
     assert cliques == chains
     assert len(cliques) == nerve_check(m)[1]["facets"] == NERVE_STATS[spec][2]
 
