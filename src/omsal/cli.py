@@ -1,8 +1,9 @@
 """Command-line reports tying the toolkit together.
 
-Every subcommand loads one subject (a --fixture spec or an --in file),
-runs its computation, and prints a deterministic plain-text report;
---json swaps in a machine-readable payload on a single line.  Exit
+Every subcommand loads one subject (a --fixture spec or an --in file,
+never both), runs its computation, and prints a deterministic
+plain-text report; --json swaps in a machine-readable payload on a
+single line.  An option the command would ignore is refused.  Exit
 status: 0 when everything passed, 1 when a mathematical check failed,
 2 when the input was unusable, 141 when the reader closed stdout.
 """
@@ -50,13 +51,26 @@ def _strs(obj):
     return str(obj)
 
 
+def _one_subject(spec, path, flags=("--fixture", "--in")):
+    """(spec, path) of one subject, --fixture and --in or isomorphic's
+    --other and --other-in as flags names them; exactly one must be
+    given, as the loaders would silently drop the other."""
+    if spec is not None and path is not None:
+        raise ParseError(f"{flags[0]} and {flags[1]} both given; pass one")
+    if not (spec or path):
+        raise ParseError(f"need {flags[0]} <spec> or {flags[1]} <path>")
+    return spec, path
+
+
+def _load(spec, path):
+    """(oriented matroid, identity string) from an _one_subject pair."""
+    if path:
+        return fileio.load_oriented_matroid(path), path
+    return fixtures.generate_fixture(spec), spec
+
+
 def _load_subject(args):
-    """(oriented matroid, identity string) from --fixture or --in."""
-    if getattr(args, "infile", None):
-        return fileio.load_oriented_matroid(args.infile), args.infile
-    if getattr(args, "fixture", None):
-        return fixtures.generate_fixture(args.fixture), args.fixture
-    raise ParseError("need --fixture <spec> or --in <path>")
+    return _load(*_one_subject(args.fixture, args.infile))
 
 
 def _tope_arg(text, m):
@@ -92,6 +106,8 @@ def _cmd_verify(args):
 
 
 def _cmd_salvetti(args):
+    if args.emit and (args.f_vector or args.euler):
+        raise ParseError("--emit prints the poset; drop --f-vector and --euler")
     m, ident = _load_subject(args)
     cells, covers = salvetti_complex(m)
     fv, euler = f_vector_and_euler(cells)
@@ -162,13 +178,14 @@ def _cmd_gr_compare(args):
 
 
 def _cmd_mh_check(args):
-    if getattr(args, "infile", None) and args.infile.endswith(".cw"):
+    spec, path = _one_subject(args.fixture, args.infile)
+    if path and path.endswith(".cw"):
         if args.complex is not None:
             raise ParseError(f"--complex {args.complex} needs matroid input; "
-                             f"{args.infile} is one CW complex")
-        subjects, ident = [("cw", fileio.parse_cw(args.infile))], args.infile
+                             f"{path} is one CW complex")
+        subjects, ident = [("cw", fileio.parse_cw(path))], path
     else:
-        m, ident = _load_subject(args)
+        m, ident = _load(spec, path)
         which = args.complex or "both"
         subjects = []
         if which in ("dual", "both"):
@@ -192,6 +209,8 @@ def _cmd_mh_check(args):
 
 
 def _cmd_topes(args):
+    if args.base is not None and not args.poset:
+        raise ParseError("--base needs --poset")
     m, ident = _load_subject(args)
     ts = m.topes()
     if args.poset:
@@ -226,13 +245,9 @@ def _cmd_paths(args):
 
 
 def _cmd_isomorphic(args):
+    second = _one_subject(args.other, args.other_in, ("--other", "--other-in"))
     m1, ident = _load_subject(args)
-    if args.other:
-        m2, other = fixtures.generate_fixture(args.other), args.other
-    elif args.other_in:
-        m2, other = fileio.load_oriented_matroid(args.other_in), args.other_in
-    else:
-        raise ParseError("need --other <spec> or --other-in <path>")
+    m2, other = _load(*second)
     ok, cert = are_isomorphic(m1, m2)
     if ok:
         perm, flips = cert
@@ -248,7 +263,7 @@ def _cmd_isomorphic(args):
 
 
 def _cmd_gen(args):
-    src = getattr(args, "infile", None)
+    spec, src = _one_subject(args.fixture, args.infile)
     if src:
         ident = src
         if args.format == "arr":
@@ -262,10 +277,8 @@ def _cmd_gen(args):
         else:
             text = fileio.emit_covectors(fileio.load_oriented_matroid(src))
     else:
-        if not getattr(args, "fixture", None):
-            raise ParseError("need --fixture <spec> or --in <path>")
-        ident = args.fixture
-        spec = fixtures.parse_fixture_spec(args.fixture)
+        ident = spec
+        spec = fixtures.parse_fixture_spec(spec)
         if args.format == "arr":
             text = fileio.emit_arrangement(fixtures.fixture_arrangement(spec))
         elif args.format == "chi":

@@ -76,37 +76,34 @@ class CWPoset:
                     f"face {poset.elements[i]} (dim {dims[i]}) under "
                     f"{poset.elements[j]} (dim {dims[j]})")
         self._vertex_ids = tuple(i for i in range(n) if dims[i] == 0)
-        self._slot = {i: s for s, i in enumerate(self._vertex_ids)}
         nv = len(self._vertex_ids)
         if nv == 0:
             raise ConsistencyFailure("no 0-cells present")
+        slot = {i: s for s, i in enumerate(self._vertex_ids)}
+        vertices = sum(1 << i for i in self._vertex_ids)
+        self._edges = sum(1 << i for i in range(n) if dims[i] == 1)
         # vertex slots in the closure of each cell; a cell with none is
         # not the face poset of a CW complex
         vslots = []
         for i in range(n):
-            below = poset.down_mask(i)
-            vs = tuple(self._slot[j] for j in iter_bits(below)
-                       if dims[j] == 0)
+            vs = tuple(map(slot.__getitem__,
+                           iter_bits(poset.down_mask(i) & vertices)))
             if not vs:
                 raise ConsistencyFailure(
                     f"cell {poset.elements[i]} has no vertex in its closure")
             vslots.append(vs)
         self._cell_vslots = tuple(vslots)
-        ends = {}
+        # a 1-cell's vertex slots are its two ends
         adj = [set() for _ in range(nv)]
-        for i in range(n):
-            if dims[i] != 1:
-                continue
-            vs = self._cell_vslots[i]
+        for i in iter_bits(self._edges):
+            vs = vslots[i]
             if len(vs) != 2:
                 raise ConsistencyFailure(
                     f"1-cell {poset.elements[i]} has endpoints "
                     f"{[self.vertex_labels()[s] for s in vs]}")
             a, b = vs
-            ends[i] = (a, b)
             adj[a].add(b)
             adj[b].add(a)
-        self._edge_ends = ends
         self._adj = [tuple(sorted(s)) for s in adj]
         seen = _bfs(self._adj, 0)
         for s in range(nv):
@@ -175,11 +172,11 @@ def skeleton_distances(q: CWPoset) -> SkeletonDistances:
     glob = {(labels[s], labels[t]): d
             for s, row in enumerate(a.dist) for t, d in enumerate(row)}
     loc = {}
-    for ctx, c in enumerate(a.contexts):
+    for ctx, (rows, _) in enumerate(a.contexts):
         vsl = q._cell_vslots[ctx]
         loc[q.poset.elements[ctx]] = {
-            (labels[s], labels[t]): c.rows[s][t]
-            for s in vsl for t in vsl if c.rows[s][t] >= 0}
+            (labels[s], labels[t]): rows[s][t]
+            for s in vsl for t in vsl if rows[s][t] >= 0}
     return SkeletonDistances(glob, loc)
 
 
@@ -206,17 +203,13 @@ class MHReport(NamedTuple):
                           line("mh", self.mh)))
 
 
-class _Context(NamedTuple):
-    """A closed cell as a context of the local checks."""
-    rows: dict     # vertex slot of the cell -> _bfs row inside the closure
-    metric: tuple  # the _Analysis.glob when rows agree with it on the cell
-
-
 def _one_skeleton(q: CWPoset, ctx: int):
-    """Vertex slots and sorted edge ends of the closure of cell ctx."""
-    below = q.poset.down_mask(ctx)
+    """Vertex slots and sorted edge ends of the closure of cell ctx.
+    Ends, not edge cells: the Salvetti cells [X, T] over one covector X
+    have different 1-cells on the same ends, and share one key."""
+    below = q.poset.down_mask(ctx) & q._edges
     return q._cell_vslots[ctx], tuple(sorted(
-        q._edge_ends[j] for j in iter_bits(below) if q.dims[j] == 1))
+        map(q._cell_vslots.__getitem__, iter_bits(below))))
 
 
 class _Analysis:
@@ -271,21 +264,22 @@ class _Analysis:
 
     @cached_property
     def contexts(self) -> list:
-        """One _Context per cell, in poset index order.
+        """The metric of each closed cell, in poset index order.
 
-        Closed cells with identical 1-skeleta share one _Context: the
-        top cells of a doubled complex, and every Salvetti cell [X, T]
-        over the same covector X.  Each kept rows dict is compared once
-        with the global rows on its vertices; a metric that is glob
-        certifies the closed cell isometric.
+        Closed cells with identical 1-skeleta share one metric: the top
+        cells of a doubled complex, and every Salvetti cell [X, T] over
+        the same covector X.  Each kept rows dict is compared once with
+        the global rows on its vertices; the metric is glob when they
+        agree, which certifies the closed cell isometric, and (rows, {})
+        otherwise.
         """
         q, dist = self.q, self.dist
-        kept = {}  # one-skeleton key -> _Context
+        kept = {}  # one-skeleton key -> metric
         out = []
         for ctx in range(len(q)):
             key = _one_skeleton(q, ctx)
-            c = kept.get(key)
-            if c is None:
+            metric = kept.get(key)
+            if metric is None:
                 vsl, pairs = key
                 adj = [[] for _ in dist]
                 for s, t in pairs:
@@ -296,8 +290,8 @@ class _Analysis:
                     metric = self.glob
                 else:
                     metric = (rows, {})
-                c = kept[key] = _Context(rows, metric)
-            out.append(c)
+                kept[key] = metric
+            out.append(metric)
         return out
 
 
@@ -370,9 +364,9 @@ def _local_tables(a: _Analysis):
     elements = q.poset.elements
     lo_inter = {}
     hi_seen = {}
-    for ctx, c in enumerate(a.contexts):
+    for ctx, metric in enumerate(a.contexts):
         subcells = list(iter_bits(q.poset.down_mask(ctx)))
-        columns = [a.answer(c.metric, k) for k in subcells]
+        columns = [a.answer(metric, k) for k in subcells]
         for v in q._cell_vslots[ctx]:
             for k, column in zip(subcells, columns):
                 hi = column[v]
@@ -390,7 +384,7 @@ def _local_tables(a: _Analysis):
                                (elements[seen[1]], labels[seen[0]]),
                                (elements[ctx], labels[hi]))
                     return MHCheck(False, witness), None, None
-                lo = a.nearest(c.metric, v, k)
+                lo = a.nearest(metric, v, k)
                 cur = lo_inter.get(key, lo) & lo
                 if not cur:
                     witness = ("lower", labels[v], elements[k],
@@ -406,10 +400,10 @@ def _lower_constraints(a: _Analysis, v, k):
     labels = q.vertex_labels()
     out = []
     kmask = 1 << k
-    for ctx, c in enumerate(a.contexts):
+    for ctx, metric in enumerate(a.contexts):
         if not (q.poset.down_mask(ctx) & kmask) or v not in q._cell_vslots[ctx]:
             continue
-        lo = a.nearest(c.metric, v, k)
+        lo = a.nearest(metric, v, k)
         out.append((q.poset.elements[ctx],
                     tuple(labels[s] for s in sorted(lo))))
     return tuple(out)
@@ -436,7 +430,7 @@ def mh_check(q: CWPoset) -> MHReport:
     """
     a = _Analysis(q)
     qmh = _global_tables(a)
-    if qmh.passed and all(c.metric is a.glob for c in a.contexts):
+    if qmh.passed and all(metric is a.glob for metric in a.contexts):
         # every local answer is the global one, so LMH and MH pass as QMH
         return MHReport(qmh, qmh, qmh)
     lmh, loc_inter, loc_hi = _local_tables(a)
@@ -505,16 +499,17 @@ def _check_local_global_metric(a: _Analysis):
     """
     q = a.q
     labels = q.vertex_labels()
-    for ctx, c in enumerate(a.contexts):
-        if c.metric is a.glob:
+    for ctx, metric in enumerate(a.contexts):
+        if metric is a.glob:
             continue
+        rows = metric[0]
         vsl = q._cell_vslots[ctx]
         for s in vsl:
             for t in vsl:
-                if c.rows[s][t] != a.dist[s][t]:
+                if rows[s][t] != a.dist[s][t]:
                     raise ConsistencyFailure(
                         f"cell {q.poset.elements[ctx]}: distance "
-                        f"{c.rows[s][t]} between {labels[s]} and {labels[t]} "
+                        f"{rows[s][t]} between {labels[s]} and {labels[t]} "
                         f"differs from the global {a.dist[s][t]}")
 
 

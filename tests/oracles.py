@@ -13,7 +13,8 @@ lines of its corank-1 normal subsets, found by Fraction RREF, the
 MH check takes the full route with no early verdict, asking every
 (context, vertex, subcell) question afresh, one pair at a time with an
 additivity test per vertex (_omega_pair), under hop counts from a dict
-BFS over each closed cell and over the whole 1-skeleton, and the matrix
+BFS over each closed cell, its edge ends read off the poset, and over
+the whole 1-skeleton, and the matrix
 text dump writes a dense copy of each boundary entry by entry.
 
 The relation scan build_poset is the reference for every poset the
@@ -619,15 +620,20 @@ def skeleton_hop_rows(q):
 
 def closure_hop_rows(q, ctx):
     """Hop counts inside the closure of the cell at poset index ctx, by
-    the dict BFS over its edges."""
-    vsl = q._cell_vslots[ctx]
-    adj = {s: set() for s in vsl}
-    for j in iter_bits(q.poset.down_mask(ctx)):
+    the dict BFS over its edges.  The vertex slots and the ends of each
+    edge are read off the poset and the dimensions, not off the tables
+    of the CW poset under test."""
+    vertex_ids = [i for i, d in enumerate(q.dims) if d == 0]
+    slot = {i: s for s, i in enumerate(vertex_ids)}
+    closure = list(iter_bits(q.poset.down_mask(ctx)))
+    adj = {slot[j]: set() for j in closure if q.dims[j] == 0}
+    for j in closure:
         if q.dims[j] == 1:
-            a, b = q._edge_ends[j]
+            a, b = [slot[i] for i in iter_bits(q.poset.down_mask(j))
+                    if q.dims[i] == 0]
             adj[a].add(b)
             adj[b].add(a)
-    return _dict_bfs_rows(adj, vsl, len(q._adj))
+    return _dict_bfs_rows(adj, sorted(adj), len(vertex_ids))
 
 
 def global_tables_unshared(q, dist):

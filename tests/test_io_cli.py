@@ -652,6 +652,41 @@ def test_cli_empty_tope_value_is_a_parse_error(capsys, argv):
     assert (code, out, err) == (2, "", "ParseError: bad sign string '': empty\n")
 
 
+BOTH_SUBJECTS = "ParseError: --fixture and --in both given; pass one\n"
+DROPPED_OPTIONS = [
+    (("topes", "--fixture", "boolean:2", "--base=xyz"),
+     "ParseError: --base needs --poset\n"),
+    (("topes", "--fixture", "boolean:2", "--base", "++"),
+     "ParseError: --base needs --poset\n"),
+    (("salvetti", "--fixture", "boolean:2", "--emit", "--f-vector"),
+     "ParseError: --emit prints the poset; drop --f-vector and --euler\n"),
+    (("salvetti", "--fixture", "boolean:2", "--emit", "--euler"),
+     "ParseError: --emit prints the poset; drop --f-vector and --euler\n"),
+    (("salvetti", "--fixture", "boolean:2", "--emit", "--f-vector", "--euler"),
+     "ParseError: --emit prints the poset; drop --f-vector and --euler\n"),
+    (("isomorphic", "--fixture", "boolean:2", "--other", "boolean:2",
+      "--other-in", "missing.cov"),
+     "ParseError: --other and --other-in both given; pass one\n"),
+    (("mh-check", "--fixture", "boolean:2", "--in", "missing.cw"), BOTH_SUBJECTS),
+    (("verify", "--fixture=", "--in", "missing.cov"), BOTH_SUBJECTS),
+] + [((command, "--fixture", "boolean:2", "--in", "missing.cov") + rest,
+      BOTH_SUBJECTS)
+     for command, rest in [("verify", ()), ("salvetti", ()), ("homology", ()),
+                           ("os-betti", ()), ("gr-compare", ()), ("mh-check", ()),
+                           ("topes", ()), ("paths", ("--from=++", "--to=--")),
+                           ("isomorphic", ("--other", "boolean:2")), ("gen", ())]]
+
+
+@pytest.mark.parametrize("argv, message", DROPPED_OPTIONS,
+                         ids=[" ".join(argv) for argv, _ in DROPPED_OPTIONS])
+def test_cli_refuses_an_option_it_would_drop(capsys, monkeypatch, tmp_path,
+                                             argv, message):
+    # one line on stderr, no output and no file opened: each path named
+    # here is missing, so a run that read it would fail another way
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", message)
+
+
 def test_cli_empty_dump_directory_is_a_parse_error(capsys, monkeypatch, tmp_path):
     # refused before the subject is loaded, so nothing is written
     def no_subject(args):

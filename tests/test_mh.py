@@ -266,16 +266,45 @@ ORACLE_COMPLEXES = (
     + [f"cw-{name}" for name in CW_EXAMPLES])
 
 
-def test_doubled_top_cells_share_one_local_table():
+@pytest.mark.parametrize("name", ORACLE_COMPLEXES)
+def test_vertex_slots_are_read_off_the_poset(name, om):
+    # every cell's vertex slots are the 0-cells of its closure, and those
+    # of a 1-cell are its two ends: the only edge ends the checks read
+    q = complex_for(name, om)
+    labels = q.vertex_labels()
+    vset = set(labels)
+    edges = [i for i, d in enumerate(q.dims) if d == 1]
+    assert edges and list(iter_bits(q._edges)) == edges
+    for i, cell in enumerate(q.poset.elements):
+        vertices = tuple(labels[s] for s in q._cell_vslots[i])
+        assert vertices == tuple(x for x in closed_cell(q, cell) if x in vset)
+        if i in edges:
+            assert vertices == edge_endpoints(q, cell)
+
+
+def test_doubled_top_cells_share_one_local_table(monkeypatch):
     q = doubled(cw_octagon_chords(True))
     assert f_vector(q) == (8, 15, 4)  # the free chords c36, c58, c72 too
     assert q.poset.elements[-4:] == ("oct", "oct'", "trap", "trap'")
+    searched = []
+    real_bfs = mh._bfs
+
+    def counted_bfs(adj, source):
+        searched.append(source)
+        return real_bfs(adj, source)
+
+    monkeypatch.setattr(mh, "_bfs", counted_bfs)
     a = mh._Analysis(q)
+    searched.clear()  # the global rows
+    contexts = a.contexts
+    keys = [mh._one_skeleton(q, ctx) for ctx in range(len(q))]
     for x in ("oct", "trap"):
         i = q.poset.index[x]
         assert closed_cell(q, x + "'") == closed_cell(q, x)[:-1] + [x + "'"]
-        copy, first = a.contexts[i + 1], a.contexts[i]
-        assert copy.rows is first.rows and copy.metric is first.metric
+        assert keys[i + 1] == keys[i] and contexts[i + 1] is contexts[i]
+    # one search from each vertex of each distinct closure: the copies
+    # oct', trap', c36', c58' and c72' run none (18 more if they did)
+    assert len(searched) == sum(len(vsl) for vsl, _ in set(keys)) == 44
 
 
 def _outcome(q):
@@ -362,10 +391,10 @@ def _column_mismatch(q, column_of):
     a = mh._Analysis(q)
     metrics = [("global", a.glob, range(len(q._adj)), range(len(q)),
                 oracles.skeleton_hop_rows(q))]
-    metrics += [(q.poset.elements[ctx], c.metric, q._cell_vslots[ctx],
+    metrics += [(q.poset.elements[ctx], metric, q._cell_vslots[ctx],
                  list(iter_bits(q.poset.down_mask(ctx))),
                  oracles.closure_hop_rows(q, ctx))
-                for ctx, c in enumerate(a.contexts) if c.metric is not a.glob]
+                for ctx, metric in enumerate(a.contexts) if metric is not a.glob]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mh, "_omega_column", column_of)
         for name, metric, vslots, cells, rows in metrics:
@@ -519,12 +548,14 @@ def test_omega_pair_calls_on_nonpappus(om, monkeypatch):
 
 def test_isometry_compared_once_per_kept_table(om, monkeypatch):
     keyed = []
+    keys = []
     searched = []
     real_key, real_bfs = mh._one_skeleton, mh._bfs
 
     def counted_key(q, ctx):
         keyed.append(ctx)
-        return real_key(q, ctx)
+        keys.append(real_key(q, ctx))
+        return keys[-1]
 
     def counted_bfs(adj, source):
         searched.append(source)
@@ -542,13 +573,13 @@ def test_isometry_compared_once_per_kept_table(om, monkeypatch):
     # 500 contexts, one row set per covector: each key is derived once,
     # each kept row set is searched once, and each metric is the global one
     assert len(q) == 500 and keyed == list(range(500))
-    kept = {id(c.rows): c.rows for c in a.contexts}
+    kept = set(keys)
     assert len(kept) == 195
     # a covector X has as many topes above it as cells [X, T]: one search
     # from each vertex of each kept row set is one per cell
-    assert sum(len(rows) for rows in kept.values()) == 500
+    assert sum(len(vsl) for vsl, _ in kept) == 500
     assert len(searched) == 58 + 500
-    assert all(c.metric is a.glob for c in a.contexts)
+    assert all(metric is a.glob for metric in a.contexts)
     # no isometric context is scanned again: the check reads no distance
     a.dist = []
     mh._check_local_global_metric(a)
@@ -559,7 +590,7 @@ def test_isometry_compared_once_per_kept_table(om, monkeypatch):
 def test_octagon_keeps_a_table_of_its_own(trapezoid):
     q = cw_octagon_chords(trapezoid)
     a = mh._Analysis(q)
-    assert a.contexts[q.poset.index["oct"]].metric is not a.glob
+    assert a.contexts[q.poset.index["oct"]] is not a.glob
     # the witnesses of the fallback route, and its metric scan
     rep = mh_check(q)
     assert rep.mh.witness[:3] == ("upper", "v1", "e34")

@@ -8,6 +8,7 @@ homology routes of gr-compare kept apart."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import omsal
@@ -54,13 +55,70 @@ def test_every_export_resolves():
     assert not [name for name in omsal.__all__ if not hasattr(omsal, name)]
 
 
-def _unread_public_names(trees, exported):
+# A public class member whose spelling src also binds elsewhere (another
+# member or field, a self attribute, a parameter or a local) counts as
+# read only through the function named here, which must read it as an
+# attribute: an unrelated name of the same spelling is no read.
+SHARED_SPELLING_READERS = {
+    "matroid:OrientedMatroid.rank": "salvetti:_salvetti_complex",
+    "matroid:OrientedMatroid.topes": "paths:_adjacency",
+    "matroid:RationalArrangement.n": "matroid:from_arrangement",
+    "mh:MHReport.passed": "cli:_cmd_mh_check",
+    "osalg:NbcTable.counts": "cli:_cmd_os_betti",
+    "osalg:UnderlyingMatroid.rank": "osalg:circuits",
+    "paths:PositivePath.topes": "paths:PositivePath.__str__",
+    "posets:FinitePoset.covers": "mh:CWPoset._index_structure",
+    "posets:FinitePoset.heights": "mh:dual_complex",
+    "signs:SignVector.sign": "signs:SignVector.__str__",
+    "signs:SignVector.zero": "matroid:verify_axioms",
+}
+
+
+def _attribute_reads(node):
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def _bindings_and_scopes(trees):
+    """(spellings, scopes): a Counter of every name src binds as a class
+    member or field, a self attribute, a parameter or a function local,
+    and module:Dotted.name -> node of every function and class."""
+    spellings = Counter()
+    scopes = {}
+
+    def visit(node, mod, scope):
+        if scope and isinstance(node, ast.FunctionDef):
+            spellings[node.name] += 1  # a member or a nested function
+        if scope and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            spellings[node.id] += 1  # a class field or a local
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            spellings.update(a.arg for a in args.posonlyargs + args.args
+                             + args.kwonlyargs + [args.vararg, args.kwarg] if a)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and getattr(node.value, "id", None) == "self":
+            spellings[node.attr] += 1
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+            scopes[f"{mod}:{'.'.join(scope)}"] = node
+        for child in ast.iter_child_nodes(node):
+            visit(child, mod, scope)
+
+    for mod, tree in trees.items():
+        visit(tree, mod, ())
+    return spellings, scopes
+
+
+def _unread_public_names(trees, exported, readers):
     """module:name of every public module-level function or class, and of
     every non-dunder name a module-level assignment binds, that is
     neither exported nor read (as a name or an attribute, in Load
     context) in any module, and module:Class.name of every public
     method, property or classmethod of a module-level class that no
-    module reads, exported or not."""
+    module reads as an attribute, exported or not.  A member whose
+    spelling src binds anywhere else is read only if readers names a
+    function that reads it as an attribute; a readers entry for no such
+    member is listed as stale."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -79,10 +137,25 @@ def _unread_public_names(trees, exported):
                               else [node.target])
                if isinstance(target, ast.Name) and not target.id.startswith("__")
                and target.id not in exported and target.id not in read]
-    unread += [f"{mod}:{node.name}.{member.name}" for mod, tree in trees.items()
-               for node in tree.body if isinstance(node, ast.ClassDef)
-               for member in node.body if isinstance(member, ast.FunctionDef)
-               and not member.name.startswith("_") and member.name not in read]
+    attr_read = set().union(*map(_attribute_reads, trees.values()))
+    spellings, scopes = _bindings_and_scopes(trees)
+    shared = set()
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                key = f"{mod}:{node.name}.{member.name}"
+                if spellings[member.name] > 1:
+                    shared.add(key)
+                    reader = scopes.get(readers.get(key))
+                    if reader is None or member.name not in _attribute_reads(reader):
+                        unread.append(key)
+                elif member.name not in attr_read:
+                    unread.append(key)
+    unread += [f"{key} (stale reader entry)" for key in readers if key not in shared]
     return sorted(set(unread))
 
 
@@ -90,7 +163,7 @@ def test_no_public_name_only_tests_read():
     # __init__.py only imports names to export them
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
-    assert not _unread_public_names(trees, set(omsal.__all__))
+    assert not _unread_public_names(trees, set(omsal.__all__), SHARED_SPELLING_READERS)
     # an export covers a module-level name but none of a class's members;
     # an assigned name counts, private or not, unless it is a dunder, and
     # binding it again is no read
@@ -102,7 +175,24 @@ def test_no_public_name_only_tests_read():
                         "    def _own(self):\n        pass\n"
                         "_T = (1, 2)\nU: int = 3\nV = W = 4\n__all__ = []\n"
                         "_READ = 5\nX = _READ\nX = 6\n")},
-        {"h", "D", "U"}) == ["a:C", "a:D.unused", "a:V", "a:W", "a:X", "a:_T", "a:f"]
+        {"h", "D", "U"}, {}) == ["a:C", "a:D.unused", "a:V", "a:W", "a:X", "a:_T", "a:f"]
+    # a member counts as read only as an attribute; one whose spelling is
+    # also a parameter, a local, a field or another member counts only
+    # through the reader the table names, and only if that reader reads it
+    assert _unread_public_names(
+        {"a": ast.parse("class E:\n    def bare(self):\n        pass\n"
+                        "    def size(self):\n        pass\n"
+                        "    def kind(self):\n        pass\n"
+                        "    def tag(self):\n        pass\n"
+                        "    def mark(self):\n        pass\n"
+                        "class F:\n    mark: int\n"
+                        "    def read(self, e):\n        return e.mark()\n"
+                        "def r(e, size):\n    kind = e.kind()\n"
+                        "    return bare, e.size(), kind\n"
+                        "def s(e):\n    tag = 1\n    return tag, e.bare, F().read\n")},
+        {"E", "F", "r", "s"},
+        {"a:E.kind": "a:r", "a:E.tag": "a:s", "a:E.mark": "a:F.read",
+         "a:E.bare": "a:s"}) == ["a:E.bare (stale reader entry)", "a:E.size", "a:E.tag"]
 
 
 def test_module_layering():
