@@ -1,4 +1,4 @@
-"""Oriented matroids, Salvetti complexes, and metric-hull checks.
+"""Oriented matroids, Salvetti complexes, and metrical-hemisphere checks.
 
 Exact combinatorial models of pseudohyperplane arrangements: sign-vector
 covector sets with axiom verification, face and Salvetti posets, integer
@@ -45,7 +45,6 @@ from .osalg import (
     flats_from_covectors,
     gr_comparison,
     nbc_sets,
-    os_betti,
 )
 from .paths import (
     antipodal_extension_check,
@@ -60,10 +59,8 @@ from .mh import (
     MHReport,
     cw_from_covers,
     dual_complex,
-    lmh_check,
     mh_check,
     omega_tables,
-    qmh_check,
     salvetti_cw,
     skeleton_distances,
 )
@@ -108,16 +105,13 @@ __all__ = [
     "is_lattice",
     "is_simplicial",
     "lattice_equivalence_check",
-    "lmh_check",
     "mh_check",
     "minimal_positive_paths",
     "nbc_sets",
     "nerve_check",
     "omega_tables",
     "oriented_one_skeleton",
-    "os_betti",
     "parse_fixture_spec",
-    "qmh_check",
     "retraction_check",
     "salvetti_complex",
     "salvetti_cw",

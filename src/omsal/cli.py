@@ -11,6 +11,7 @@ status: 0 when everything passed, 1 when a mathematical check failed,
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from . import fileio, fixtures
 from .errors import (
@@ -183,7 +184,7 @@ def _cmd_mh_check(args):
         if args.complex is not None:
             raise ParseError(f"--complex {args.complex} needs matroid input; "
                              f"{path} is one CW complex")
-        subjects, ident = [("cw", fileio.parse_cw(path))], path
+        subjects, ident = [("cw", fileio.parse_cw(Path(path)))], path
     else:
         m, ident = _load(spec, path)
         which = args.complex or "both"
@@ -200,9 +201,9 @@ def _cmd_mh_check(args):
             "qmh": report.qmh.passed,
             "lmh": report.lmh.passed,
             "mh": report.mh.passed,
-            "witness": None if report.passed else _strs(report.mh.witness),
+            "witness": None if report.mh.passed else _strs(report.mh.witness),
         }
-        if not report.passed:
+        if not report.mh.passed:
             code = CHECK_FAILED
     payload = {"subject": ident, "complexes": verdicts}
     return code, lines, payload
@@ -215,10 +216,10 @@ def _cmd_topes(args):
     ts = m.topes()
     if args.poset:
         base = ts[0] if args.base is None else _tope_arg(args.base, m)
-        tp = tope_poset(m, base)
-        elems = tp.poset.elements
+        poset = tope_poset(m, base)
+        elems = poset.elements
         pairs = sorted((str(elems[i]), str(elems[j]))
-                       for i, j in tp.poset.covers())
+                       for i, j in poset.covers())
         lines = [f"base={base}"] + [f"{a} {b}" for a, b in pairs]
         payload = {"subject": ident, "base": str(base),
                    "covers": [list(p) for p in pairs]}
@@ -269,11 +270,11 @@ def _cmd_gen(args):
         if args.format == "arr":
             if not src.endswith(".arr"):
                 raise UnknownFixture(f"{src}: no arrangement form to emit")
-            text = fileio.emit_arrangement(fileio.parse_arrangement(src))
+            text = fileio.emit_arrangement(fileio.parse_arrangement(Path(src)))
         elif args.format == "chi":
             if not src.endswith(".chi"):
                 raise UnknownFixture(f"{src}: no chirotope form to emit")
-            text = fileio.reemit_chirotope(src)
+            text = fileio.reemit_chirotope(Path(src))
         else:
             text = fileio.emit_covectors(fileio.load_oriented_matroid(src))
     else:

@@ -2,8 +2,9 @@
 cell posets and CW complexes.
 
 All emitters produce deterministic byte output; all parsers report the
-offending line on malformed input.  Blank lines and '#' comments are
-skipped everywhere.
+offending line on malformed input.  A parser reads a Path as the file
+it names and a str as the text itself.  Blank lines and '#' comments
+are skipped everywhere.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from .signs import SignVector
 
 
 def _read_lines(source):
-    """Non-empty, comment-stripped (lineno, text) pairs from a path or str."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
+    """Non-empty, comment-stripped (lineno, text) pairs from a Path or str."""
+    if isinstance(source, Path):
         name = str(source)
         try:
-            text = Path(source).read_text()
+            text = source.read_text()
         except OSError as exc:
             raise ParseError(f"{name}: {exc}") from None
     else:
@@ -298,7 +299,8 @@ def parse_cw(source) -> CWPoset:
 
 def load_oriented_matroid(path) -> OrientedMatroid:
     """Dispatch on extension: .cov, .poset, .arr (expanded), .chi (expanded)."""
-    suffix = Path(path).suffix
+    path = Path(path)
+    suffix = path.suffix
     if suffix == ".cov":
         return parse_covectors(path)
     if suffix == ".poset":

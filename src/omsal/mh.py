@@ -1,16 +1,17 @@
 """Metrical-hemisphere structure on regular CW complexes.
 
 A complex is presented by its face poset together with a dimension for
-each cell.  The three nested checks ask for nearest/farthest vertex maps
-on (vertex, cell) pairs:
+each cell.  The three nested checks, the qmh, lmh and mh fields of the
+report mh_check returns, ask for nearest/farthest vertex maps on
+(vertex, cell) pairs:
 
-  * quasi (qmh_check): globally, every cell has a unique farthest vertex
+  * quasi (QMH): globally, every cell has a unique farthest vertex
     from each v that is distance-additive over the whole vertex set of
     the cell;
-  * local (lmh_check): the same holds inside every closed cell under its
+  * local (LMH): the same holds inside every closed cell under its
     own 1-skeleton metric, and the per-cell choices can be made to agree
     wherever two closed cells share a vertex and a subcell;
-  * full (mh_check): additionally the global maps restrict to the local
+  * full (MH): additionally the global maps restrict to the local
     ones.
 
 The farthest map is forced (additivity applied to two candidates pins
@@ -189,10 +190,6 @@ class MHReport(NamedTuple):
     qmh: MHCheck
     lmh: MHCheck
     mh: MHCheck
-
-    @property
-    def passed(self) -> bool:
-        return self.mh.passed
 
     def __str__(self):
         def line(name, chk):
@@ -407,16 +404,6 @@ def _lower_constraints(a: _Analysis, v, k):
         out.append((q.poset.elements[ctx],
                     tuple(labels[s] for s in sorted(lo))))
     return tuple(out)
-
-
-def qmh_check(q: CWPoset) -> MHCheck:
-    """Existence of globally additive farthest vertices for every cell."""
-    return _global_tables(_Analysis(q))
-
-
-def lmh_check(q: CWPoset) -> MHCheck:
-    """Per-closed-cell structure plus cross-cell agreement of the maps."""
-    return _local_tables(_Analysis(q))[0]
 
 
 def mh_check(q: CWPoset) -> MHReport:

@@ -68,12 +68,11 @@ def circuits(u: UnderlyingMatroid) -> list[frozenset]:
 
 
 class NbcTable(NamedTuple):
-    order: tuple
-    circuits: tuple
     broken_circuits: tuple
     nbc_by_size: tuple  # tuple of tuples of frozensets, index = cardinality
 
     def counts(self) -> tuple[int, ...]:
+        """Ranks of the Orlik-Solomon algebra: b_k = #nbc sets of size k."""
         return tuple(len(layer) for layer in self.nbc_by_size)
 
 
@@ -88,20 +87,13 @@ def nbc_sets(u: UnderlyingMatroid, order=None) -> NbcTable:
     if sorted(order) != list(range(1, u.n + 1)):
         raise ValueError(f"{order} is not a permutation of 1..{u.n}")
     pos = {e: i for i, e in enumerate(order)}
-    circs = circuits(u)
-    broken = {c - {min(c, key=pos.get)} for c in circs}
+    broken = {c - {min(c, key=pos.get)} for c in circuits(u)}
     # no independence test: a dependent set holds a circuit C, and so
     # the broken circuit C - min C
     layers = tuple(tuple(s for s in map(frozenset, combinations(range(1, u.n + 1), size))
                          if not any(b <= s for b in broken))
                    for size in range(u.rank() + 1))
-    return NbcTable(order, tuple(circs),
-                    tuple(sorted(broken, key=lambda b: (len(b), sorted(b)))), layers)
-
-
-def os_betti(u: UnderlyingMatroid, order=None) -> tuple[int, ...]:
-    """Ranks of the Orlik-Solomon algebra: b_k = #nbc sets of size k."""
-    return nbc_sets(u, order).counts()
+    return NbcTable(tuple(sorted(broken, key=lambda b: (len(b), sorted(b)))), layers)
 
 
 class GrComparison(NamedTuple):
@@ -135,7 +127,7 @@ def gr_comparison(m: OrientedMatroid) -> GrComparison:
     groups = IntegerChainComplex.from_cw_covers(
         [c.dim for c in cells], covers).homology()
     betti = tuple(g.betti for g in groups)
-    bs = os_betti(flats_from_covectors(m))
+    bs = nbc_sets(flats_from_covectors(m)).counts()
     top = max(len(betti), len(bs))
     betti += (0,) * (top - len(betti))
     bs += (0,) * (top - len(bs))

@@ -40,8 +40,8 @@ def _adjacency(m: OrientedMatroid):
                 f"elements {elements} are parallel: adjacent topes "
                 f"{a}, {b} differ on all of them")
         k = diff.bit_length()
-        adj[a].append((k, b, DirectedEdge(SalvettiCell(x, a, 1), a, b)))
-        adj[b].append((k, a, DirectedEdge(SalvettiCell(x, b, 1), b, a)))
+        adj[a].append((k, b, DirectedEdge(SalvettiCell(x, a, 1), b)))
+        adj[b].append((k, a, DirectedEdge(SalvettiCell(x, b, 1), a)))
     return {t: tuple(sorted(steps, key=lambda s: s[0]))
             for t, steps in adj.items()}
 
@@ -137,12 +137,7 @@ def antipodal_extension_check(m: OrientedMatroid, pairs=None) -> bool:
 # -- tope posets ---------------------------------------------------------------
 
 
-class TopePoset(NamedTuple):
-    base: SignVector
-    poset: FinitePoset
-
-
-def tope_poset(m: OrientedMatroid, t: SignVector) -> TopePoset:
+def tope_poset(m: OrientedMatroid, t: SignVector) -> FinitePoset:
     """Topes ordered by inclusion of separation sets from the base t.
 
     The tope graph directed away from t, a -> b with S(t, a) inside
@@ -155,7 +150,7 @@ def tope_poset(m: OrientedMatroid, t: SignVector) -> TopePoset:
     pos = {s: i for i, s in enumerate(topes)}
     covers = ((pos[a], pos[b]) if not separation_mask(t, a) & ~separation_mask(t, b)
               else (pos[b], pos[a]) for _, a, b in m.derived(oriented_one_skeleton))
-    return TopePoset(t, FinitePoset.from_covers(topes, covers))
+    return FinitePoset.from_covers(topes, covers)
 
 
 # -- simpliciality ---------------------------------------------------------------
@@ -186,21 +181,20 @@ def is_simplicial(m: OrientedMatroid):
 class LatticeEquivalenceReport(NamedTuple):
     simplicial: bool
     simplicial_witness: SignVector
-    all_lattices: bool
     lattice_witness: tuple
-    k_pi_1_predicted: bool
 
 
 def lattice_equivalence_check(m: OrientedMatroid) -> LatticeEquivalenceReport:
-    """is_simplicial must agree with every tope poset being a lattice."""
+    """is_simplicial must agree with every tope poset being a lattice;
+    EquivalenceViolation is raised otherwise, so simplicial answers both."""
     simp, wit = is_simplicial(m)
     all_lat, lat_wit = True, None
     for t in m.topes():
-        ok, pair = is_lattice(tope_poset(m, t).poset)
+        ok, pair = is_lattice(tope_poset(m, t))
         if not ok:
             all_lat, lat_wit = False, (t, pair)
             break
     if simp != all_lat:
         raise EquivalenceViolation(
             f"simplicial={simp} but all-tope-posets-lattices={all_lat}")
-    return LatticeEquivalenceReport(simp, wit, all_lat, lat_wit, simp)
+    return LatticeEquivalenceReport(simp, wit, lat_wit)

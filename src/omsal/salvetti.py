@@ -116,8 +116,7 @@ def f_vector_and_euler(cells):
 
 
 class DirectedEdge(NamedTuple):
-    cell: SalvettiCell
-    source: SignVector
+    cell: SalvettiCell  # its tope is the source
     target: SignVector
 
 

@@ -90,6 +90,16 @@ def test_covector_parse_errors():
     assert exc.value.report.first_failure.name == "V0"
 
 
+def test_a_str_is_text_and_a_path_is_a_file(tmp_path):
+    # "0" is the one covector of the rank-0 matroid on one element, not
+    # the name of a file
+    m = fileio.parse_covectors("0")
+    assert (m.n, m.rank, m.covectors) == (1, 0, {SignVector.from_string("0")})
+    f = tmp_path / "point.cov"
+    f.write_text("0\n")
+    assert fileio.parse_covectors(f).covectors == m.covectors
+
+
 # -- .chi ------------------------------------------------------------------
 
 
@@ -154,7 +164,7 @@ def test_salvetti_poset_round_trip(capsys, tmp_path, om):
     for name, body in (("g32.poset", lines), ("g32rep.poset", repeated)):
         f = tmp_path / name
         f.write_text("".join(body))
-        back = salvetti_complex(fileio.parse_salvetti_poset(str(f)))
+        back = salvetti_complex(fileio.parse_salvetti_poset(f))
         assert back == (cells, covers)
         assert f_vector_and_euler(back[0]) == ((6, 12, 6), 0)
         assert run(capsys, "salvetti", "--in", str(f), "--emit") == (0, text, "")
@@ -566,7 +576,8 @@ def test_cli_gr_compare_failure_is_a_check_failure(capsys, monkeypatch, os_ranks
                                                    betti, torsion, message):
     # the nbc counts or the groups are patched to disagree on generic:3:2
     if os_ranks:
-        monkeypatch.setattr(osalg, "os_betti", lambda u, order=None: os_ranks)
+        table = osalg.NbcTable((), tuple((frozenset(),) * b for b in os_ranks))
+        monkeypatch.setattr(osalg, "nbc_sets", lambda u, order=None: table)
     if betti:
         groups = [HomologyGroup(b, torsion if k == 1 else ())
                   for k, b in enumerate(betti)]

@@ -175,6 +175,14 @@ def test_verify_axioms_rejects_junk():
         verify_axioms([sv("00"), sv("0")])
 
 
+def test_oriented_matroid_rejects_junk():
+    with pytest.raises(LengthMismatch,
+                       match="^covector of length 1 in a ground set of size 2$"):
+        OrientedMatroid(2, [sv("00"), sv("0")])
+    with pytest.raises(EmptyInput, match="^no covectors$"):
+        OrientedMatroid(2, [])
+
+
 def test_arrangement_validation():
     with pytest.raises(ZeroNormal):
         RationalArrangement(2, [(1, 0), (0, 0)])
@@ -334,6 +342,9 @@ def test_span_rejects_non_oms():
     assert exc.value.report == verify_axioms(two_sided_closure(cc))
     with pytest.raises(EmptyInput):
         span_from_cocircuits(set())
+    # the length met first in the set is named first
+    with pytest.raises(LengthMismatch, match="^mixed lengths (2 and 1|1 and 2)$"):
+        span_from_cocircuits({sv("+0"), sv("0+"), sv("+")})
 
 
 @pytest.mark.parametrize("spec", ALL_FIXTURES)

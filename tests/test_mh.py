@@ -12,10 +12,8 @@ from omsal.mh import (
     CWPoset,
     cw_from_covers,
     dual_complex,
-    lmh_check,
     mh_check,
     omega_tables,
-    qmh_check,
     salvetti_cw,
     skeleton_distances,
 )
@@ -121,7 +119,6 @@ def test_edge_and_square_pass_everything():
     for q in (edge(), cw_polygon(4), cw_polygon(6)):
         rep = mh_check(q)
         assert rep.qmh.passed and rep.lmh.passed and rep.mh.passed
-        assert rep.passed
         assert str(rep) == "qmh: pass; lmh: pass; mh: pass"
 
 
@@ -136,13 +133,12 @@ def test_square_omega_tables():
 
 
 def test_odd_cycle_has_no_farthest_vertex():
-    chk = qmh_check(cw_polygon(3))
+    rep = mh_check(cw_polygon(3))
+    chk = rep.qmh
     assert not chk.passed
     assert chk.witness == ("v1", "e2", 3)
-    loc = lmh_check(cw_polygon(3))
-    assert loc.witness == ("local", "top", "v1", "e2", 3)
-    rep = mh_check(cw_polygon(3))
-    assert not rep.passed
+    assert rep.lmh.witness == ("local", "top", "v1", "e2", 3)
+    assert not rep.mh.passed
     assert rep.mh.witness == chk.witness
     assert omega_tables(cw_polygon(3)) is None
     assert str(rep).startswith("qmh: FAIL at ('v1', 'e2', 3)")
@@ -198,7 +194,7 @@ def test_matroid_complexes_carry_mh_structure(spec, om):
     m = om(spec)
     for q in (dual_complex(m), salvetti_cw(m)):
         rep = mh_check(q)
-        assert rep.passed, rep
+        assert rep.mh.passed, rep
         assert skeleton_is_bipartite(q)
 
 
@@ -328,7 +324,7 @@ def test_mh_report_equals_unshared_tables(name, om, monkeypatch):
     if not name.startswith("cw-"):
         # every closed cell is isometric: the early verdict, and a pass
         monkeypatch.setattr(mh, "_local_tables", _no_local_walk)
-        assert expected[0].passed
+        assert expected[0].mh.passed
     # the three checks with their witnesses, and the omega tables
     assert _outcome(q) == expected
 
@@ -538,7 +534,7 @@ def test_omega_pair_calls_on_nonpappus(om, monkeypatch):
     # context walked every subcell
     for q in (dual_complex(m), salvetti_cw(m)):
         columns.clear()
-        assert mh_check(q).passed
+        assert mh_check(q).mh.passed
         assert len(columns) == len(set(columns)) == 195
         assert sum(len(k) == 1 for k in columns) == 58
     # both complexes take the early verdict: no local walk at all

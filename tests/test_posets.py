@@ -78,6 +78,11 @@ def test_antisymmetry_violation():
     assert info.value.witness == ("a", "b")
 
 
+def test_duplicate_elements_are_refused():
+    with pytest.raises(ValueError, match="^duplicate poset elements$"):
+        FinitePoset.from_covers(["a", "b", "a"], [(0, 1)])
+
+
 @pytest.mark.parametrize("pairs, witness", [
     ([(0, 1), (1, 2), (2, 3), (3, 1)], ("b", "c")),
     ([(3, 2), (2, 3)], ("c", "d")),

@@ -63,7 +63,6 @@ SHARED_SPELLING_READERS = {
     "matroid:OrientedMatroid.rank": "salvetti:_salvetti_complex",
     "matroid:OrientedMatroid.topes": "paths:_adjacency",
     "matroid:RationalArrangement.n": "matroid:from_arrangement",
-    "mh:MHReport.passed": "cli:_cmd_mh_check",
     "osalg:NbcTable.counts": "cli:_cmd_os_betti",
     "osalg:UnderlyingMatroid.rank": "osalg:circuits",
     "paths:PositivePath.topes": "paths:PositivePath.__str__",
@@ -71,6 +70,18 @@ SHARED_SPELLING_READERS = {
     "posets:FinitePoset.heights": "mh:dual_complex",
     "signs:SignVector.sign": "signs:SignVector.__str__",
     "signs:SignVector.zero": "matroid:verify_axioms",
+}
+
+
+# A public field of a NamedTuple record that src never reads as an
+# attribute counts as read only as part of the answer of the exported
+# function named here, which must build the record.
+RETURNED_RECORD_FIELDS = {
+    "mh:SkeletonDistances.global_d": "mh:skeleton_distances",
+    "mh:SkeletonDistances.local_d": "mh:skeleton_distances",
+    "paths:LatticeEquivalenceReport.simplicial": "paths:lattice_equivalence_check",
+    "paths:LatticeEquivalenceReport.simplicial_witness": "paths:lattice_equivalence_check",
+    "paths:LatticeEquivalenceReport.lattice_witness": "paths:lattice_equivalence_check",
 }
 
 
@@ -109,7 +120,7 @@ def _bindings_and_scopes(trees):
     return spellings, scopes
 
 
-def _unread_public_names(trees, exported, readers):
+def _unread_public_names(trees, exported, readers, returned):
     """module:name of every public module-level function or class, and of
     every non-dunder name a module-level assignment binds, that is
     neither exported nor read (as a name or an attribute, in Load
@@ -118,7 +129,10 @@ def _unread_public_names(trees, exported, readers):
     module reads as an attribute, exported or not.  A member whose
     spelling src binds anywhere else is read only if readers names a
     function that reads it as an attribute; a readers entry for no such
-    member is listed as stale."""
+    member is listed as stale.  So is module:Record.field of every public
+    field of a NamedTuple class whose spelling no module reads as an
+    attribute, unless returned names an exported function that builds
+    the record; a returned entry for no such field is listed as stale."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -156,6 +170,26 @@ def _unread_public_names(trees, exported, readers):
                 elif member.name not in attr_read:
                     unread.append(key)
     unread += [f"{key} (stale reader entry)" for key in readers if key not in shared]
+    answered = set()
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and "NamedTuple" in
+                    {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}):
+                continue
+            for member in node.body:
+                name = getattr(getattr(member, "target", None), "id", "_")
+                if not isinstance(member, ast.AnnAssign) or name.startswith("_") \
+                        or name in attr_read:
+                    continue
+                key = f"{mod}:{node.name}.{name}"
+                builder = scopes.get(returned.get(key))
+                if builder is not None and builder.name in exported and node.name in \
+                        {getattr(c.func, "id", getattr(c.func, "attr", None))
+                         for c in ast.walk(builder) if isinstance(c, ast.Call)}:
+                    answered.add(key)
+                else:
+                    unread.append(key)
+    unread += [f"{key} (stale returned entry)" for key in returned if key not in answered]
     return sorted(set(unread))
 
 
@@ -163,7 +197,9 @@ def test_no_public_name_only_tests_read():
     # __init__.py only imports names to export them
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
-    assert not _unread_public_names(trees, set(omsal.__all__), SHARED_SPELLING_READERS)
+    exported = set(omsal.__all__)
+    assert not _unread_public_names(trees, exported, SHARED_SPELLING_READERS,
+                                    RETURNED_RECORD_FIELDS)
     # an export covers a module-level name but none of a class's members;
     # an assigned name counts, private or not, unless it is a dunder, and
     # binding it again is no read
@@ -175,7 +211,7 @@ def test_no_public_name_only_tests_read():
                         "    def _own(self):\n        pass\n"
                         "_T = (1, 2)\nU: int = 3\nV = W = 4\n__all__ = []\n"
                         "_READ = 5\nX = _READ\nX = 6\n")},
-        {"h", "D", "U"}, {}) == ["a:C", "a:D.unused", "a:V", "a:W", "a:X", "a:_T", "a:f"]
+        {"h", "D", "U"}, {}, {}) == ["a:C", "a:D.unused", "a:V", "a:W", "a:X", "a:_T", "a:f"]
     # a member counts as read only as an attribute; one whose spelling is
     # also a parameter, a local, a field or another member counts only
     # through the reader the table names, and only if that reader reads it
@@ -192,7 +228,34 @@ def test_no_public_name_only_tests_read():
                         "def s(e):\n    tag = 1\n    return tag, e.bare, F().read\n")},
         {"E", "F", "r", "s"},
         {"a:E.kind": "a:r", "a:E.tag": "a:s", "a:E.mark": "a:F.read",
-         "a:E.bare": "a:s"}) == ["a:E.bare (stale reader entry)", "a:E.size", "a:E.tag"]
+         "a:E.bare": "a:s"}, {}) == ["a:E.bare (stale reader entry)", "a:E.size", "a:E.tag"]
+    # a record field that src never reads as an attribute is flagged, as
+    # the removed DirectedEdge.source (always cell.tope) and NbcTable.order
+    # (the caller's argument) would be
+    for mod, cls, field in (("salvetti", "DirectedEdge", "source: SignVector"),
+                            ("osalg", "NbcTable", "order: tuple")):
+        text = (SRC / f"{mod}.py").read_text().replace(
+            f"class {cls}(NamedTuple):\n", f"class {cls}(NamedTuple):\n    {field}\n")
+        grown = dict(trees, **{mod: ast.parse(text)})
+        assert _unread_public_names(grown, exported, SHARED_SPELLING_READERS,
+                                    RETURNED_RECORD_FIELDS) == \
+            [f"{mod}:{cls}.{field.split(':')[0]}"]
+    # a returned entry holds only for an unread field of a record that
+    # an exported function builds
+    assert _unread_public_names(
+        {"a": ast.parse("class R(typing.NamedTuple):\n    kept: int\n    seen: int\n"
+                        "    lost: int\n    held: int\n    _own: int\n"
+                        "class S(NamedTuple):\n    x: int\n"
+                        "def f():\n    return R(1, 2, 3, 4, 5)\n"
+                        "def g():\n    return S(1)\n"
+                        "def h():\n    return f().seen\n"
+                        "class P:\n    mark: int\n")},
+        {"R", "S", "P", "f", "h"},
+        {}, {"a:R.kept": "a:f", "a:R.seen": "a:f", "a:R.held": "a:g",
+             "a:S.x": "a:g"}) == \
+        ["a:R.held", "a:R.held (stale returned entry)", "a:R.lost",
+         "a:R.seen (stale returned entry)", "a:S.x", "a:S.x (stale returned entry)",
+         "a:g"]
 
 
 def test_module_layering():

@@ -10,11 +10,11 @@ from oracles import build_poset, is_graded, max_cliques, maximal_chains
 from test_paths import NON_SIMPLE
 
 from omsal import fileio, salvetti, signs
-from omsal.errors import EnumerationLimitExceeded, NotATope
+from omsal.errors import ConsistencyFailure, EnumerationLimitExceeded, NotATope
 from omsal.homology import IntegerChainComplex
 from omsal.fixtures import ALL_FIXTURES, fixture_arrangement, parse_fixture_spec
 from omsal.matroid import OrientedMatroid, RationalArrangement, from_arrangement
-from omsal.osalg import flats_from_covectors, os_betti
+from omsal.osalg import flats_from_covectors, nbc_sets
 from omsal.paths import minimal_positive_paths, skeleton_adjacency
 from omsal.posets import FinitePoset, iter_bits
 from omsal.salvetti import (
@@ -51,6 +51,16 @@ def test_f_vectors_and_euler(spec, om):
     assert fv == EXPECTED_F[spec]
     assert euler == 0
     assert fv[0] == fv[-1] == len(m.topes())
+
+
+def test_f_vector_and_euler_reject_a_corrupt_complex(om):
+    # boolean:2 has f = (4, 8, 4); drop one top cell, then one edge
+    cells = salvetti_complex(om("boolean:2"))[0]
+    for dim, message in ((2, "^f_0=4, f_top=3 but #topes=4$"),
+                         (1, "^Euler characteristic 1 != 0$")):
+        dropped = next(c for c in cells if c.dim == dim)
+        with pytest.raises(ConsistencyFailure, match=message):
+            f_vector_and_euler([c for c in cells if c != dropped])
 
 
 @pytest.mark.parametrize("spec", ALL_FIXTURES)
@@ -106,10 +116,10 @@ def test_oriented_skeleton_pairs_up(spec, om):
     adj = skeleton_adjacency(m)
     edges = [e for steps in adj.values() for _, _, e in steps]
     assert len(edges) == 2 * len(walls)
-    assert {(e.cell.covector, e.source, e.target) for e in edges} == \
+    assert {(e.cell.covector, e.cell.tope, e.target) for e in edges} == \
         {w for x, a, b in walls for w in ((x, a, b), (x, b, a))}
     for e in edges:
-        assert e.cell.tope == e.source and e.cell.dim == 1
+        assert e.cell.dim == 1
         assert compose(e.cell.covector, e.target) == e.target
 
 
@@ -369,7 +379,7 @@ def test_cellular_betti_numbers_are_nbc_counts(spec, om):
     m = om(spec)
     groups = _cellular_homology(m)
     assert all(g.torsion == () for g in groups)
-    assert tuple(g.betti for g in groups) == os_betti(flats_from_covectors(m))
+    assert tuple(g.betti for g in groups) == nbc_sets(flats_from_covectors(m)).counts()
 
 
 @pytest.mark.parametrize("spec", ALL_FIXTURES)
@@ -401,7 +411,7 @@ def test_two_cells_are_pairs_of_minimal_positive_paths(spec, om):
         column = {}
         for sign, p in zip((1, -1), found):
             for e in p.edges:
-                low_first = index[SalvettiCell(e.source, e.source, 0)] < \
+                low_first = index[SalvettiCell(e.cell.tope, e.cell.tope, 0)] < \
                     index[SalvettiCell(e.target, e.target, 0)]
                 column[pos[e.cell]] = sign if low_first else -sign
         expected = {r: row[pos[cell]] for r, row in chain.boundaries[2].items()
