@@ -66,7 +66,7 @@ from .mh import (
 )
 from .fixtures import ALL_FIXTURES, FixtureSpec, generate_fixture, parse_fixture_spec
 
-__all__ = [
+__all__ = (
     "ALL_FIXTURES",
     "AxiomFailure",
     "CWPoset",
@@ -121,4 +121,4 @@ __all__ = [
     "tope_distance",
     "tope_poset",
     "verify_axioms",
-]
+)

@@ -295,21 +295,23 @@ class OrientedMatroid:
 
     def __init__(self, n, covectors):
         self.n = int(n)
-        covectors = frozenset(covectors)
+        covectors = tuple(covectors)
+        # the first vector of the wrong length, in the caller's order
         for x in covectors:
             if x.n != self.n:
                 raise LengthMismatch(
                     f"covector of length {x.n} in a ground set of size {self.n}")
         if not covectors:
             raise EmptyInput("no covectors")
-        self.covectors = covectors
+        self.covectors = frozenset(covectors)
         self._derived = {}
 
     def derived(self, build):
         """build(self), computed on the first call and kept, keyed by build.
 
         The covector set is frozen, so a kept value never goes stale; it
-        is shared by every caller and must be treated as read-only.
+        is shared by every caller and must be treated as read-only, but
+        for a memo that only gains exact answers (the MH tope graph state).
         """
         if build not in self._derived:
             self._derived[build] = build(self)
@@ -379,15 +381,16 @@ def _compositions(cc):
 
 def span_from_cocircuits(cc) -> OrientedMatroid:
     """All compositions of the cocircuits, with **0**, verified as covectors."""
-    cc = set(cc)
+    cc = tuple(cc)
     if not cc:
         raise EmptyInput("no cocircuits")
-    n = next(iter(cc)).n
+    # the first two lengths that differ, in the caller's order
+    n = cc[0].n
     check_cap(n)
     for x in cc:
         if x.n != n:
             raise LengthMismatch(f"mixed lengths {n} and {x.n}")
-    m = OrientedMatroid(n, (SignVector(n, p, q) for p, q in _compositions(cc)))
+    m = OrientedMatroid(n, (SignVector(n, p, q) for p, q in _compositions(set(cc))))
     report = m.verify()
     if not report.passes:
         raise AxiomFailure(report)

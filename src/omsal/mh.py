@@ -32,6 +32,23 @@ LMH and MH pass and mh_check stops there.  On the dual and Salvetti
 complexes of an oriented matroid every closed cell is isometric (the
 topes above a covector are T-convex, BLSWZ 4.2).  omega_tables builds
 the maps.
+
+A closed cell is read off two masks, ORed up the covers once per
+complex: its vertex slots and the end pairs of its 1-cells.  Those two
+masks key its metric, and its vertex mask keys its farthest column.
+
+The distance rows, the farthest columns of the 1-skeleton metric and
+the metric of each closed cell depend on nothing but the adjacency of
+the 1-skeleton, in vertex slots, and the two masks.  The dual and
+Salvetti complexes of an oriented matroid both have its tope graph as
+1-skeleton, the topes in canonical order as vertex slots, and the same
+keys (over a covector X, the topes above X and the walls between
+them).  So that state is kept once per matroid, in
+OrientedMatroid.derived, and each of the two complexes reads it only
+when its own adjacency equals the tope graph's: the second complex
+checked computes no row, column or closed-cell search again, and each
+reuse is the exact answer to the same question.  Any other complex
+builds its state afresh for each check.
 """
 
 from __future__ import annotations
@@ -43,7 +60,7 @@ from typing import NamedTuple
 from .errors import ConsistencyFailure, Disconnected, EmptyInput
 from .matroid import OrientedMatroid
 from .posets import FinitePoset, iter_bits
-from .salvetti import build_salvetti_poset
+from .salvetti import build_salvetti_poset, oriented_one_skeleton
 
 
 class CWPoset:
@@ -64,6 +81,9 @@ class CWPoset:
         if len(self.dims) != len(poset.elements):
             raise ConsistencyFailure("one dimension per cell required")
         self._index_structure()
+        # the 1-skeleton state of the checks: the matroid's, handed over
+        # by dual_complex and salvetti_cw, or None for one per check
+        self._skeleton = None
 
     def _index_structure(self):
         poset, dims = self.poset, self.dims
@@ -71,33 +91,43 @@ class CWPoset:
         for d in dims:
             if not isinstance(d, int) or d < 0:
                 raise ConsistencyFailure(f"bad cell dimension {d!r}")
-        for i, j in poset.covers():
+        layers = {}  # face dimension -> covers (face, cell)
+        for cover in poset.covers():
+            i, j = cover
             if dims[i] >= dims[j]:
                 raise ConsistencyFailure(
                     f"face {poset.elements[i]} (dim {dims[i]}) under "
                     f"{poset.elements[j]} (dim {dims[j]})")
+            layers.setdefault(dims[i], []).append(cover)
+        layers = [layers[d] for d in sorted(layers)]
         self._vertex_ids = tuple(i for i in range(n) if dims[i] == 0)
         nv = len(self._vertex_ids)
         if nv == 0:
             raise ConsistencyFailure("no 0-cells present")
-        slot = {i: s for s, i in enumerate(self._vertex_ids)}
-        vertices = sum(1 << i for i in self._vertex_ids)
-        self._edges = sum(1 << i for i in range(n) if dims[i] == 1)
-        # vertex slots in the closure of each cell; a cell with none is
-        # not the face poset of a CW complex
-        vslots = []
-        for i in range(n):
-            vs = tuple(map(slot.__getitem__,
-                           iter_bits(poset.down_mask(i) & vertices)))
-            if not vs:
+        # the vertex slots in the closure of each cell as a mask, ORed up
+        # the covers one face dimension at a time, so a face is complete
+        # before it is read; a cell with none is not the face poset of a
+        # CW complex, and each distinct mask lists its slots once
+        vmasks = [0] * n
+        for s, i in enumerate(self._vertex_ids):
+            vmasks[i] = 1 << s
+        for layer in layers:
+            for i, j in layer:
+                vmasks[j] |= vmasks[i]
+        listed = {}
+        for i, vm in enumerate(vmasks):
+            if not vm:
                 raise ConsistencyFailure(
                     f"cell {poset.elements[i]} has no vertex in its closure")
-            vslots.append(vs)
-        self._cell_vslots = tuple(vslots)
+            if vm not in listed:
+                listed[vm] = tuple(iter_bits(vm))
+        self._cell_vmask = vmasks
+        self._cell_vslots = tuple(map(listed.__getitem__, vmasks))
         # a 1-cell's vertex slots are its two ends
+        edges = [i for i in range(n) if dims[i] == 1]
         adj = [set() for _ in range(nv)]
-        for i in iter_bits(self._edges):
-            vs = vslots[i]
+        for i in edges:
+            vs = self._cell_vslots[i]
             if len(vs) != 2:
                 raise ConsistencyFailure(
                     f"1-cell {poset.elements[i]} has endpoints "
@@ -111,6 +141,19 @@ class CWPoset:
             if seen[s] < 0:
                 raise Disconnected(
                     (self.vertex_labels()[0], self.vertex_labels()[s]))
+        # one bit per end pair (s, t), s < t, in adjacency order, so equal
+        # adjacencies number their pairs alike; the end pairs of the
+        # 1-cells in each closure are ORed up the covers like the slots
+        self._pairs = tuple((s, t) for s, ts in enumerate(self._adj)
+                            for t in ts if s < t)
+        bit = {pair: 1 << b for b, pair in enumerate(self._pairs)}
+        pmasks = [0] * n
+        for i in edges:
+            pmasks[i] = bit[self._cell_vslots[i]]
+        for layer in layers:
+            for i, j in layer:
+                pmasks[j] |= pmasks[i]
+        self._cell_pairs = pmasks
 
     def __len__(self):
         return len(self.poset)
@@ -200,13 +243,18 @@ class MHReport(NamedTuple):
                           line("mh", self.mh)))
 
 
-def _one_skeleton(q: CWPoset, ctx: int):
-    """Vertex slots and sorted edge ends of the closure of cell ctx.
-    Ends, not edge cells: the Salvetti cells [X, T] over one covector X
-    have different 1-cells on the same ends, and share one key."""
-    below = q.poset.down_mask(ctx) & q._edges
-    return q._cell_vslots[ctx], tuple(sorted(
-        map(q._cell_vslots.__getitem__, iter_bits(below))))
+class _Skeleton:
+    """The state the checks read off the 1-skeleton with adjacency adj:
+    glob, its metric, filled on first read, and kept, the metric of each
+    closed cell met so far, keyed by (vertex mask, end-pair mask)."""
+
+    def __init__(self, adj):
+        self.adj = adj
+        self.kept = {}
+
+    @cached_property
+    def glob(self):
+        return [_bfs(self.adj, s) for s in range(len(self.adj))], {}
 
 
 class _Analysis:
@@ -215,7 +263,7 @@ class _Analysis:
     A metric is a pair (rows, answers).  rows[s][t] is the hop count
     from vertex slot s to t, -1 when t is not reached; a breadth-first
     search of an undirected graph is symmetric, so rows[u][v] is also
-    d(v, u).  answers is a memo {kslots: column}, one column per
+    d(v, u).  answers is a memo {vertex mask: column}, one column per
     distinct cell vertex set, filled by answer(), the one caller of
     _omega_column: entry v of a column is the forced farthest slot seen
     from vertex slot v, or None.  The first farthest vertex is accepted
@@ -228,21 +276,31 @@ class _Analysis:
     among the vertex and the cell's vertices, so a closed cell whose
     rows equal the global ones on its vertices takes glob as its
     metric: equal distances give equal answers.
+
+    The rows, the memo of glob and the closed-cell metrics live in the
+    complex's _Skeleton: the one its matroid keeps for a dual or
+    Salvetti complex whose adjacency equals the tope graph's, so the
+    second of the two complexes checked computes none of them again,
+    and a fresh one per analysis for any other complex.  Each entry is
+    a function of the adjacency and of a cell's vertex mask (a column)
+    or of its two masks (a metric), numbered alike by equal adjacencies,
+    so every reuse is the exact answer to the question asked.
     """
 
     def __init__(self, q: CWPoset):
         self.q = q
-        self.dist = [_bfs(q._adj, s) for s in range(len(q._adj))]
-        self.glob = (self.dist, {})
+        self.skeleton = q._skeleton or _Skeleton(q._adj)
+        self.glob = self.skeleton.glob
+        self.dist = self.glob[0]
 
     def answer(self, metric, k):
         """The farthest column of cell k under metric, computed once per
         vertex set: entry v is hi for vertex slot v, or None."""
         rows, answers = metric
-        kslots = self.q._cell_vslots[k]
-        column = answers.get(kslots)
+        vmask = self.q._cell_vmask[k]
+        column = answers.get(vmask)
         if column is None:
-            column = answers[kslots] = _omega_column(kslots, rows)
+            column = answers[vmask] = _omega_column(self.q._cell_vslots[k], rows)
         return column
 
     def nearest(self, metric, v, k):
@@ -263,33 +321,40 @@ class _Analysis:
     def contexts(self) -> list:
         """The metric of each closed cell, in poset index order.
 
-        Closed cells with identical 1-skeleta share one metric: the top
-        cells of a doubled complex, and every Salvetti cell [X, T] over
-        the same covector X.  Each kept rows dict is compared once with
-        the global rows on its vertices; the metric is glob when they
-        agree, which certifies the closed cell isometric, and (rows, {})
-        otherwise.
+        A closed cell's 1-skeleton is its vertex mask and the mask of
+        the end pairs of its 1-cells, so closed cells with equal masks
+        share one metric: the top cells of a doubled complex, and every
+        Salvetti cell [X, T] over the same covector X.  A closure with
+        every vertex and every end pair is the 1-skeleton and takes
+        glob unsearched; any other is searched from each of its
+        vertices over its own edges, once per key, and takes glob when
+        its rows equal the global rows on its vertices, which certifies
+        the closed cell isometric, and (rows, {}) otherwise.
         """
-        q, dist = self.q, self.dist
-        kept = {}  # one-skeleton key -> metric
+        q, kept = self.q, self.skeleton.kept
+        whole = ((1 << len(q._adj)) - 1, (1 << len(q._pairs)) - 1)
         out = []
-        for ctx in range(len(q)):
-            key = _one_skeleton(q, ctx)
+        for ctx, key in enumerate(zip(q._cell_vmask, q._cell_pairs)):
             metric = kept.get(key)
             if metric is None:
-                vsl, pairs = key
-                adj = [[] for _ in dist]
-                for s, t in pairs:
-                    adj[s].append(t)
-                    adj[t].append(s)
-                rows = {s: _bfs(adj, s) for s in vsl}
-                if all(rows[s][t] == dist[s][t] for s in vsl for t in vsl):
-                    metric = self.glob
-                else:
-                    metric = (rows, {})
-                kept[key] = metric
+                metric = kept[key] = (self.glob if key == whole
+                                      else self._closure_metric(ctx))
             out.append(metric)
         return out
+
+    def _closure_metric(self, ctx):
+        """glob if the closure of cell ctx is isometric, else its rows."""
+        q, dist = self.q, self.dist
+        adj = [[] for _ in dist]
+        for b in iter_bits(q._cell_pairs[ctx]):
+            s, t = q._pairs[b]
+            adj[s].append(t)
+            adj[t].append(s)
+        vsl = q._cell_vslots[ctx]
+        rows = {s: _bfs(adj, s) for s in vsl}
+        if all(rows[s][t] == dist[s][t] for s in vsl for t in vsl):
+            return self.glob
+        return rows, {}
 
 
 def _omega_column(kslots, rows):
@@ -328,8 +393,8 @@ def _global_tables(a: _Analysis) -> MHCheck:
     """
     q = a.q
     first = {}
-    for ci, kslots in enumerate(q._cell_vslots):
-        first.setdefault(kslots, ci)
+    for ci, vmask in enumerate(q._cell_vmask):
+        first.setdefault(vmask, ci)
     failed = []
     for ci in first.values():
         column = a.answer(a.glob, ci)
@@ -398,7 +463,7 @@ def _lower_constraints(a: _Analysis, v, k):
     out = []
     kmask = 1 << k
     for ctx, metric in enumerate(a.contexts):
-        if not (q.poset.down_mask(ctx) & kmask) or v not in q._cell_vslots[ctx]:
+        if not (q.poset.down_mask(ctx) & kmask and q._cell_vmask[ctx] >> v & 1):
             continue
         lo = a.nearest(metric, v, k)
         out.append((q.poset.elements[ctx],
@@ -463,17 +528,17 @@ def omega_tables(q: CWPoset) -> dict | None:
     if not _global_tables(a).passed:
         return None
     labels = q.vertex_labels()
-    pairs = {}  # vertex set -> (lower, upper) label pair per vertex slot
-    for ci, kslots in enumerate(q._cell_vslots):
-        if kslots not in pairs:
+    pairs = {}  # vertex mask -> (lower, upper) label pair per vertex slot
+    for ci, vmask in enumerate(q._cell_vmask):
+        if vmask not in pairs:
             column = a.answer(a.glob, ci)
-            pairs[kslots] = [(labels[min(a.nearest(a.glob, v, ci))],
-                              labels[hi]) for v, hi in enumerate(column)]
+            pairs[vmask] = [(labels[min(a.nearest(a.glob, v, ci))],
+                             labels[hi]) for v, hi in enumerate(column)]
     lower = {}
     upper = {}
     for v, label in enumerate(labels):
-        for cell, kslots in zip(q.poset.elements, q._cell_vslots):
-            lower[label, cell], upper[label, cell] = pairs[kslots][v]
+        for cell, vmask in zip(q.poset.elements, q._cell_vmask):
+            lower[label, cell], upper[label, cell] = pairs[vmask][v]
     return {"lower": lower, "upper": upper}
 
 
@@ -500,6 +565,26 @@ def _check_local_global_metric(a: _Analysis):
                         f"differs from the global {a.dist[s][t]}")
 
 
+def _tope_graph(m: OrientedMatroid) -> _Skeleton:
+    """The 1-skeleton state of the tope graph of m, kept per matroid:
+    the topes are the vertex slots, in canonical order, and two are
+    adjacent when a wall lies under both."""
+    slot = {t: s for s, t in enumerate(m.topes())}
+    adj = [set() for _ in slot]
+    for _, a, b in m.derived(oriented_one_skeleton):
+        adj[slot[a]].add(slot[b])
+        adj[slot[b]].add(slot[a])
+    return _Skeleton([tuple(sorted(s)) for s in adj])
+
+
+def _sharing(q: CWPoset, m: OrientedMatroid) -> CWPoset:
+    """q, reading the tope graph state of m if its adjacency is equal."""
+    skeleton = m.derived(_tope_graph)
+    if skeleton.adj == q._adj:
+        q._skeleton = skeleton
+    return q
+
+
 def dual_complex(m: OrientedMatroid) -> CWPoset:
     """Chambers as 0-cells: the order-reversed covector poset.
 
@@ -509,10 +594,10 @@ def dual_complex(m: OrientedMatroid) -> CWPoset:
     """
     face = m.face_poset()
     rank = face.height()
-    return CWPoset(face.dual(), [rank - h for h in face.heights()])
+    return _sharing(CWPoset(face.dual(), [rank - h for h in face.heights()]), m)
 
 
 def salvetti_cw(m: OrientedMatroid) -> CWPoset:
     """The doubled-chamber complex with its cell dimensions attached."""
     poset = build_salvetti_poset(m)
-    return CWPoset(poset, [c.dim for c in poset.elements])
+    return _sharing(CWPoset(poset, [c.dim for c in poset.elements]), m)

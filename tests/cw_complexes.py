@@ -1,9 +1,9 @@
 """Small CW complexes for the metric checks, and their .cw text.
 
-cw_polygon, cw_octagon_chords and cw_octagon_pair build the standalone
-CW inputs of the MH tests; emit_cw writes any CWPoset in the format that
-omsal.fileio.parse_cw reads, for round trips and for the .cw input of
-the CLI tests and the CLI transcript.
+cw_polygon, cw_octagon_chords, cw_octagon_pair and cw_two_squares build
+the standalone CW inputs of the MH tests; emit_cw writes any CWPoset in
+the format that omsal.fileio.parse_cw reads, for round trips and for the
+.cw input of the CLI tests and the CLI transcript.
 """
 
 from omsal.errors import ConsistencyFailure, UnknownFixture
@@ -66,6 +66,20 @@ def cw_octagon_pair() -> CWPoset:
     covers = [(elements[i], elements[j]) for i, j in q.poset.covers()]
     covers += [("w" + a, "w" + b) for a, b in covers]
     covers += [("v5", "bridge"), ("wv1", "bridge")]
+    return cw_from_covers(cells, covers)
+
+
+def cw_two_squares() -> CWPoset:
+    """Two 2-cells on the four vertices of K4: sq bounded by the cycle
+    a-b-c-d and bow by a-b-d-c.  Their closures have one vertex set but
+    different edges, so their metrics differ: from a the far end of the
+    shared edge cd is c inside sq and d inside bow."""
+    cells = [(x, 0) for x in "abcd"]
+    edges = ("ab", "bc", "cd", "ad", "ac", "bd")
+    cells += [(e, 1) for e in edges] + [("sq", 2), ("bow", 2)]
+    covers = [(x, e) for e in edges for x in e]
+    covers += [(e, "sq") for e in ("ab", "bc", "cd", "ad")]
+    covers += [(e, "bow") for e in ("ab", "bd", "cd", "ac")]
     return cw_from_covers(cells, covers)
 
 

@@ -183,6 +183,16 @@ def test_oriented_matroid_rejects_junk():
         OrientedMatroid(2, [])
 
 
+def test_oriented_matroid_names_the_first_wrong_length():
+    # in the caller's order, not in the iteration order of a set
+    with pytest.raises(LengthMismatch,
+                       match="^covector of length 1 in a ground set of size 2$"):
+        OrientedMatroid(2, [sv("00"), sv("+"), sv("---")])
+    with pytest.raises(LengthMismatch,
+                       match="^covector of length 3 in a ground set of size 2$"):
+        OrientedMatroid(2, [sv("00"), sv("---"), sv("+")])
+
+
 def test_arrangement_validation():
     with pytest.raises(ZeroNormal):
         RationalArrangement(2, [(1, 0), (0, 0)])
@@ -342,9 +352,11 @@ def test_span_rejects_non_oms():
     assert exc.value.report == verify_axioms(two_sided_closure(cc))
     with pytest.raises(EmptyInput):
         span_from_cocircuits(set())
-    # the length met first in the set is named first
-    with pytest.raises(LengthMismatch, match="^mixed lengths (2 and 1|1 and 2)$"):
-        span_from_cocircuits({sv("+0"), sv("0+"), sv("+")})
+    # the length met first in the caller's order is named first
+    with pytest.raises(LengthMismatch, match="^mixed lengths 1 and 2$"):
+        span_from_cocircuits([sv("+"), sv("+0"), sv("0+")])
+    with pytest.raises(LengthMismatch, match="^mixed lengths 2 and 1$"):
+        span_from_cocircuits([sv("+0"), sv("0+"), sv("+")])
 
 
 @pytest.mark.parametrize("spec", ALL_FIXTURES)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from omsal import mh
 from omsal.errors import ConsistencyFailure, Disconnected, EmptyInput
 from omsal.fixtures import ALL_FIXTURES
+from omsal.matroid import OrientedMatroid
 from omsal.mh import (
     CWPoset,
     cw_from_covers,
@@ -18,10 +19,12 @@ from omsal.mh import (
     skeleton_distances,
 )
 from omsal.paths import tope_distance
-from omsal.posets import iter_bits
+from omsal.posets import FinitePoset, iter_bits
+from omsal.salvetti import salvetti_complex
 
 import oracles
-from cw_complexes import cw_octagon_chords, cw_octagon_pair, cw_polygon
+from cw_complexes import (cw_octagon_chords, cw_octagon_pair, cw_polygon,
+                          cw_two_squares)
 from oracles import (closed_cell, edge_endpoints, f_vector, mh_check_unshared,
                      skeleton_is_bipartite)
 
@@ -218,6 +221,12 @@ def test_salvetti_cw_matches_poset(om, salvetti_poset):
 # -- shared answers against the unshared tables ----------------------------------
 
 
+def fresh(m):
+    """A copy of m with nothing derived yet: the fixtures are cached, so
+    an earlier test may have filled the MH share of m itself."""
+    return OrientedMatroid(m.n, m.covectors)
+
+
 def doubled(q):
     """q with a second copy of every top cell, on the same boundary,
     placed right after the original so later contexts reuse its table."""
@@ -244,6 +253,7 @@ CW_EXAMPLES = {
     "octagon": lambda: cw_octagon_chords(False),
     "octagon-trapezoid": lambda: cw_octagon_chords(True),
     "octagon-pair": cw_octagon_pair,
+    "two-squares": cw_two_squares,
 }
 CW_EXAMPLES.update({f"{name}-doubled": (lambda build=build: doubled(build()))
                     for name, build in list(CW_EXAMPLES.items())})
@@ -264,18 +274,24 @@ ORACLE_COMPLEXES = (
 
 @pytest.mark.parametrize("name", ORACLE_COMPLEXES)
 def test_vertex_slots_are_read_off_the_poset(name, om):
-    # every cell's vertex slots are the 0-cells of its closure, and those
-    # of a 1-cell are its two ends: the only edge ends the checks read
+    # every cell's vertex slots are the 0-cells of its closure, those of
+    # a 1-cell are its two ends, and its end pairs are the ends of the
+    # 1-cells of its closure: the only edge ends the checks read
     q = complex_for(name, om)
     labels = q.vertex_labels()
-    vset = set(labels)
-    edges = [i for i, d in enumerate(q.dims) if d == 1]
-    assert edges and list(iter_bits(q._edges)) == edges
+    slot = {x: s for s, x in enumerate(labels)}
+    ends = {x: tuple(map(slot.__getitem__, edge_endpoints(q, x)))
+            for x, d in zip(q.poset.elements, q.dims) if d == 1}
+    assert ends and sorted(set(ends.values())) == list(q._pairs)
     for i, cell in enumerate(q.poset.elements):
-        vertices = tuple(labels[s] for s in q._cell_vslots[i])
-        assert vertices == tuple(x for x in closed_cell(q, cell) if x in vset)
-        if i in edges:
-            assert vertices == edge_endpoints(q, cell)
+        closure = closed_cell(q, cell)
+        vertices = tuple(x for x in closure if x in slot)
+        assert tuple(labels[s] for s in q._cell_vslots[i]) == vertices
+        assert q._cell_vmask[i] == sum(1 << slot[x] for x in vertices)
+        assert [q._pairs[b] for b in iter_bits(q._cell_pairs[i])] == \
+            sorted({ends[x] for x in closure if x in ends})
+        if cell in ends:
+            assert q._cell_vslots[i] == ends[cell]
 
 
 def test_doubled_top_cells_share_one_local_table(monkeypatch):
@@ -293,14 +309,17 @@ def test_doubled_top_cells_share_one_local_table(monkeypatch):
     a = mh._Analysis(q)
     searched.clear()  # the global rows
     contexts = a.contexts
-    keys = [mh._one_skeleton(q, ctx) for ctx in range(len(q))]
+    keys = list(zip(q._cell_vmask, q._cell_pairs))
     for x in ("oct", "trap"):
         i = q.poset.index[x]
         assert closed_cell(q, x + "'") == closed_cell(q, x)[:-1] + [x + "'"]
         assert keys[i + 1] == keys[i] and contexts[i + 1] is contexts[i]
-    # one search from each vertex of each distinct closure: the copies
-    # oct', trap', c36', c58' and c72' run none (18 more if they did)
-    assert len(searched) == sum(len(vsl) for vsl, _ in set(keys)) == 44
+    # one search from each vertex of each distinct closure, over its own
+    # edges: no closure holds every chord, so none is the whole 1-skeleton,
+    # and the copies oct', trap', c36', c58' and c72' run none (18 more if
+    # they did)
+    assert len(set(keys)) == len(a.skeleton.kept) == len(q) - 5 == 22
+    assert len(searched) == sum(vmask.bit_count() for vmask, _ in set(keys)) == 44
 
 
 def _outcome(q):
@@ -319,14 +338,85 @@ def _no_local_walk(a):
 
 @pytest.mark.parametrize("name", ORACLE_COMPLEXES)
 def test_mh_report_equals_unshared_tables(name, om, monkeypatch):
-    q = complex_for(name, om)
-    expected = mh_check_unshared(q)
-    if not name.startswith("cw-"):
+    if name.startswith("cw-"):
+        complexes = [complex_for(name, om)]
+    else:
+        # the other complex of a fresh copy of the matroid is checked
+        # first, so the named one reads the share that it leaves
+        kind, spec = name.split("-", 1)
+        m = fresh(om(spec))
+        builds = {"dual": (salvetti_cw, dual_complex),
+                  "salvetti": (dual_complex, salvetti_cw)}[kind]
+        complexes = [build(m) for build in builds]
+        assert complexes[0]._skeleton is complexes[1]._skeleton is not None
         # every closed cell is isometric: the early verdict, and a pass
         monkeypatch.setattr(mh, "_local_tables", _no_local_walk)
-        assert expected[0].mh.passed
-    # the three checks with their witnesses, and the omega tables
+    for q in complexes:
+        expected = _unshared(q)
+        assert expected[0].mh.passed or name.startswith("cw-")
+        # the three checks with their witnesses, and the omega tables
+        assert _outcome(q) == expected
+
+
+_UNSHARED = {}
+
+
+def _unshared(q):
+    """mh_check_unshared(q), computed once per complex for the two
+    parameters of a matroid that both check it: a CW poset is keyed by
+    its cells, its dimensions and its covers."""
+    key = (q.poset.elements, q.dims, tuple(q.poset.covers()))
+    if key not in _UNSHARED:
+        _UNSHARED[key] = mh_check_unshared(q)
+    return _UNSHARED[key]
+
+
+def _altered_salvetti(m):
+    """The Salvetti poset of m with one cover of its first 1-cell moved
+    to the last vertex that is not one of its ends, so that edge joins
+    two topes that the tope graph does not join."""
+    cells, covers = salvetti_complex(m)
+    e = next(i for i, c in enumerate(cells) if c.dim == 1)
+    u, w = sorted(i for i, j in covers if j == e)
+    x = max(i for i, c in enumerate(cells) if c.dim == 0 and i not in (u, w))
+    return FinitePoset.from_covers(
+        cells, [(x if (i, j) == (w, e) else i, j) for i, j in covers])
+
+
+def _altered_after_dual(om, monkeypatch):
+    """(share, q): the dual complex of a fresh generic:3:2 is checked,
+    which fills the share of its matroid, and q is the altered Salvetti
+    complex of the same matroid."""
+    m = fresh(om("generic:3:2"))
+    dual = dual_complex(m)
+    assert _outcome(dual) == _unshared(dual)
+    monkeypatch.setattr(mh, "build_salvetti_poset", _altered_salvetti)
+    return dual._skeleton, salvetti_cw(m)
+
+
+def test_a_complex_off_the_tope_graph_builds_its_own_state(om, monkeypatch):
+    share, q = _altered_after_dual(om, monkeypatch)
+    kept = dict(share.kept)
+    assert q._adj != share.adj and q._skeleton is None
+    assert mh._Analysis(q).skeleton is not share
+    expected = mh_check_unshared(q)
+    assert not expected[0].qmh.passed
     assert _outcome(q) == expected
+    assert share.kept == kept  # nothing was written to the share
+
+
+def test_a_share_without_the_adjacency_test_is_caught(om, monkeypatch):
+    # the mutant hands the tope graph state to every complex of the
+    # matroid; the altered complex then reads distances it does not have
+    source = inspect.getsource(mh._sharing)
+    test = "skeleton.adj == q._adj"
+    assert source.count(test) == 1
+    scope = dict(vars(mh))
+    exec(source.replace(test, "True"), scope)
+    monkeypatch.setattr(mh, "_sharing", scope["_sharing"])
+    share, q = _altered_after_dual(om, monkeypatch)
+    assert q._skeleton is share
+    assert _outcome(q) != mh_check_unshared(q)
 
 
 def chorded_polygon(n, chords, cap):
@@ -503,12 +593,17 @@ def test_lower_checks_equal_the_unshared_oracle(q):
 
 def test_omega_pair_calls_on_nonpappus(om, monkeypatch):
     columns = []
+    searched = []
     stage_calls = {"_global_tables": [], "_local_tables": []}
-    real = mh._omega_column
+    real, real_bfs = mh._omega_column, mh._bfs
 
     def counted(kslots, rows):
         columns.append(kslots)
         return real(kslots, rows)
+
+    def counted_bfs(adj, source):
+        searched.append(source)
+        return real_bfs(adj, source)
 
     def staged(name):
         stage = getattr(mh, name)
@@ -524,62 +619,75 @@ def test_omega_pair_calls_on_nonpappus(om, monkeypatch):
         raise AssertionError("the early verdict built a nearest set")
 
     monkeypatch.setattr(mh, "_omega_column", counted)
+    monkeypatch.setattr(mh, "_bfs", counted_bfs)
     monkeypatch.setattr(mh._Analysis, "nearest", no_nearest_set)
     for name in stage_calls:
         monkeypatch.setattr(mh, name, staged(name))
-    m = om("nonpappus")
+    m = fresh(om("nonpappus"))
     # one column per distinct vertex set, for all 58 vertices at once:
     # 11,310 per-pair answers before, 25,366 and 44,976 when local
     # contexts asked afresh, 697,134 on the Salvetti complex when every
     # context walked every subcell
-    for q in (dual_complex(m), salvetti_cw(m)):
-        columns.clear()
-        assert mh_check(q).mh.passed
-        assert len(columns) == len(set(columns)) == 195
-        assert sum(len(k) == 1 for k in columns) == 58
+    dual, salvetti = dual_complex(m), salvetti_cw(m)
+    columns.clear()
+    searched.clear()  # the connectivity checks of CWPoset
+    assert mh_check(dual).mh.passed
+    assert len(columns) == len(set(columns)) == 195
+    assert sum(len(k) == 1 for k in columns) == 58
+    # 58 global rows and one search from each tope above each nonzero
+    # covector: the zero covector's closure is the whole 1-skeleton
+    assert len(searched) == 58 + 500 - 58
+    # the Salvetti complex reads the rows, the columns and the isometry
+    # verdicts that the dual complex left in the matroid's share
+    columns.clear()
+    searched.clear()
+    assert mh_check(salvetti).mh.passed
+    assert columns == searched == []
     # both complexes take the early verdict: no local walk at all
-    assert stage_calls == {"_global_tables": [195, 195],
+    assert stage_calls == {"_global_tables": [195, 0],
                            "_local_tables": []}
 
 
 def test_isometry_compared_once_per_kept_table(om, monkeypatch):
-    keyed = []
-    keys = []
     searched = []
-    real_key, real_bfs = mh._one_skeleton, mh._bfs
-
-    def counted_key(q, ctx):
-        keyed.append(ctx)
-        keys.append(real_key(q, ctx))
-        return keys[-1]
+    real_bfs = mh._bfs
 
     def counted_bfs(adj, source):
         searched.append(source)
         return real_bfs(adj, source)
 
-    monkeypatch.setattr(mh, "_one_skeleton", counted_key)
     monkeypatch.setattr(mh, "_bfs", counted_bfs)
-    q = salvetti_cw(om("nonpappus"))
+    m = fresh(om("nonpappus"))
+    q = salvetti_cw(m)
     searched.clear()  # the connectivity check of CWPoset
     a = mh._Analysis(q)
+    assert a.skeleton is q._skeleton is m.derived(mh._tope_graph)
     assert len(searched) == len(q._adj) == 58  # the global rows
     assert mh._global_tables(a).passed and mh._local_tables(a)[0].passed
     mh._check_local_global_metric(a)
     mh._lower_constraints(a, 0, 0)
-    # 500 contexts, one row set per covector: each key is derived once,
-    # each kept row set is searched once, and each metric is the global one
-    assert len(q) == 500 and keyed == list(range(500))
-    kept = set(keys)
-    assert len(kept) == 195
+    # 500 contexts, one key per covector: the 58 top cells [0, T] hold
+    # every vertex and every end pair and take the global rows unsearched,
+    # every other kept key is searched once from each of its vertices,
+    # and each metric is the global one
+    keys = set(zip(q._cell_vmask, q._cell_pairs))
+    assert len(q) == 500 and len(keys) == len(a.skeleton.kept) == 195
     # a covector X has as many topes above it as cells [X, T]: one search
-    # from each vertex of each kept row set is one per cell
-    assert sum(len(vsl) for vsl, _ in kept) == 500
-    assert len(searched) == 58 + 500
+    # from each vertex of each kept key is one per cell
+    assert sum(vmask.bit_count() for vmask, _ in keys) == 500
+    assert len(searched) == 58 + 500 - 58
     assert all(metric is a.glob for metric in a.contexts)
     # no isometric context is scanned again: the check reads no distance
     a.dist = []
     mh._check_local_global_metric(a)
-    assert len(keyed) == 500
+    # the dual complex has the same keys, and reads every one of them
+    dual = dual_complex(m)
+    searched.clear()  # its connectivity check
+    b = mh._Analysis(dual)
+    assert set(zip(b.q._cell_vmask, b.q._cell_pairs)) == keys
+    assert b.skeleton is a.skeleton and b.glob is a.glob
+    assert all(metric is a.glob for metric in b.contexts)
+    assert searched == [] and len(a.skeleton.kept) == 195
 
 
 @pytest.mark.parametrize("trapezoid", [False, True])

@@ -4,7 +4,8 @@ public name that only the tests read, one bit iterator, posets built
 only from their covers, one place that asks an MH question, one
 breadth-first search, one Smith elimination, one canonical sort, chains
 listed only for the matrix dump, no unused imports, and the nbc and
-homology routes of gr-compare kept apart."""
+homology routes of gr-compare kept apart, and no cache at module
+level."""
 
 import ast
 import sys
@@ -63,6 +64,7 @@ SHARED_SPELLING_READERS = {
     "matroid:OrientedMatroid.rank": "salvetti:_salvetti_complex",
     "matroid:OrientedMatroid.topes": "paths:_adjacency",
     "matroid:RationalArrangement.n": "matroid:from_arrangement",
+    "mh:_Skeleton.glob": "mh:_Analysis.__init__",
     "osalg:NbcTable.counts": "cli:_cmd_os_betti",
     "osalg:UnderlyingMatroid.rank": "osalg:circuits",
     "paths:PositivePath.topes": "paths:PositivePath.__str__",
@@ -531,6 +533,78 @@ def test_cache_keys_are_stable():
         "def f(m):\n    m._derived[f] = 1\n    m._derived.pop(f)\n    del m._derived[f]\n"
         "    m._derived.update({})\n    m._derived = {}\n    return m._derived.get(f)\n"))\
         == ["f"] * 5
+
+
+# The module-level mutable containers src may bind: constant lookup
+# tables that nothing writes, and the memo of the named fixtures.  Any
+# other state kept between calls lives in OrientedMatroid.derived, whose
+# keys test_cache_keys_are_stable holds, so it is kept per matroid.
+MODULE_CONTAINERS = {"fileio:_CHAR_SIGN", "fileio:_SIGN_CHAR", "fixtures:_cache",
+                     "signs:_CHARS", "signs:_SIGNS"}
+_CONTAINER_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict",
+                    "Counter", "deque", "ChainMap", "WeakKeyDictionary",
+                    "WeakValueDictionary", "WeakSet"}
+
+
+def _is_container(node):
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None)) in _CONTAINER_CALLS
+    return isinstance(node, (ast.Dict, ast.List, ast.Set,
+                             ast.DictComp, ast.ListComp, ast.SetComp))
+
+
+def _module_containers(trees, allowed):
+    """module:name of every mutable container that src binds outside a
+    function (at module level or in a class body) and that allowed does
+    not list, of every function memoized by functools.cache or lru_cache
+    or holding a mutable default, and of every global statement; then
+    each allowed entry that names no such binding, as stale."""
+    found = []
+
+    def visit(node, mod, scope, in_function):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and not in_function \
+                and node.value is not None and _is_container(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend(f"{mod}:{scope}{t.id}" for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            if any(_is_container(d) for d in args.defaults + args.kw_defaults if d):
+                found.append(f"{mod}:{scope}{getattr(node, 'name', 'lambda')} (mutable default)")
+            for deco in getattr(node, "decorator_list", ()):
+                deco = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(deco, "id", getattr(deco, "attr", None)) in {"cache", "lru_cache"}:
+                    found.append(f"{mod}:{scope}{node.name} (memoized)")
+        if isinstance(node, ast.Global):
+            found.extend(f"{mod}:{name} (global)" for name in node.names)
+        if isinstance(node, ast.ClassDef) and not in_function:
+            scope = scope + node.name + "."
+        in_function = in_function or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            visit(child, mod, scope, in_function)
+
+    for mod, tree in trees.items():
+        visit(tree, mod, "", False)
+    return sorted([name for name in found if name not in allowed]
+                  + [f"{name} (stale entry)" for name in allowed if name not in found])
+
+
+def test_no_module_level_cache():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert not _module_containers(trees, MODULE_CONTAINERS)
+    # a dict cache at module level or on a class, a memoized function, a
+    # mutable default and a global rebinding are each caught; a local
+    # container and a tuple are not
+    snippet = {"a": ast.parse(
+        "_TABLE = {1: 2}\n_memo = {}\n_seen: set = set()\nNAMES = (1, 2)\n"
+        "class C:\n    cache = defaultdict(list)\n    size = 3\n"
+        "@functools.lru_cache(maxsize=None)\ndef f(x):\n    return x\n"
+        "@cache\ndef g(x):\n    return x\n"
+        "def h(x, memo={}):\n    local = {}\n    return memo, local\n"
+        "def k():\n    global _count\n    _count = 1\n")}
+    assert _module_containers(snippet, {"a:_TABLE", "a:_gone"}) == \
+        ["a:C.cache", "a:_count (global)", "a:_gone (stale entry)", "a:_memo",
+         "a:_seen", "a:f (memoized)", "a:g (memoized)", "a:h (mutable default)"]
 
 
 HOMOLOGY_ROUTE = {"face_poset", "salvetti_complex", "IntegerChainComplex", "FinitePoset"}
