@@ -16,7 +16,8 @@ from itertools import combinations
 from pathlib import Path
 
 from .errors import (AxiomFailure, ConsistencyFailure, DegenerateChirotope,
-                     EnumerationLimitExceeded, ParseError)
+                     Disconnected, EnumerationLimitExceeded, NotAntisymmetric,
+                     ParseError)
 from .limits import SALVETTI_CAP_ENV, check_cap, enumeration_cap
 from .matroid import (Chirotope, OrientedMatroid, RationalArrangement,
                       cocircuits_from_chirotope, from_arrangement,
@@ -293,7 +294,7 @@ def parse_cw(source) -> CWPoset:
             raise ParseError(f"{name}:{lineno}: unrecognized line {line!r}")
     try:
         return cw_from_covers(cells, covers)
-    except ConsistencyFailure as exc:
+    except (ConsistencyFailure, Disconnected, NotAntisymmetric) as exc:
         raise ParseError(f"{name}: {exc}") from None
 
 

@@ -311,7 +311,7 @@ class OrientedMatroid:
 
         The covector set is frozen, so a kept value never goes stale; it
         is shared by every caller and must be treated as read-only, but
-        for a memo that only gains exact answers (the MH tope graph state).
+        for a memo that only gains exact answers (the MH 1-skeleton states).
         """
         if build not in self._derived:
             self._derived[build] = build(self)

@@ -43,12 +43,12 @@ the 1-skeleton, in vertex slots, and the two masks.  The dual and
 Salvetti complexes of an oriented matroid both have its tope graph as
 1-skeleton, the topes in canonical order as vertex slots, and the same
 keys (over a covector X, the topes above X and the walls between
-them).  So that state is kept once per matroid, in
-OrientedMatroid.derived, and each of the two complexes reads it only
-when its own adjacency equals the tope graph's: the second complex
-checked computes no row, column or closed-cell search again, and each
-reuse is the exact answer to the same question.  Any other complex
-builds its state afresh for each check.
+them).  So that state is kept per matroid, in OrientedMatroid.derived,
+keyed by the adjacency it is read off: the two complexes land on one
+entry, the second checked computes no row, column or closed-cell search
+again, and each reuse is the exact answer to the same question.  Any
+other complex of the matroid gets an entry of its own, and a complex
+with no matroid builds its state afresh for each check.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from typing import NamedTuple
 from .errors import ConsistencyFailure, Disconnected, EmptyInput
 from .matroid import OrientedMatroid
 from .posets import FinitePoset, iter_bits
-from .salvetti import build_salvetti_poset, oriented_one_skeleton
+from .salvetti import build_salvetti_poset
 
 
 class CWPoset:
@@ -81,8 +81,8 @@ class CWPoset:
         if len(self.dims) != len(poset.elements):
             raise ConsistencyFailure("one dimension per cell required")
         self._index_structure()
-        # the 1-skeleton state of the checks: the matroid's, handed over
-        # by dual_complex and salvetti_cw, or None for one per check
+        # the 1-skeleton state of the checks: the matroid's entry for _adj,
+        # set by dual_complex and salvetti_cw, or None for one per check
         self._skeleton = None
 
     def _index_structure(self):
@@ -135,12 +135,13 @@ class CWPoset:
             a, b = vs
             adj[a].add(b)
             adj[b].add(a)
-        self._adj = [tuple(sorted(s)) for s in adj]
+        self._adj = tuple(tuple(sorted(s)) for s in adj)
         seen = _bfs(self._adj, 0)
         for s in range(nv):
             if seen[s] < 0:
                 raise Disconnected(
-                    (self.vertex_labels()[0], self.vertex_labels()[s]))
+                    f"no path of 1-cells joins the vertices "
+                    f"{self.vertex_labels()[0]} and {self.vertex_labels()[s]}")
         # one bit per end pair (s, t), s < t, in adjacency order, so equal
         # adjacencies number their pairs alike; the end pairs of the
         # 1-cells in each closure are ORed up the covers like the slots
@@ -278,13 +279,13 @@ class _Analysis:
     metric: equal distances give equal answers.
 
     The rows, the memo of glob and the closed-cell metrics live in the
-    complex's _Skeleton: the one its matroid keeps for a dual or
-    Salvetti complex whose adjacency equals the tope graph's, so the
-    second of the two complexes checked computes none of them again,
-    and a fresh one per analysis for any other complex.  Each entry is
-    a function of the adjacency and of a cell's vertex mask (a column)
-    or of its two masks (a metric), numbered alike by equal adjacencies,
-    so every reuse is the exact answer to the question asked.
+    complex's _Skeleton: the one its matroid keeps under the complex's
+    adjacency, so the second of the dual and Salvetti complexes checked
+    computes none of them again, or a fresh one per analysis for a
+    complex with no matroid.  Each entry is a function of the adjacency
+    and of a cell's vertex mask (a column) or of its two masks (a
+    metric), numbered alike by equal adjacencies, so every reuse is the
+    exact answer to the question asked.
     """
 
     def __init__(self, q: CWPoset):
@@ -565,23 +566,14 @@ def _check_local_global_metric(a: _Analysis):
                         f"differs from the global {a.dist[s][t]}")
 
 
-def _tope_graph(m: OrientedMatroid) -> _Skeleton:
-    """The 1-skeleton state of the tope graph of m, kept per matroid:
-    the topes are the vertex slots, in canonical order, and two are
-    adjacent when a wall lies under both."""
-    slot = {t: s for s, t in enumerate(m.topes())}
-    adj = [set() for _ in slot]
-    for _, a, b in m.derived(oriented_one_skeleton):
-        adj[slot[a]].add(slot[b])
-        adj[slot[b]].add(slot[a])
-    return _Skeleton([tuple(sorted(s)) for s in adj])
+def _skeletons(m: OrientedMatroid) -> dict:
+    """The 1-skeleton states kept per matroid, {adjacency: _Skeleton}."""
+    return {}
 
 
 def _sharing(q: CWPoset, m: OrientedMatroid) -> CWPoset:
-    """q, reading the tope graph state of m if its adjacency is equal."""
-    skeleton = m.derived(_tope_graph)
-    if skeleton.adj == q._adj:
-        q._skeleton = skeleton
+    """q, reading the state m keeps for its adjacency, made on first use."""
+    q._skeleton = m.derived(_skeletons).setdefault(q._adj, _Skeleton(q._adj))
     return q
 
 

@@ -608,6 +608,24 @@ def test_cli_mh_check_cw_failure(capsys, tmp_path):
     assert out.startswith("cw: qmh: pass; lmh: pass; mh: FAIL at ('upper'")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("cell a dim 0\ncell b dim 1\ncover a b\ncover b a\n",
+     "antisymmetry fails on ('a', 'b')"),
+    ("cell a dim 0\ncell b dim 0\n",
+     "no path of 1-cells joins the vertices a and b"),
+], ids=["cyclic-covers", "disconnected"])
+def test_cli_mh_check_cw_refusals_are_parse_errors(capsys, tmp_path, text, message):
+    # every refusal of a .cw file names the file, as the parser's own do
+    f = tmp_path / "bad.cw"
+    f.write_text(text)
+    assert run(capsys, "mh-check", "--in", str(f)) == \
+        (2, "", f"ParseError: {f}: {message}\n")
+    code, out, err = run(capsys, "mh-check", "--in", str(f), "--json")
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"command": "mh-check", "error": f"{f}: {message}",
+                               "kind": "input-error"}
+
+
 def test_cli_topes(capsys):
     code, out, _ = run(capsys, "topes", "--fixture", "generic:3:2")
     assert (code, out) == (0, "topes=6\n+++\n++-\n+--\n-++\n--+\n---\n")

@@ -20,7 +20,7 @@ from omsal.mh import (
 )
 from omsal.paths import tope_distance
 from omsal.posets import FinitePoset, iter_bits
-from omsal.salvetti import salvetti_complex
+from omsal.salvetti import oriented_one_skeleton, salvetti_complex
 
 import oracles
 from cw_complexes import (cw_octagon_chords, cw_octagon_pair, cw_polygon,
@@ -384,21 +384,25 @@ def _altered_salvetti(m):
 
 
 def _altered_after_dual(om, monkeypatch):
-    """(share, q): the dual complex of a fresh generic:3:2 is checked,
+    """(m, share, q): the dual complex of a fresh generic:3:2 is checked,
     which fills the share of its matroid, and q is the altered Salvetti
     complex of the same matroid."""
     m = fresh(om("generic:3:2"))
     dual = dual_complex(m)
     assert _outcome(dual) == _unshared(dual)
     monkeypatch.setattr(mh, "build_salvetti_poset", _altered_salvetti)
-    return dual._skeleton, salvetti_cw(m)
+    return m, dual._skeleton, salvetti_cw(m)
 
 
 def test_a_complex_off_the_tope_graph_builds_its_own_state(om, monkeypatch):
-    share, q = _altered_after_dual(om, monkeypatch)
+    m, share, q = _altered_after_dual(om, monkeypatch)
     kept = dict(share.kept)
-    assert q._adj != share.adj and q._skeleton is None
-    assert mh._Analysis(q).skeleton is not share
+    skeletons = m.derived(mh._skeletons)
+    assert q._adj != share.adj and skeletons[share.adj] is share
+    # the altered complex holds the entry under its own adjacency
+    assert q._skeleton is skeletons[q._adj] is not share
+    assert q._skeleton.adj is q._adj and len(skeletons) == 2
+    assert mh._Analysis(q).skeleton is q._skeleton
     expected = mh_check_unshared(q)
     assert not expected[0].qmh.passed
     assert _outcome(q) == expected
@@ -406,17 +410,32 @@ def test_a_complex_off_the_tope_graph_builds_its_own_state(om, monkeypatch):
 
 
 def test_a_share_without_the_adjacency_test_is_caught(om, monkeypatch):
-    # the mutant hands the tope graph state to every complex of the
-    # matroid; the altered complex then reads distances it does not have
+    # the mutant keys every complex of the matroid alike, so each reads
+    # the first one's state; the altered complex then reads distances it
+    # does not have
     source = inspect.getsource(mh._sharing)
-    test = "skeleton.adj == q._adj"
-    assert source.count(test) == 1
+    key = ".setdefault(q._adj,"
+    assert source.count(key) == 1
     scope = dict(vars(mh))
-    exec(source.replace(test, "True"), scope)
+    exec(source.replace(key, ".setdefault(None,"), scope)
     monkeypatch.setattr(mh, "_sharing", scope["_sharing"])
-    share, q = _altered_after_dual(om, monkeypatch)
-    assert q._skeleton is share
+    m, share, q = _altered_after_dual(om, monkeypatch)
+    assert q._skeleton is share and list(m.derived(mh._skeletons)) == [None]
     assert _outcome(q) != mh_check_unshared(q)
+
+
+def test_both_complexes_of_a_matroid_share_one_entry(om):
+    # the share is keyed by the complexes' own adjacency: no tope graph
+    # is built beside it, so the walls are not derived on this route
+    m = fresh(om("nonpappus"))
+    dual = dual_complex(m)
+    assert mh_check(dual).mh.passed
+    salvetti = salvetti_cw(m)
+    assert mh_check(salvetti).mh.passed
+    assert oriented_one_skeleton not in m._derived
+    skeletons = m.derived(mh._skeletons)
+    assert len(skeletons) == 1
+    assert dual._skeleton is salvetti._skeleton is skeletons[dual._adj]
 
 
 def chorded_polygon(n, chords, cap):
@@ -661,7 +680,7 @@ def test_isometry_compared_once_per_kept_table(om, monkeypatch):
     q = salvetti_cw(m)
     searched.clear()  # the connectivity check of CWPoset
     a = mh._Analysis(q)
-    assert a.skeleton is q._skeleton is m.derived(mh._tope_graph)
+    assert a.skeleton is q._skeleton is m.derived(mh._skeletons)[q._adj]
     assert len(searched) == len(q._adj) == 58  # the global rows
     assert mh._global_tables(a).passed and mh._local_tables(a)[0].passed
     mh._check_local_global_metric(a)

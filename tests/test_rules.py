@@ -4,8 +4,8 @@ public name that only the tests read, one bit iterator, posets built
 only from their covers, one place that asks an MH question, one
 breadth-first search, one Smith elimination, one canonical sort, chains
 listed only for the matrix dump, no unused imports, and the nbc and
-homology routes of gr-compare kept apart, and no cache at module
-level."""
+homology routes of gr-compare kept apart, no cache at module level,
+and every Hypothesis test derandomized."""
 
 import ast
 import sys
@@ -642,3 +642,33 @@ def test_gr_compare_routes_stay_apart():
         "class U:\n    def rank(self, p: FinitePoset):\n        return p\n")) == \
         [("gr_comparison", "salvetti_complex"), ("_flat_ranks", "face_poset"),
          ("U.rank", "FinitePoset")]
+
+
+def _random_settings(trees):
+    """file:line of every @settings(...) decorator, bare or as an
+    attribute, that does not pass derandomize=True."""
+    bad = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            for deco in getattr(node, "decorator_list", ()):
+                func = getattr(deco, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) != "settings":
+                    continue
+                if not any(kw.arg == "derandomize" and getattr(kw.value, "value", None) is True
+                           for kw in deco.keywords):
+                    bad.append(f"{name}:{deco.lineno}")
+    return bad
+
+
+def test_hypothesis_tests_are_derandomized():
+    # a derandomized test draws the same examples on every run and never
+    # reads or writes the example database, so a tier-1 run is repeatable
+    trees = {str(path.relative_to(TESTS)): ast.parse(path.read_text())
+             for path in sorted(TESTS.rglob("*.py"))}
+    assert not _random_settings(trees)
+    snippet = ast.parse(
+        "@settings(derandomize=True, max_examples=5)\ndef test_a(x):\n    pass\n"
+        "@settings(max_examples=60, deadline=None)\ndef test_b(x):\n    pass\n"
+        "@hypothesis.settings(derandomize=False)\ndef test_c(x):\n    pass\n"
+        "class T:\n    @settings(database=None)\n    def test_d(self, x):\n        pass\n")
+    assert _random_settings({"t.py": snippet}) == ["t.py:4", "t.py:7", "t.py:11"]
