@@ -37,6 +37,7 @@ from .salvetti import (
     nerve_check,
     oriented_one_skeleton,
     retraction_check,
+    salvetti_chain_complex,
     salvetti_complex,
 )
 from .osalg import (
@@ -113,6 +114,7 @@ __all__ = (
     "oriented_one_skeleton",
     "parse_fixture_spec",
     "retraction_check",
+    "salvetti_chain_complex",
     "salvetti_complex",
     "salvetti_cw",
     "separation_mask",

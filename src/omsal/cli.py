@@ -5,7 +5,8 @@ never both), runs its computation, and prints a deterministic
 plain-text report; --json swaps in a machine-readable payload on a
 single line.  An option the command would ignore is refused.  Exit
 status: 0 when everything passed, 1 when a mathematical check failed,
-2 when the input was unusable, 141 when the reader closed stdout.
+2 when the input was unusable, 70 when the program itself failed (a
+traceback on stderr), 141 when the reader closed stdout.
 """
 
 import argparse
@@ -24,17 +25,18 @@ from .errors import (
     ParseError,
     UnknownFixture,
 )
-from .homology import IntegerChainComplex, write_matrix_text
-from .limits import check_dump_size
-from .matroid import Chirotope, are_isomorphic
+from .homology import write_order_complex_dump
+from .matroid import are_isomorphic
 from .mh import dual_complex, mh_check, salvetti_cw
 from .osalg import flats_from_covectors, gr_comparison, nbc_sets
 from .paths import minimal_positive_paths, tope_distance, tope_poset
-from .salvetti import build_salvetti_poset, f_vector_and_euler, salvetti_complex
+from .salvetti import (build_salvetti_poset, f_vector_and_euler,
+                       salvetti_chain_complex, salvetti_complex)
 from .signs import SignVector
 
 CHECK_FAILED = 1
 BAD_INPUT = 2
+INTERNAL_ERROR = 70  # sysexits' EX_SOFTWARE: a fault of the program itself
 PIPE_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a pipe closed early
 
 # a "check failure" means the mathematics disagreed with itself; every
@@ -134,21 +136,10 @@ def _cmd_homology(args):
         raise ParseError("bad --dump-matrices directory '': empty")
     m, ident = _load_subject(args)
     if out_dir is not None:
-        # the dump stays on the order complex, whose k-faces are the
-        # chains of k + 1 cells (perfbench pins its shapes); one over the
-        # cap is refused before any chain is listed or any file is opened
-        poset = build_salvetti_poset(m)
-        check_dump_size(poset.chain_counts())
-        chain = IntegerChainComplex.from_faces(poset.chain_layers())
-        os.makedirs(out_dir, exist_ok=True)
-        for k in range(1, len(chain.dims)):
-            write_matrix_text(
-                chain.boundaries[k],
-                os.path.join(out_dir, f"boundary_{k}.txt"),
-                (chain.dims[k - 1], chain.dims[k]))
-    cells, covers = salvetti_complex(m)
-    groups = IntegerChainComplex.from_cw_covers(
-        [c.dim for c in cells], covers).homology()
+        # the dump stays on the order complex of the cells (perfbench
+        # pins its shapes); the groups are computed on the cells
+        write_order_complex_dump(build_salvetti_poset(m), out_dir)
+    groups = salvetti_chain_complex(m).homology()
     lines = [f"H_{k}: {g}" for k, g in enumerate(groups)]
     betti = [g.betti for g in groups]
     lines.append("betti=(" + ",".join(map(str, betti)) + ")")
@@ -171,11 +162,15 @@ def _cmd_os_betti(args):
 
 def _cmd_gr_compare(args):
     m, ident = _load_subject(args)
-    cmp_ = gr_comparison(m)  # raises ComparisonFailure on any mismatch
-    payload = {"subject": ident, "os": list(cmp_.os),
-               "homology": list(cmp_.homology_betti),
-               "torsion": list(cmp_.torsion), "matches": cmp_.matches}
-    return 0, str(cmp_).splitlines(), payload
+    # raises ComparisonFailure on any mismatch, so the homology ranks
+    # returned are the nbc counts, with no torsion
+    betti = list(gr_comparison(m))
+    lines = ["deg  os  H_k"]
+    lines += [f"{k:>3} {b:>3} {b:>4}" for k, b in enumerate(betti)]
+    lines.append("match")
+    payload = {"subject": ident, "os": betti, "homology": betti,
+               "torsion": [], "matches": True}
+    return 0, lines, payload
 
 
 def _cmd_mh_check(args):
@@ -283,11 +278,7 @@ def _cmd_gen(args):
         if args.format == "arr":
             text = fileio.emit_arrangement(fixtures.fixture_arrangement(spec))
         elif args.format == "chi":
-            if spec.kind == "nonpappus":
-                text = fileio.emit_chirotope(fixtures.nonpappus_chirotope())
-            else:
-                arr = fixtures.fixture_arrangement(spec)
-                text = fileio.emit_chirotope(Chirotope.from_normals(arr))
+            text = fileio.emit_chirotope(fixtures.fixture_chirotope(spec))
         else:
             text = fileio.emit_covectors(fixtures.generate_fixture(spec))
     payload = {"subject": ident, "format": args.format, "text": text}
@@ -428,6 +419,14 @@ def _answer(args):
         return _fail(args, exc, CHECK_FAILED)
     except (OMError, OSError) as exc:
         return _fail(args, exc, BAD_INPUT)
+    except Exception as exc:
+        # anything else is a fault of the program, not of its input
+        import traceback  # only a fault needs it
+        traceback.print_exc()
+        if args.json:
+            _print_json({"command": args.command, "error": str(exc),
+                         "kind": "internal-error"})
+        return INTERNAL_ERROR
     if args.json:
         payload["command"] = args.command
         _print_json(payload)

@@ -15,16 +15,15 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from .errors import (AxiomFailure, ConsistencyFailure, DegenerateChirotope,
-                     Disconnected, EnumerationLimitExceeded, NotAntisymmetric,
-                     ParseError)
+from .errors import (ConsistencyFailure, DegenerateChirotope, Disconnected,
+                     EnumerationLimitExceeded, NotAntisymmetric, ParseError)
 from .limits import SALVETTI_CAP_ENV, check_cap, enumeration_cap
 from .matroid import (Chirotope, OrientedMatroid, RationalArrangement,
                       cocircuits_from_chirotope, from_arrangement,
                       span_from_cocircuits)
 from .mh import CWPoset, cw_from_covers
 from .salvetti import SalvettiCell, salvetti_complex
-from .signs import SignVector
+from .signs import _CHARS, _SIGNS, SignVector
 
 
 def _read_lines(source):
@@ -106,9 +105,7 @@ def parse_covectors(source) -> OrientedMatroid:
                 f"{name}:{lineno}: length {x.n} differs from {n}")
         vecs.append(x)
     m = OrientedMatroid(n, set(vecs))
-    report = m.verify()
-    if not report.passes:
-        raise AxiomFailure(report)
+    m.face_poset()  # raises AxiomFailure on a set that fails the axioms
     return m
 
 
@@ -122,15 +119,11 @@ def colex_subsets(n: int, r: int) -> list[tuple[int, ...]]:
                   key=lambda t: tuple(reversed(t)))
 
 
-_CHAR_SIGN = {"+": 1, "-": -1, "0": 0}
-_SIGN_CHAR = {1: "+", -1: "-", 0: "0"}
-
-
 def parse_chirotope(source) -> Chirotope:
     """Read `chirotope r=<r> n=<n>` plus one sign char per colex r-subset."""
     r, n, chars = _read_chirotope(source)
     check_cap(n)  # before any subset is listed
-    return Chirotope(r, n, dict(zip(colex_subsets(n, r), map(_CHAR_SIGN.get, chars))))
+    return Chirotope(r, n, dict(zip(colex_subsets(n, r), map(_SIGNS.get, chars))))
 
 
 def _read_chirotope(source):
@@ -181,7 +174,7 @@ def reemit_chirotope(source) -> str:
 
 
 def emit_chirotope(c: Chirotope) -> str:
-    chars = "".join(_SIGN_CHAR[c.chi(sub)] for sub in colex_subsets(c.n, c.r))
+    chars = "".join(_CHARS[c.chi(sub)] for sub in colex_subsets(c.n, c.r))
     return f"chirotope r={c.r} n={c.n}\n{chars}\n"
 
 

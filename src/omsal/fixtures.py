@@ -15,8 +15,7 @@ from typing import NamedTuple
 from .errors import UnknownFixture
 from .limits import check_cap
 from .matroid import (Chirotope, OrientedMatroid, RationalArrangement,
-                      cocircuits_from_chirotope, from_arrangement,
-                      span_from_cocircuits)
+                      cocircuits_from_chirotope, span_from_cocircuits)
 
 
 class FixtureSpec(NamedTuple):
@@ -131,15 +130,21 @@ def generate_fixture(spec) -> OrientedMatroid:
     hit = _cache.get(spec.name)
     if hit is not None:
         return hit
-    if spec.kind == "nonpappus":
-        m = span_from_cocircuits(cocircuits_from_chirotope(nonpappus_chirotope()))
-    else:
+    if spec.kind != "nonpappus":
         # the cap counts normals; refuse before any normal is built
         n = spec.args[0]
         check_cap(n * (n - 1) // 2 if spec.kind == "braid" else n)
-        m = from_arrangement(fixture_arrangement(spec))
+    m = span_from_cocircuits(cocircuits_from_chirotope(fixture_chirotope(spec)))
     _cache[spec.name] = m
     return m
+
+
+def fixture_chirotope(spec) -> Chirotope:
+    """The chirotope of a parsed fixture spec: nonpappus_chirotope(), or
+    that of the fixture's arrangement."""
+    if spec.kind == "nonpappus":
+        return nonpappus_chirotope()
+    return Chirotope.from_normals(fixture_arrangement(spec))
 
 
 def fixture_arrangement(spec) -> RationalArrangement:

@@ -9,18 +9,20 @@ assembled from its cover pairs and grades alone: each incidence number
 is +-1 and, once one sign per cell is fixed, the diamond property of the
 cell's boundary forces the rest.  Simplicial boundaries are assembled
 from per-dimension lists of faces, given as index tuples in one
-vertex order (the chains of a poset bottom up, for the matrix dump of
-the CLI).  Nothing is
-reduced beforehand, and the constructor checks that consecutive
-boundaries compose to zero.
+vertex order; the matrix dump writes those of a poset's order complex,
+whose faces are its chains bottom up.  Nothing is reduced beforehand,
+and the constructor checks that consecutive boundaries compose to zero.
 """
 
 from __future__ import annotations
 
+import os
 from math import gcd
 from typing import NamedTuple
 
-from .errors import ConsistencyFailure
+from .errors import ConsistencyFailure, EnumerationLimitExceeded
+
+DUMP_BYTES_CAP = 256 << 20  # 256 MiB
 
 
 # -- Smith normal form ------------------------------------------------------
@@ -320,3 +322,26 @@ def write_matrix_text(rows, path, shape):
                 at = 2 * j + 1
             parts.append(zero[at:])
             fh.write("".join(parts))
+
+
+def write_order_complex_dump(poset, out_dir):
+    """Write boundary_k.txt of the order complex of poset into out_dir.
+
+    The k-faces are the chains of k + 1 elements, listed bottom up.  A
+    dump over DUMP_BYTES_CAP is refused with EnumerationLimitExceeded
+    before any chain is listed or any file is opened: boundary k is a
+    dense text matrix of at least two bytes per entry, so the sum of
+    2 * dims[k-1] * dims[k] over the chain counts bounds it from below.
+    """
+    dims = poset.chain_counts()
+    size = sum(2 * a * b for a, b in zip(dims, dims[1:]))
+    if size > DUMP_BYTES_CAP:
+        raise EnumerationLimitExceeded(
+            f"the matrix dump would write at least {size} bytes, over the "
+            f"cap of {DUMP_BYTES_CAP}")
+    chain = IntegerChainComplex.from_faces(poset.chain_layers())
+    os.makedirs(out_dir, exist_ok=True)
+    for k in range(1, len(chain.dims)):
+        write_matrix_text(chain.boundaries[k],
+                          os.path.join(out_dir, f"boundary_{k}.txt"),
+                          chain.dims[k - 1:k + 1])

@@ -391,9 +391,7 @@ def span_from_cocircuits(cc) -> OrientedMatroid:
         if x.n != n:
             raise LengthMismatch(f"mixed lengths {n} and {x.n}")
     m = OrientedMatroid(n, (SignVector(n, p, q) for p, q in _compositions(set(cc))))
-    report = m.verify()
-    if not report.passes:
-        raise AxiomFailure(report)
+    m.face_poset()  # raises AxiomFailure on a set that fails the axioms
     return m
 
 
@@ -450,7 +448,6 @@ class Chirotope:
             s = sgn * parity
             if normalized.setdefault(srt, s) != s:
                 raise NotAlternating(f"inconsistent signs on basis {srt}")
-            normalized[srt] = s
         if not any(normalized.values()):
             raise DegenerateChirotope("chirotope identically zero")
         self.values = normalized

@@ -13,10 +13,9 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import AxiomFailure, ComparisonFailure, NotSimple
-from .homology import IntegerChainComplex
 from .matroid import OrientedMatroid
 from .posets import iter_bits
-from .salvetti import salvetti_complex
+from .salvetti import salvetti_chain_complex
 
 
 def _flat_ranks(m) -> dict[int, int]:
@@ -96,22 +95,9 @@ def nbc_sets(u: UnderlyingMatroid, order=None) -> NbcTable:
     return NbcTable(tuple(sorted(broken, key=lambda b: (len(b), sorted(b)))), layers)
 
 
-class GrComparison(NamedTuple):
-    os: tuple
-    homology_betti: tuple
-    torsion: tuple
-    matches: bool
-
-    def __str__(self):
-        rows = ["deg  os  H_k"]
-        for k, (b, h) in enumerate(zip(self.os, self.homology_betti)):
-            rows.append(f"{k:>3} {b:>3} {h:>4}")
-        rows.append("match" if self.matches else "MISMATCH")
-        return "\n".join(rows)
-
-
-def gr_comparison(m: OrientedMatroid) -> GrComparison:
-    """Salvetti homology ranks vs nbc counts, degree by degree.
+def gr_comparison(m: OrientedMatroid) -> tuple[int, ...]:
+    """The nbc counts, once they equal the Salvetti homology ranks degree
+    by degree.
 
     Raises ComparisonFailure on the first degree where the ranks differ
     or torsion appears; also insists the nbc counts alternate to zero.
@@ -123,9 +109,7 @@ def gr_comparison(m: OrientedMatroid) -> GrComparison:
     if loops:
         raise NotSimple(f"element {loops[0]} is a loop" if len(loops) == 1 else
                         f"elements {', '.join(loops)} are loops")
-    cells, covers = salvetti_complex(m)
-    groups = IntegerChainComplex.from_cw_covers(
-        [c.dim for c in cells], covers).homology()
+    groups = salvetti_chain_complex(m).homology()
     betti = tuple(g.betti for g in groups)
     bs = nbc_sets(flats_from_covectors(m)).counts()
     top = max(len(betti), len(bs))
@@ -139,5 +123,4 @@ def gr_comparison(m: OrientedMatroid) -> GrComparison:
             raise ComparisonFailure(f"degree {k}: os rank {b} != homology rank {h}")
     if m.n and sum((-1) ** k * b for k, b in enumerate(bs)) != 0:
         raise ComparisonFailure("os ranks do not alternate to zero")
-    torsion = tuple(t for g in groups for t in g.torsion)
-    return GrComparison(bs, betti, torsion, True)
+    return bs

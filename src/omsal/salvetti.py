@@ -8,7 +8,7 @@ read off that poset: its covectors and topes are in sign-string order,
 its up-masks name the topes above each covector and its covers give the
 facets, so the cells come out in canonical order with no sort.  The
 cells and their covers define the regular CW complex, and its f-vector,
-integer homology and .poset text are read off them.  Only the callers
+cellular chain complex and .poset text are read off them.  Only the callers
 that read up- and down-masks (the checks below, MH and the matrix dump)
 close the covers into a poset.  The nerve of the open-star cover is
 checked against the order complex through the comparability masks of
@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ConsistencyFailure, NotATope
+from .homology import IntegerChainComplex
 from .limits import check_cap
 from .matroid import OrientedMatroid
 from .posets import FinitePoset, iter_bits
@@ -75,6 +76,13 @@ def salvetti_complex(m: OrientedMatroid):
     """
     check_cap(m.n)
     return m.derived(_salvetti_complex)
+
+
+def salvetti_chain_complex(m: OrientedMatroid) -> IntegerChainComplex:
+    """The cellular chain complex of salvetti_complex(m), the one route
+    to its homology; built afresh on each call."""
+    cells, covers = salvetti_complex(m)
+    return IntegerChainComplex.from_cw_covers([c.dim for c in cells], covers)
 
 
 def _salvetti_poset(m: OrientedMatroid) -> FinitePoset:

@@ -17,12 +17,13 @@ from cw_complexes import cw_octagon_chords, emit_cw
 from oracles import dense_boundary_matrix, f_vector, order_complex, write_dense_matrix_text
 
 from omsal import fileio, fixtures, matroid, osalg
+from omsal import cli
 from omsal.cli import main
 from omsal.errors import (AxiomFailure, ConsistencyFailure, DegenerateChirotope,
                           EnumerationLimitExceeded, OMError, ParseError)
 from omsal.fixtures import fixture_arrangement, parse_fixture_spec
-from omsal.homology import HomologyGroup, IntegerChainComplex
-from omsal.limits import DUMP_BYTES_CAP, check_dump_size
+from omsal.homology import (DUMP_BYTES_CAP, HomologyGroup, IntegerChainComplex,
+                            write_order_complex_dump)
 from omsal.matroid import are_isomorphic, from_arrangement, verify_axioms
 from omsal.mh import cw_from_covers, mh_check
 from omsal.posets import FinitePoset
@@ -408,7 +409,7 @@ def test_boundary_builders_emit_nonzero_ints_and_no_empty_row(capsys,
     # the dump's own from_faces boundaries, caught on their way to the
     # writer
     dumped = []
-    monkeypatch.setattr("omsal.cli.write_matrix_text",
+    monkeypatch.setattr("omsal.homology.write_matrix_text",
                         lambda rows, path, shape: dumped.append((rows, shape)))
     code, _, _ = run(capsys, "homology", "--fixture", spec,
                      "--dump-matrices", str(tmp_path))
@@ -447,14 +448,30 @@ def test_cli_refuses_a_dump_over_the_cap_before_writing(capsys, tmp_path,
 @pytest.mark.parametrize("spec, size", [("generic:4:3", 12_407_840),
                                         ("generic:5:3", 73_570_592),
                                         ("boolean:4", 682_229_760)])
-def test_dump_size_is_counted_from_the_down_masks(om, spec, size):
-    dims = build_salvetti_poset(om(spec)).chain_counts()
+def test_dump_size_is_counted_from_the_down_masks(om, monkeypatch, tmp_path,
+                                                   spec, size):
+    poset = build_salvetti_poset(om(spec))
+    dims = poset.chain_counts()
     assert sum(2 * a * b for a, b in zip(dims, dims[1:])) == size
+
+    class Listed(Exception):
+        pass
+
+    def listed(self):
+        raise Listed
+
+    # a dump under the cap goes on to list the chains; one over it is
+    # refused first
+    monkeypatch.setattr(FinitePoset, "chain_layers", listed)
     if size > DUMP_BYTES_CAP:
-        with pytest.raises(EnumerationLimitExceeded, match=str(size)):
-            check_dump_size(dims)
+        with pytest.raises(EnumerationLimitExceeded,
+                           match=f"^the matrix dump would write at least {size} "
+                                 f"bytes, over the cap of {DUMP_BYTES_CAP}$"):
+            write_order_complex_dump(poset, tmp_path / "mats")
     else:
-        check_dump_size(dims)
+        with pytest.raises(Listed):
+            write_order_complex_dump(poset, tmp_path / "mats")
+    assert not (tmp_path / "mats").exists()
 
 
 NONPAPPUS_HOMOLOGY = "H_0: Z\nH_1: Z^9\nH_2: Z^28\nH_3: Z^20\nbetti=(1,9,28,20)\n"
@@ -588,6 +605,24 @@ def test_cli_gr_compare_failure_is_a_check_failure(capsys, monkeypatch, os_ranks
     assert (code, err) == (1, "")
     assert json.loads(out) == {"command": "gr-compare", "error": message,
                                "kind": "check-failure"}
+
+
+def test_cli_internal_error_is_its_own_exit_code(capsys, monkeypatch):
+    # a fault of the program is neither a failed check (1) nor bad
+    # input (2): its traceback goes to stderr, and --json adds a payload
+    def fault(m):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "gr_comparison", fault)
+    argv = ("gr-compare", "--fixture", "generic:3:2")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.INTERNAL_ERROR, "") and code not in (0, 1, 2, 141)
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("KeyError: 'lost'\n")
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == cli.INTERNAL_ERROR and err.endswith("KeyError: 'lost'\n")
+    assert json.loads(out) == {"command": "gr-compare", "error": "'lost'",
+                               "kind": "internal-error"}
 
 
 def test_cli_mh_check(capsys):

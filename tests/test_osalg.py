@@ -8,15 +8,17 @@ from oracles import flats, is_simple, whitney_numbers
 
 from omsal import osalg
 from omsal.errors import AxiomFailure, NotSimple
-from omsal.fixtures import (ALL_FIXTURES, fixture_arrangement, generate_fixture,
-                            nonpappus_chirotope)
-from omsal.matroid import Chirotope, OrientedMatroid
+from omsal.cli import main
+from omsal.fixtures import (ALL_FIXTURES, fixture_chirotope, generate_fixture,
+                            parse_fixture_spec)
+from omsal.matroid import OrientedMatroid
 from omsal.osalg import (
     circuits,
     flats_from_covectors,
     gr_comparison,
     nbc_sets,
 )
+from omsal.salvetti import salvetti_chain_complex
 from omsal.signs import SignVector
 
 # frozen against the Mobius/Whitney oracle below
@@ -77,8 +79,7 @@ def test_rank_closes_exactly_the_covector_zero_sets(spec, om):
 def test_rank_is_the_largest_basis_meet(spec, om):
     # the rank of S is the most elements of S in one basis, read off the
     # chirotope's nonzero bases: no flats and no covectors involved
-    chi = nonpappus_chirotope() if spec == "nonpappus" else \
-        Chirotope.from_normals(fixture_arrangement(spec))
+    chi = fixture_chirotope(parse_fixture_spec(spec))
     bases = [frozenset(b) for b, sign in chi.values.items() if sign]
     u = flats_from_covectors(om(spec))
     assert u.n == chi.n and u.rank() == chi.r
@@ -208,10 +209,13 @@ def test_tope_count_is_the_nbc_total(spec, om):
                                   "generic:3:2", "braid:3", "generic:4:3",
                                   "generic:5:3"])
 def test_gr_comparison_matches(spec, om):
-    cmp_ = gr_comparison(om(spec))
-    assert cmp_.matches
-    assert cmp_.os == cmp_.homology_betti == OS_EXPECTED[spec]
-    assert cmp_.torsion == ()
+    # it returns the nbc counts once the groups certify them: equal
+    # ranks, no torsion
+    m = om(spec)
+    assert gr_comparison(m) == OS_EXPECTED[spec]
+    groups = salvetti_chain_complex(m).homology()
+    assert tuple(g.betti for g in groups) == OS_EXPECTED[spec]
+    assert all(g.torsion == () for g in groups)
 
 
 def test_gr_comparison_names_the_loops():
@@ -223,10 +227,10 @@ def test_gr_comparison_names_the_loops():
         gr_comparison(m)
 
 
-def test_gr_table_text(om):
-    text = str(gr_comparison(om("generic:3:2")))
-    assert text == ("deg  os  H_k\n"
-                    "  0   1    1\n"
-                    "  1   3    3\n"
-                    "  2   2    2\n"
-                    "match")
+def test_gr_table_text(capsys):
+    assert main(["gr-compare", "--fixture", "generic:3:2"]) == 0
+    assert capsys.readouterr().out == ("deg  os  H_k\n"
+                                       "  0   1    1\n"
+                                       "  1   3    3\n"
+                                       "  2   2    2\n"
+                                       "match\n")

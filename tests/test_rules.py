@@ -413,6 +413,21 @@ def test_one_elimination():
         "_sparse_eliminate") == ["C.homology", "coreduce"]
 
 
+def test_one_cellular_assembly():
+    # the Salvetti chain complex has one builder, and it is the one
+    # from_cw_covers call of src/
+    calls = {path.name: _enclosing_scopes_of_calls(ast.parse(path.read_text()),
+                                                   "from_cw_covers")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == \
+        {"salvetti.py": ["salvetti_chain_complex"]}
+    assert _enclosing_scopes_of_calls(ast.parse(
+        "def salvetti_chain_complex(m):\n"
+        "    return IntegerChainComplex.from_cw_covers(g, c)\n"
+        "def _cmd_homology(a):\n    return homology.IntegerChainComplex.from_cw_covers(g, c)\n"),
+        "from_cw_covers") == ["salvetti_chain_complex", "_cmd_homology"]
+
+
 def test_poset_files_read_only_as_subjects():
     # a .poset is loaded as the oriented matroid it lists, by the one
     # suffix dispatch, so no command reads it as a loose cell poset
@@ -435,7 +450,7 @@ def test_chains_listed_only_for_the_matrix_dump():
                                                        name)
                  for path in sorted(SRC.glob("*.py"))}
         assert {path: found for path, found in calls.items() if found} == \
-            {"cli.py": ["_cmd_homology"]}, name
+            {"homology.py": ["write_order_complex_dump"]}, name
     snippet = ast.parse(
         "def _cmd_homology(p):\n    return p.chain_layers()\n"
         "def nerve_check(p):\n    return len(p.chain_layers()[-1])\n"
@@ -539,8 +554,7 @@ def test_cache_keys_are_stable():
 # tables that nothing writes, and the memo of the named fixtures.  Any
 # other state kept between calls lives in OrientedMatroid.derived, whose
 # keys test_cache_keys_are_stable holds, so it is kept per matroid.
-MODULE_CONTAINERS = {"fileio:_CHAR_SIGN", "fileio:_SIGN_CHAR", "fixtures:_cache",
-                     "signs:_CHARS", "signs:_SIGNS"}
+MODULE_CONTAINERS = {"fixtures:_cache", "signs:_CHARS", "signs:_SIGNS"}
 _CONTAINER_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict",
                     "Counter", "deque", "ChainMap", "WeakKeyDictionary",
                     "WeakValueDictionary", "WeakSet"}
@@ -607,7 +621,8 @@ def test_no_module_level_cache():
          "a:_seen", "a:f (memoized)", "a:g (memoized)", "a:h (mutable default)"]
 
 
-HOMOLOGY_ROUTE = {"face_poset", "salvetti_complex", "IntegerChainComplex", "FinitePoset"}
+HOMOLOGY_ROUTE = {"face_poset", "salvetti_complex", "salvetti_chain_complex",
+                  "IntegerChainComplex", "FinitePoset"}
 
 
 def _homology_route_reads(tree):

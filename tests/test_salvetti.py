@@ -26,6 +26,7 @@ from omsal.salvetti import (
     nerve_check,
     oriented_one_skeleton,
     retraction_check,
+    salvetti_chain_complex,
     salvetti_complex,
 )
 from omsal.signs import SignVector, compose, conforms
@@ -372,6 +373,17 @@ def _cellular_homology(m):
 def test_cellular_homology_equals_simplicial(spec, om, salvetti_homology):
     # the order complex is a subdivision of the cells: same groups
     assert _cellular_homology(om(spec)) == salvetti_homology(spec)
+
+
+@pytest.mark.parametrize("spec", ALL_FIXTURES)
+def test_chain_complex_builder_equals_the_cover_assembly(spec, om):
+    # from_cw_covers on the Salvetti pair is the oracle for any other
+    # assembly of the same boundaries, entry for entry
+    m = om(spec)
+    cells, covers = salvetti_complex(m)
+    oracle = IntegerChainComplex.from_cw_covers([c.dim for c in cells], covers)
+    built = salvetti_chain_complex(m)
+    assert (built.dims, built.boundaries) == (oracle.dims, oracle.boundaries)
 
 
 @pytest.mark.parametrize("spec", ["generic:5:4", "generic:6:4", "boolean:5"])
